@@ -448,10 +448,12 @@ void Core::issue_prefetches(HwContext& ctx, Addr line_addr) noexcept {
 }
 
 bool Core::invalidate_line(Addr line_addr) noexcept {
-  // Conservatively drop the fast-path registers: the handles would fail
-  // revalidation anyway for this line, but a remote action is rare enough
-  // that clearing everything keeps the invariant trivially auditable.
-  clear_fast_entries();
+  // No fast-path teardown here or in the other coherence entry points: the
+  // L1's invalidate() and downgrade_to_shared() tick the snooped set's
+  // mutation generation, so tier 1 fails for exactly the registers on that
+  // set.  Tier 2 then sends the invalidated line (and stores to a
+  // downgraded one) to the reference path and re-arms the set's untouched
+  // neighbours; registers on every other set stay armed across the snoop.
   l1d_.invalidate(line_addr);
   if (l3_ != nullptr) {
     l2_->invalidate(line_addr);
@@ -461,7 +463,6 @@ bool Core::invalidate_line(Addr line_addr) noexcept {
 }
 
 bool Core::downgrade_line(Addr line_addr) noexcept {
-  clear_fast_entries();
   l1d_.downgrade_to_shared(line_addr);
   if (l3_ != nullptr) {
     l2_->downgrade_to_shared(line_addr);
@@ -471,13 +472,11 @@ bool Core::downgrade_line(Addr line_addr) noexcept {
 }
 
 void Core::invalidate_inner(Addr line_addr) noexcept {
-  clear_fast_entries();
   l1d_.invalidate(line_addr);
   if (l3_ != nullptr) l2_->invalidate(line_addr);
 }
 
 void Core::downgrade_inner(Addr line_addr) noexcept {
-  clear_fast_entries();
   l1d_.downgrade_to_shared(line_addr);
   if (l3_ != nullptr) l2_->downgrade_to_shared(line_addr);
 }

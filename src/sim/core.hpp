@@ -223,9 +223,10 @@ class HwContext {
   /// entry's validated handles (tail of the inlined load()/store() paths).
   void fast_hit(FastEntry& fe, Dep dep, bool is_store) noexcept;
 
-  /// Conservative teardown: any coherence action, MT-mode flip, rebind or
-  /// reset empties the registers; the next access re-registers via the
-  /// reference path.
+  /// Whole-table teardown on rebind, reset and MT-mode flip; the next
+  /// access re-registers via the reference path.  Coherence actions never
+  /// call it: they tick the snooped L1 set's mutation generation, which
+  /// sends exactly the registers on that set back through tier 2.
   void clear_fast_entries() noexcept {
     for (FastEntry& e : fast_) e = FastEntry{};
     fast_block_.valid = false;

@@ -1,15 +1,44 @@
 #include "xomp/team.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace paxsim::xomp {
+
+namespace {
+
+/// Throws std::invalid_argument unless @p cpu names a hardware context the
+/// machine was built with.  Every run path binds its contexts through Team,
+/// so this is where a configuration row meant for another topology (say a
+/// Hyper-Threading row on a machine without SMT) is refused instead of
+/// indexing past the machine's cores.
+void require_hosted(const sim::Machine& machine, sim::LogicalCpu cpu) {
+  const sim::MachineParams& p = machine.params();
+  if (cpu.chip < p.chips && cpu.core < p.cores_per_chip &&
+      cpu.context < p.contexts_per_core) {
+    return;
+  }
+  throw std::invalid_argument(
+      "hardware context " + std::to_string(cpu.chip) + "." +
+      std::to_string(cpu.core) + "." + std::to_string(cpu.context) +
+      " is outside the machine (" + std::to_string(p.chips) + " chips x " +
+      std::to_string(p.cores_per_chip) + " cores x " +
+      std::to_string(p.contexts_per_core) + " contexts)");
+}
+
+}  // namespace
 
 Team::Team(sim::Machine& machine, std::vector<sim::LogicalCpu> cpus,
            perf::CounterSet* counters, sim::AddressSpace& space)
     : machine_(&machine), counters_(counters), code_base_(space.code_base()) {
-  assert(!cpus.empty() && "a team needs at least one thread");
+  if (cpus.empty()) {
+    throw std::invalid_argument("a team needs at least one thread");
+  }
+  // Check every context before binding any, so a refused team leaves the
+  // machine's contexts as it found them.
+  for (const sim::LogicalCpu cpu : cpus) require_hosted(machine, cpu);
   ctxs_.reserve(cpus.size());
   for (const sim::LogicalCpu cpu : cpus) {
     sim::HwContext& ctx = machine.context(cpu);
@@ -211,6 +240,7 @@ void Team::flush() {
 }
 
 void Team::repin(int rank, sim::LogicalCpu to, double os_penalty_cycles) {
+  require_hosted(*machine_, to);
   sim::HwContext& dst = machine_->context(to);
   sim::HwContext& src = *ctxs_[rank];
   if (&dst == &src) return;

@@ -60,6 +60,8 @@ class Team {
   /// whose code segment starts at space.code_base().  The team allocates its
   /// own runtime-shared lines (loop cursor, lock, barrier, reduction slots)
   /// from @p space so that runtime coherence traffic is modelled faithfully.
+  /// Throws std::invalid_argument when @p cpus is empty or names a context
+  /// outside @p machine's chips x cores x contexts shape.
   Team(sim::Machine& machine, std::vector<sim::LogicalCpu> cpus,
        perf::CounterSet* counters, sim::AddressSpace& space);
 
@@ -240,7 +242,8 @@ class Team {
   /// The thread's virtual clock carries over (bumped to the destination's
   /// if that is later) plus the OS context-switch penalty; the destination
   /// core's cold private caches are what the thread actually pays for.
-  /// The previous context keeps its clock and simply falls idle.
+  /// The previous context keeps its clock and simply falls idle.  Throws
+  /// std::invalid_argument when @p to lies outside the machine.
   void repin(int rank, sim::LogicalCpu to, double os_penalty_cycles);
 
   /// Current hardware context of thread @p rank.

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+
 #include "harness/report.hpp"
+#include "sim/topology.hpp"
 
 namespace paxsim::harness {
 namespace {
@@ -144,6 +148,17 @@ TEST(RunnerTest, MachineParamsScaled) {
   RunOptions opt;
   opt.machine_scale = 16.0;
   EXPECT_EQ(opt.machine_params().l2.size_bytes, 128u * 1024);
+}
+
+TEST(RunnerTest, RefusesConfigTheMachineCannotHost) {
+  RunOptions opt = quick();
+  opt.topology =
+      std::make_shared<const sim::Topology>(sim::Topology::woodcrest());
+  sim::Machine machine(opt.machine_params());
+  EXPECT_THROW(run_single(machine, npb::Benchmark::kCG,
+                          *find_config("HT on -8-2"), opt, opt.trial_seed(0)),
+               std::invalid_argument)
+      << "woodcrest has no SMT contexts for a Hyper-Threading row";
 }
 
 TEST(ReportTest, TablePrintsAllRows) {

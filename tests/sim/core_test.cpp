@@ -31,6 +31,35 @@ struct Rig {
   }
 };
 
+/// Counts the reference-path memory accesses of one context: on_access
+/// fires only inside Core::access_memory, never on an inlined fast-path hit.
+class SlowPathCounter final : public TraceSink {
+ public:
+  explicit SlowPathCounter(LogicalCpu who) : who_(who) {}
+
+  /// Reference-path entries caused by @p access.
+  template <typename F>
+  int entries_of(F&& access) {
+    const int before = entries_;
+    access();
+    return entries_ - before;
+  }
+
+  void on_access(const HwContext& ctx, Addr, bool, Dep) override {
+    if (ctx.id() == who_) ++entries_;
+  }
+  void on_fetch(const HwContext&, Addr, std::uint32_t) override {}
+  void on_team(TeamEvent, const void*, const HwContext* const*,
+               std::size_t) override {}
+  void on_runtime_range(Addr, std::size_t) override {}
+  void on_sync(SyncOp, const HwContext&, Addr) override {}
+  void on_thread_moved(const HwContext&, const HwContext&) override {}
+
+ private:
+  LogicalCpu who_;
+  int entries_ = 0;
+};
+
 TEST(CoreTest, AluCostsIssueCycles) {
   Rig r;
   HwContext& c = r.ctx();
@@ -228,6 +257,49 @@ TEST(CoreTest, CountersAttributedToBoundProgram) {
   c1.flush_accumulators();
   EXPECT_EQ(r.counters.get(Event::kInstructions), 10u);
   EXPECT_EQ(other.get(Event::kInstructions), 20u);
+}
+
+TEST(CoreTest, RemoteSnoopRevalidatesOnlyTheSnoopedSet) {
+  // A remote snoop ticks the generation of the one L1 set it touches, so
+  // only that set's fast-path registers fall back to revalidation; the
+  // registers of every other set keep serving hits.
+  SlowPathCounter sink({0, 0, 0});
+  MachineParams p;
+  p.fast_path = true;
+  Rig r(p);
+  r.machine.set_trace_sink(&sink);
+  HwContext& local = r.ctx(0, 0, 0);
+  HwContext& remote = r.ctx(1, 0, 0);  // another chip: another coherence domain
+  const SetAssocCache& l1 = r.machine.core(0, 0).l1d();
+  const Addr x = r.space.alloc(2 * 64, 64);
+  const Addr y = x + 64;
+  ASSERT_NE(l1.mutation_gen_slot(x), l1.mutation_gen_slot(y))
+      << "x and y must live in different L1 sets";
+
+  for (int i = 0; i < 2; ++i) {
+    local.load(x);
+    local.load(y);
+  }
+  ASSERT_EQ(sink.entries_of([&] {
+              local.load(x);
+              local.load(y);
+            }),
+            0)
+      << "both lines are registered after the warm-up";
+
+  remote.store(x);  // remote invalidate of x
+  ASSERT_FALSE(l1.contains(x));
+  EXPECT_EQ(sink.entries_of([&] { local.load(y); }), 0)
+      << "invalidating x must leave y's register armed";
+  EXPECT_EQ(sink.entries_of([&] { local.load(x); }), 1)
+      << "the invalidated line must take the reference path";
+
+  remote.load(y);  // remote downgrade of y
+  ASSERT_EQ(l1.state_of(y), LineState::kShared);
+  EXPECT_EQ(sink.entries_of([&] { local.load(y); }), 0)
+      << "a downgraded line still serves loads through tier 2";
+  EXPECT_EQ(sink.entries_of([&] { local.store(y); }), 1)
+      << "a store to a shared line needs the reference path's upgrade";
 }
 
 }  // namespace

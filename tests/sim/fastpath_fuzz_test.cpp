@@ -1,25 +1,38 @@
-// Fast-path lockstep fuzz: two machines — one with the inlined L1/DTLB
-// fast path, one forced through the out-of-line reference path — driven by
-// the SAME random load/store stream from all eight hardware contexts over
-// a small shared heap, so coherence invalidations and downgrades
-// constantly land between fast-path accesses.  Every context clock and
-// every counter must stay bit-identical throughout.
+// Fast-path lockstep fuzz: two machines of one topology — one with the
+// inlined L1/DTLB fast path, one forced through the out-of-line reference
+// path — driven by the SAME random load/store stream from every hardware
+// context over a small shared heap, so coherence invalidations and
+// downgrades constantly land between fast-path accesses.  Every context
+// clock and every counter must stay bit-identical throughout, and every
+// armed fast-path register must survive Core::audit_fast_entries.  Each
+// seed runs on three presets: paxville (private L2 per core), woodcrest
+// (chip-shared L2, so snoops also take the intra-domain *_inner paths) and
+// numa16 (private L2 behind a chip-shared L3, 16 cores).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
+#include "sim/topology.hpp"
 
 namespace paxsim::sim {
 namespace {
 
 using perf::Event;
 
-class FastPathFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
+class FastPathFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  void run_lockstep(const char* preset) const;
+};
 
-TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstep) {
-  MachineParams fast_params = MachineParams{}.scaled(64);  // tiny: churn
+void FastPathFuzzTest::run_lockstep(const char* preset) const {
+  MachineParams base;
+  base.set_topology(
+      std::make_shared<const Topology>(*Topology::from_preset(preset)));
+  MachineParams fast_params = base.scaled(64);  // tiny: churn
   fast_params.fast_path = true;
   MachineParams ref_params = fast_params;
   ref_params.fast_path = false;
@@ -29,22 +42,17 @@ TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstep) {
   perf::CounterSet fast_counters;
   perf::CounterSet ref_counters;
 
+  const Topology& topo = fast_machine.topology();
   std::vector<HwContext*> fast_ctxs;
   std::vector<HwContext*> ref_ctxs;
-  for (int chip = 0; chip < 2; ++chip) {
-    for (int core = 0; core < 2; ++core) {
-      for (int hw = 0; hw < 2; ++hw) {
-        const LogicalCpu cpu{static_cast<std::uint8_t>(chip),
-                             static_cast<std::uint8_t>(core),
-                             static_cast<std::uint8_t>(hw)};
-        HwContext& fc = fast_machine.context(cpu);
-        fc.bind(&fast_counters, space.code_base());
-        fast_ctxs.push_back(&fc);
-        HwContext& rc = ref_machine.context(cpu);
-        rc.bind(&ref_counters, space.code_base());
-        ref_ctxs.push_back(&rc);
-      }
-    }
+  for (int i = 0; i < topo.total_contexts(); ++i) {
+    const LogicalCpu cpu = topo.unflat(i);
+    HwContext& fc = fast_machine.context(cpu);
+    fc.bind(&fast_counters, space.code_base());
+    fast_ctxs.push_back(&fc);
+    HwContext& rc = ref_machine.context(cpu);
+    rc.bind(&ref_counters, space.code_base());
+    ref_ctxs.push_back(&rc);
   }
 
   // Shared heap of 64 lines: remote stores invalidate lines the fast path
@@ -67,7 +75,12 @@ TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstep) {
     if (op % 256 == 0) {
       for (std::size_t c = 0; c < fast_ctxs.size(); ++c) {
         ASSERT_EQ(fast_ctxs[c]->now(), ref_ctxs[c]->now())
-            << "context " << c << " clock diverged at op " << op;
+            << preset << ": context " << c << " clock diverged at op " << op;
+      }
+      for (int core = 0; core < topo.total_cores(); ++core) {
+        std::string why;
+        ASSERT_TRUE(fast_machine.core_by_id(core).audit_fast_entries(&why))
+            << preset << ": " << why << " at op " << op;
       }
     }
   }
@@ -75,12 +88,24 @@ TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstep) {
   for (HwContext* c : fast_ctxs) c->flush_accumulators();
   for (HwContext* c : ref_ctxs) c->flush_accumulators();
   for (std::size_t c = 0; c < fast_ctxs.size(); ++c) {
-    EXPECT_EQ(fast_ctxs[c]->now(), ref_ctxs[c]->now());
+    EXPECT_EQ(fast_ctxs[c]->now(), ref_ctxs[c]->now()) << preset;
   }
   EXPECT_EQ(fast_counters, ref_counters)
-      << "counter tables diverged between fast and reference paths";
+      << preset << ": counter tables diverged between fast and reference paths";
   EXPECT_GT(fast_counters.get(Event::kL2Invalidations), 0u)
-      << "the stream must actually exercise coherence invalidations";
+      << preset << ": the stream must actually exercise coherence invalidations";
+}
+
+TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstep) {
+  run_lockstep("paxville");
+}
+
+TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstepOnWoodcrest) {
+  run_lockstep("woodcrest");
+}
+
+TEST_P(FastPathFuzzTest, FastAndReferencePathsStayInLockstepOnNuma16) {
+  run_lockstep("numa16");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FastPathFuzzTest,

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/config.hpp"
+#include "sim/topology.hpp"
 
 namespace paxsim::xomp {
 namespace {
@@ -218,6 +221,29 @@ TEST(TeamTest, CountersAccumulatePerProgram) {
       << "the runtime models loop back-edges";
   EXPECT_GT(rig.counters.get(perf::Event::kTraceCacheReferences), 0u)
       << "the runtime models front-end fetches";
+}
+
+TEST(TeamTest, RefusesContextsOutsideTheMachine) {
+  sim::MachineParams p = sim::MachineParams{}.scaled(16);
+  p.set_topology(
+      std::make_shared<const sim::Topology>(sim::Topology::woodcrest()));
+  sim::Machine machine(p);
+  sim::AddressSpace space(0);
+  perf::CounterSet counters;
+  try {
+    Team team(machine, {{0, 0, 0}, {0, 0, 1}}, &counters, space);
+    FAIL() << "a second SMT context does not exist on woodcrest";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "hardware context 0.0.1 is outside the machine "
+                 "(2 chips x 2 cores x 1 contexts)");
+  }
+  EXPECT_THROW(Team(machine, {}, &counters, space), std::invalid_argument);
+
+  Team team(machine, {{0, 0, 0}, {0, 1, 0}}, &counters, space);
+  EXPECT_THROW(team.repin(1, {2, 0, 0}, 0), std::invalid_argument);
+  EXPECT_EQ(team.placement_of(1), (sim::LogicalCpu{0, 1, 0}))
+      << "a refused repin leaves the thread where it was";
 }
 
 }  // namespace
