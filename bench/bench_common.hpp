@@ -55,10 +55,9 @@ inline cli::FlagSet make_bench_flags(BenchOptions& opt) {
 }
 
 /// Parses every flag in the shared run/engine tables (--class, --trials,
-/// --seed, --jobs, --par, --par-window, --grain, --sched, --chunk, --scale,
-/// --machine, --check, --trace, --no-verify, --store) plus --csv and
-/// --plot=DIR.  Returns false (after printing usage or the error) on an
-/// unknown or invalid flag.
+/// --seed, --jobs, --grain, --sched, --chunk, --scale, --machine, --check,
+/// --trace, --no-verify, --store) plus --csv and --plot=DIR.  Returns false
+/// (after printing usage or the error) on an unknown or invalid flag.
 inline bool parse_args(int argc, char** argv, BenchOptions& opt) {
   const cli::FlagSet fs = make_bench_flags(opt);
   for (int i = 1; i < argc; ++i) {
@@ -77,8 +76,8 @@ inline bool parse_args(int argc, char** argv, BenchOptions& opt) {
 }
 
 /// Host/build provenance as a JSON object fragment, e.g.
-///   "host":{"hardware_concurrency":16,"jobs":2,"par":1,
-///           "compiler":"13.2.0","build_type":"Release","native":false}
+///   "host":{"hardware_concurrency":16,"jobs":2,"compiler":"13.2.0",
+///           "build_type":"Release","native":false}
 /// Embedded in every bench JSON envelope so throughput trajectories from
 /// different machines, thread budgets and build flavours are never compared
 /// as if they were the same experiment.
@@ -86,11 +85,9 @@ inline std::string host_provenance_json(const BenchOptions& opt) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "\"host\":{\"hardware_concurrency\":%u,\"jobs\":%d,"
-                "\"par\":%d,\"compiler\":\"%s\",\"build_type\":\"%s\","
-                "\"native\":%s}",
-                std::thread::hardware_concurrency(), opt.jobs, opt.run.par,
-                __VERSION__, PAXSIM_BUILD_TYPE,
-                PAXSIM_BUILD_NATIVE ? "true" : "false");
+                "\"compiler\":\"%s\",\"build_type\":\"%s\",\"native\":%s}",
+                std::thread::hardware_concurrency(), opt.jobs, __VERSION__,
+                PAXSIM_BUILD_TYPE, PAXSIM_BUILD_NATIVE ? "true" : "false");
   return std::string(buf);
 }
 
@@ -112,7 +109,6 @@ inline void write_host_provenance(report::Json& j, const BenchOptions& opt) {
   j.field("hardware_concurrency",
           static_cast<unsigned>(std::thread::hardware_concurrency()));
   j.field("jobs", opt.jobs);
-  j.field("par", opt.run.par);
   j.field("compiler", __VERSION__);
   j.field("build_type", PAXSIM_BUILD_TYPE);
   j.field("native", PAXSIM_BUILD_NATIVE != 0);

@@ -271,8 +271,7 @@ harness::CellSpec spec_for(const Command& cmd, npb::Benchmark bench) {
       .seed(cmd.options.base_seed)
       .verify(cmd.options.verify)
       .check(cmd.options.check_mode)
-      .trace(cmd.options.trace_mode)
-      .par(cmd.options.par, cmd.options.par_window);
+      .trace(cmd.options.trace_mode);
   return s;
 }
 

@@ -321,10 +321,6 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
   }
   fs.add_int("trials", &run->trials, 1, "N", "trials per cell");
   fs.add_u64("seed", &run->base_seed, "N", "base RNG seed");
-  fs.add_int("par", &run->par, 1, "N",
-             "host threads per run (bit-identical to --par=1)");
-  fs.add_double("par-window", &run->par_window, 0.0, "F",
-                "lookahead window factor; 0 disables the bound");
   fs.add_size("grain", &run->grain, 1, "N",
               "iterations per scheduling turn (N>1 changes the interleaving)");
   {

@@ -167,16 +167,6 @@ CellSpec& CellSpec::trace(sim::TraceMode mode) {
   return *this;
 }
 
-CellSpec& CellSpec::par(int par, double window) {
-  if (par < 1) {
-    fail("bad par (need >= 1)");
-    return *this;
-  }
-  opt_.par = par;
-  opt_.par_window = window;
-  return *this;
-}
-
 CellSpec& CellSpec::mode(Mode m) {
   mode_ = m;
   mode_set_ = true;

@@ -78,8 +78,6 @@ class CellSpec {
   CellSpec& verify(bool on);
   CellSpec& check(sim::CheckMode mode);
   CellSpec& trace(sim::TraceMode mode);
-  /// Host-parallel knobs (never part of the cell's identity).
-  CellSpec& par(int par, double window = 64.0);
   CellSpec& mode(Mode m);
 
   /// A fully validated cell: the config/options pair every runner consumes

@@ -10,7 +10,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "par/par.hpp"
 #include "xomp/team.hpp"
 
 namespace paxsim::harness {
@@ -73,12 +72,8 @@ std::string profile_key(npb::Benchmark b, const RunOptions& opt,
 // factory below is audited to either project the field into the key or
 // justify its exclusion, and (b) this expected size is updated.  (Guarded to
 // the common LP64 layout; other ABIs rely on the audit having happened.)
-// Audit note (par / par_window): deliberately excluded from the key.  The
-// parallel backend is bit-identical to the serial path (test-enforced), so a
-// cell's value is independent of host parallelism — including it would split
-// the cache by a knob that cannot change results.
 #if defined(__x86_64__) && defined(__LP64__)
-static_assert(sizeof(RunOptions) == 104,
+static_assert(sizeof(RunOptions) == 88,
               "RunOptions changed: audit CellKey::from for the new field, "
               "then update this expected size");
 #endif
@@ -467,12 +462,7 @@ void ExperimentEngine::enumerate_cells(
 }
 
 StudyResult ExperimentEngine::run(const ExperimentPlan& plan) {
-  // --par composes with --jobs by division: jobs cells in flight, each with
-  // at most hardware/jobs LP threads, so the host is never oversubscribed.
-  // Purely a host-side clamp — par is not in CellKey, results are identical.
-  RunOptions opt = plan.options();
-  opt.par =
-      par::effective_par(opt.par, jobs_, std::thread::hardware_concurrency());
+  const RunOptions& opt = plan.options();
 
   // 1. Enumerate the plan's cells, deduplicating against both the cache and
   //    earlier occurrences within this plan.

@@ -11,36 +11,12 @@
 #include <stdexcept>
 
 #include "check/checker.hpp"
-#include "par/par.hpp"
 #include "trace/tracer.hpp"
 #include "xomp/min_heap.hpp"
 #include "xomp/team.hpp"
 
 namespace paxsim::harness {
 namespace {
-
-/// Cheapest simulated cross-context interaction on this machine: the scale
-/// for the parallel backend's lookahead window (par::lookahead_window).
-double latency_floor(const sim::MachineParams& p) noexcept {
-  double f = static_cast<double>(p.l1_latency);
-  f = std::min(f, static_cast<double>(p.l2_latency));
-  f = std::min(f, static_cast<double>(p.mem_latency));
-  f = std::min(f, p.bus_read_occupancy);
-  f = std::min(f, p.bus_write_occupancy);
-  f = std::min(f, p.mem_read_occupancy);
-  f = std::min(f, p.mem_write_occupancy);
-  return f;
-}
-
-/// True when run_single may arm the host-parallel backend: fast path only
-/// (reference-path analyses observe a serial event stream by contract), no
-/// sinks, and more than one context to shard.
-bool par_eligible(const sim::MachineParams& p, const RunOptions& opt,
-                  std::size_t n_cpus) {
-  return opt.par > 1 && n_cpus > 1 && p.fast_path && !p.profile &&
-         p.check_mode == sim::CheckMode::kOff &&
-         p.trace_mode == sim::TraceMode::kOff;
-}
 
 /// Declares each core's SMT activity from the set of occupied contexts.
 void apply_smt_activity(sim::Machine& machine,
@@ -113,28 +89,11 @@ RunResult run_single(sim::Machine& machine, npb::Benchmark bench,
     checker.emplace(machine, machine.params().check_mode);
   }
   auto prog = make_program(bench, 0, cfg.cpus, machine, opt, seed);
-  if (par_eligible(machine.params(), opt, cfg.cpus.size())) {
-    prog->team->enable_parallel(
-        opt.par,
-        par::lookahead_window(latency_floor(machine.params()), opt.par_window));
-  }
   apply_smt_activity(machine, cfg.cpus);
   const auto host_t0 = std::chrono::steady_clock::now();
-  try {
-    while (!prog->done()) {
-      prog->kernel->step(*prog->team, prog->steps_done);
-      ++prog->steps_done;
-    }
-  } catch (const par::Abort&) {
-    // Speculation diverged from the serial order: the machine state is
-    // garbage.  Replay the whole trial serially — bit-identity is therefore
-    // unconditional; an abort only costs time.
-    par::Stats rerun{};
-    rerun.serial_reruns = 1;
-    par::stats_add(rerun);
-    RunOptions serial_opt = opt;
-    serial_opt.par = 1;
-    return run_single(machine, bench, cfg, serial_opt, seed);
+  while (!prog->done()) {
+    prog->kernel->step(*prog->team, prog->steps_done);
+    ++prog->steps_done;
   }
   prog->finish_time = prog->team->wall_time();
   const auto host_t1 = std::chrono::steady_clock::now();

@@ -73,20 +73,6 @@ struct RunOptions {
   /// (test-enforced).  Set from a preset name or a JSON description via the
   /// CLI's --machine flag; shared because every cell of a plan runs on it.
   std::shared_ptr<const sim::Topology> topology;
-  /// Host threads per run for the parallel backend (src/par/): the team's
-  /// contexts are sharded into up to `par` logical processes along coherence
-  /// domain boundaries.  Results are bit-identical to par == 1
-  /// (test-enforced), so `par` is deliberately NOT part of CellKey — the
-  /// memo cache must hash a cell the same way at any host parallelism.
-  /// Applies to fast-path run_single only; checked/traced/profiled runs and
-  /// run_pair stay serial.  The engine additionally clamps it against
-  /// --jobs (par::effective_par).
-  int par = 1;
-  /// Lookahead window factor: each LP may speculate at most
-  /// window_factor * latency-floor simulated cycles ahead of the slowest
-  /// LP.  Purely a host-side throttle — results are identical for every
-  /// value (<= 0 disables the bound) — so it too stays out of CellKey.
-  double par_window = 64.0;
 
   [[nodiscard]] sim::MachineParams machine_params() const {
     sim::MachineParams base{};

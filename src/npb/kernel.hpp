@@ -73,7 +73,9 @@ class Kernel {
     return benchmark_name(id());
   }
 
-  /// Allocates and initialises problem data (untimed, host side).
+  /// Allocates and initialises problem data (untimed, host side).  @p space
+  /// must outlive the last step(): a kernel may allocate per-rank data
+  /// from it again when a step's team is wider than setup planned for.
   virtual void setup(sim::AddressSpace& space, const ProblemConfig& cfg) = 0;
 
   /// Number of timed outer iterations.

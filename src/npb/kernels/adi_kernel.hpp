@@ -162,9 +162,10 @@ class AdiKernel final : public Kernel {
              std::size_t comp_hi) {
     const std::size_t n = n_;
     const auto ncomp = static_cast<std::uint32_t>(comp_hi - comp_lo);
-    // One scratch set per team rank: bodies run concurrently on host
-    // threads under --par, so shared buffers would race (thomas() keeps
-    // its own temporaries thread_local for the same reason).
+    // One scratch set per team rank, so no two ranks' loop bodies write the
+    // same host buffer (the shape paxlint's shared-scratch check asks of
+    // every parallel body).  thomas() keeps its temporaries thread_local
+    // because concurrent --jobs workers share its statics.
     if (scratch_.size() < static_cast<std::size_t>(team.size())) {
       scratch_.resize(static_cast<std::size_t>(team.size()));
     }

@@ -10,7 +10,6 @@
 // Verification is exact: the same generator is replayed uninstrumented and
 // the annulus counts and Gaussian sums must match bit-for-bit.
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -65,6 +64,9 @@ class EpKernel final : public Kernel {
     const std::uint64_t per_step = static_cast<std::uint64_t>(batches) * kBatch;
     const std::uint64_t first = per_step * static_cast<std::uint64_t>(s);
 
+    if (sy_partial_.size() < static_cast<std::size_t>(team.size())) {
+      sy_partial_.resize(static_cast<std::size_t>(team.size()), 0.0);
+    }
     std::vector<double> qloc(10 * static_cast<std::size_t>(team.size()), 0.0);
     const double sx = team.parallel_reduce(
         0, batches, xomp::Schedule::static_default(), kBlkBatch,
@@ -155,7 +157,9 @@ class EpKernel final : public Kernel {
   int steps_ = 0;
   std::uint64_t seed_ = 0;
   double sx_ = 0, sy_ = 0;
-  std::array<double, 8> sy_partial_{};
+  /// Per-rank Gaussian y sums: 8 slots, or one per rank for wider teams;
+  /// step() folds every slot in rank order.
+  std::vector<double> sy_partial_ = std::vector<double>(8, 0.0);
   Array<double> q_;
 };
 

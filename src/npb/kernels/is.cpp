@@ -47,10 +47,12 @@ class IsKernel final : public Kernel {
     n_ = sz.n_keys;
     max_key_ = sz.max_key;
     steps_ = sz.steps;
+    space_ = &space;
     keys_ = Array<std::uint32_t>(space, n_);
     ranks_ = Array<std::uint32_t>(space, n_);
-    // Per-thread private histograms (allocated for the max team of 8).
-    hist_ = Array<std::uint32_t>(space, max_key_ * kMaxThreads);
+    // Per-thread private histograms, here for teams of up to kSetupRanks;
+    // step() moves wider teams to a bigger block.
+    hist_ = Array<std::uint32_t>(space, max_key_ * kSetupRanks);
     count_ = Array<std::uint32_t>(space, max_key_);
     NpbRandom rng(cfg.seed);
     for (std::size_t i = 0; i < n_; ++i) {
@@ -74,6 +76,11 @@ class IsKernel final : public Kernel {
 
   void step(xomp::Team& team, int /*s*/) override {
     const auto nt = static_cast<std::size_t>(team.size());
+    // Allocated past every other array, so teams that fit the setup-time
+    // block keep its simulated addresses.  Phase 1 zeroes the histograms.
+    if (max_key_ * nt > hist_.size()) {
+      hist_ = Array<std::uint32_t>(*space_, max_key_ * nt);
+    }
     // 1. Zero private histograms.
     team.parallel_for(0, max_key_ * nt, xomp::Schedule::static_default(),
                       kBlkScan, [&](std::size_t i, sim::HwContext& ctx, int) {
@@ -167,8 +174,9 @@ class IsKernel final : public Kernel {
   }
 
  private:
-  static constexpr std::size_t kMaxThreads = 8;
+  static constexpr std::size_t kSetupRanks = 8;
 
+  sim::AddressSpace* space_ = nullptr;  ///< setup()'s space, for wide teams
   std::size_t n_ = 0;
   std::size_t max_key_ = 0;
   int steps_ = 0;

@@ -72,7 +72,7 @@ class RacyHistKernel final : public Kernel {
     // that every rank hits, with no critical/atomic bracket around it.
     team.parallel_for(0, iters_, xomp::Schedule::static_default(), kBlkTally,
                       [&](std::size_t i, sim::HwContext& ctx, int /*rank*/) {
-                        // paxlint: allow(shared-scratch) -- seeded diagnostic race: racy.RW exists to be caught (paxcheck, TSan, and paxlint's own tree test assert exactly this finding)
+                        // paxlint: allow(shared-scratch) -- seeded diagnostic race: racy.RW exists to be caught (paxcheck and paxlint's own tree test assert exactly this finding)
                         hist_.add(ctx, bin_of(i), 1.0);
                       });
   }
@@ -134,7 +134,7 @@ class RacyFlagKernel final : public Kernel {
           if (rank == 0) {
             // Unsynchronised publish: plain store, no release fence.
             if (i % stride == 0) {
-              // paxlint: allow(shared-scratch) -- seeded diagnostic race: racy.RF's publish/poll pair exists to be caught (paxcheck, TSan, and paxlint's own tree test assert exactly this finding)
+              // paxlint: allow(shared-scratch) -- seeded diagnostic race: racy.RF's publish/poll pair exists to be caught (paxcheck and paxlint's own tree test assert exactly this finding)
               flag_.put(ctx, 0, static_cast<double>(++writes_));
             }
           } else {

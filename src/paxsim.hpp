@@ -18,7 +18,6 @@
 //   sched::    scheduler policies for the co-scheduling extension
 //   tune::     model-driven autotuning (SearchSpace, strategies, tuner)
 //   xomp::     the OpenMP-analog runtime, for authoring custom kernels
-//   par::      the host-parallel backend (RunOptions::par, stats, Abort)
 //
 // In-repo drivers (bench/, examples/, the CLI) include only this header;
 // the per-layer headers remain available for targeted use, but the facade
@@ -44,7 +43,6 @@
 #include "npb/array.hpp"
 #include "npb/kernel.hpp"
 #include "npb/rng.hpp"
-#include "par/par.hpp"
 #include "perf/counters.hpp"
 #include "perf/metrics.hpp"
 #include "perf/timeline.hpp"

@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "par/key.hpp"
 #include "sim/params.hpp"
 #include "sim/types.hpp"
 
@@ -50,7 +49,6 @@ class SetAssocCache {
     Addr tag = 0;
     std::uint64_t stamp = 0;
     double ready_at = 0;
-    par::Key par_key{};       ///< grain that last touched the line (par mode)
     std::uint32_t epoch = 0;  ///< lazily invalidated: live iff == cache epoch
     LineState state = LineState::kInvalid;
     bool prefetched = false;
@@ -111,7 +109,6 @@ class SetAssocCache {
     Line* l = ref.l_;
     ++clock_;
     l->stamp = clock_;
-    l->par_key = *par_key_;
     l->prefetched = false;
     if (is_store && l->state != LineState::kShared) {
       l->state = LineState::kModified;
@@ -184,31 +181,6 @@ class SetAssocCache {
   /// Marks the store-upgrade of a present line to kModified.
   void upgrade_to_modified(Addr addr) noexcept;
 
-  // ---- host-parallel backend support (src/par/) ---------------------------
-  /// Redirects the grain-key stamp source.  The parallel backend points each
-  /// cache at its owning LP's current-key slot for the duration of a region;
-  /// serially (and by default) the source is par::kKeyZero, which sorts
-  /// below every real grain key, so serial-mode residue never reads as a
-  /// conflict.  Every owner-side touch (probe hit, fast_commit, fill,
-  /// store upgrade) stamps; remote snoops never do.
-  void set_par_key(const par::Key* key) noexcept {
-    par_key_ = key != nullptr ? key : &par::kKeyZero;
-  }
-
-  /// True if the live line containing @p addr carries a stamp strictly after
-  /// @p k — evidence that the owning LP free-ran past a remote operation
-  /// ordered at @p k.  Pure scan: no LRU tick, no MRU hint update.
-  [[nodiscard]] bool par_stamp_after(Addr addr, par::Key k) const noexcept {
-    const Addr la = line_of(addr);
-    const std::size_t base = set_index(la) * ways_;
-    const Addr tag = tag_of(la);
-    for (std::size_t w = 0; w < ways_; ++w) {
-      const Line& l = lines_[base + w];
-      if (live(l) && l.tag == tag) return k < l.par_key;
-    }
-    return false;
-  }
-
   /// Line-aligned address of @p addr under this cache's geometry.
   [[nodiscard]] Addr line_of(Addr addr) const noexcept {
     return addr & ~static_cast<Addr>(line_bytes_ - 1);
@@ -273,7 +245,6 @@ class SetAssocCache {
   std::vector<std::uint64_t> set_gens_;  // per-set mutation generation
   std::vector<std::uint8_t> mru_;  // per-set most-recently-matched way hint
   Line* last_hit_ = nullptr;       // line served by the latest probe/fill
-  const par::Key* par_key_ = &par::kKeyZero;  // stamp source (see set_par_key)
 };
 
 // ---------------------------------------------------------------------------
@@ -310,7 +281,6 @@ inline ProbeResult SetAssocCache::probe(Addr addr, bool is_store) noexcept {
   if (l == nullptr) return {};
   last_hit_ = l;
   l->stamp = clock_;
-  l->par_key = *par_key_;
   ProbeResult r{true, l->prefetched, l->ready_at};
   l->prefetched = false;  // first demand touch consumes the prefetch credit
   if (is_store && l->state != LineState::kShared) l->state = LineState::kModified;
@@ -332,10 +302,7 @@ inline LineState SetAssocCache::state_of(Addr addr) const noexcept {
 }
 
 inline void SetAssocCache::upgrade_to_modified(Addr addr) noexcept {
-  if (Line* l = find(addr)) {
-    l->state = LineState::kModified;
-    l->par_key = *par_key_;
-  }
+  if (Line* l = find(addr)) l->state = LineState::kModified;
 }
 
 inline std::optional<Eviction> SetAssocCache::fill(Addr addr, LineState st,
@@ -354,7 +321,6 @@ inline std::optional<Eviction> SetAssocCache::fill(Addr addr, LineState st,
     last_hit_ = l;
     l->state = st;
     l->stamp = clock_;
-    l->par_key = *par_key_;
     l->prefetched = prefetched;
     l->ready_at = ready_at;
     return std::nullopt;
@@ -380,7 +346,6 @@ inline std::optional<Eviction> SetAssocCache::fill(Addr addr, LineState st,
   }
   v.tag = tag_of(la);
   v.stamp = clock_;
-  v.par_key = *par_key_;
   v.epoch = epoch_;
   v.state = st;
   v.prefetched = prefetched;

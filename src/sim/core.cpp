@@ -245,15 +245,11 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
                    : (l3_->state_of(addr) == LineState::kShared
                           ? LineState::kShared
                           : LineState::kExclusive);
-      if (auto ev = l2_->fill(addr, mid_state, false)) {
-        if (par_on_) machine_->par_note_evict(ev->line_addr);
-        if (ev->dirty) {
-          if (l3_->contains(ev->line_addr)) {
-            l3_->upgrade_to_modified(ev->line_addr);
-          } else {
-            fill_l2(ctx, ev->line_addr, /*is_store=*/true,
-                    /*prefetched=*/false);
-          }
+      if (auto ev = l2_->fill(addr, mid_state, false); ev && ev->dirty) {
+        if (l3_->contains(ev->line_addr)) {
+          l3_->upgrade_to_modified(ev->line_addr);
+        } else {
+          fill_l2(ctx, ev->line_addr, /*is_store=*/true, /*prefetched=*/false);
         }
       }
     }
@@ -274,17 +270,11 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
                  : ((l2_->state_of(addr) == LineState::kShared || sibling_had_copy)
                         ? LineState::kShared
                         : LineState::kExclusive);
-    if (auto ev = l1d_.fill(addr, l1_state, false)) {
-      // The victim's stamp is gone with it; log the tombstone even for clean
-      // victims — a remote operation ordered before our touches must still
-      // find the evidence (see par::Session::note_evidence).
-      if (par_on_) machine_->par_note_evict(ev->line_addr);
-      if (ev->dirty) {
-        if (l2_->contains(ev->line_addr)) {
-          l2_->upgrade_to_modified(ev->line_addr);
-        } else {
-          fill_l2(ctx, ev->line_addr, /*is_store=*/true, /*prefetched=*/false);
-        }
+    if (auto ev = l1d_.fill(addr, l1_state, false); ev && ev->dirty) {
+      if (l2_->contains(ev->line_addr)) {
+        l2_->upgrade_to_modified(ev->line_addr);
+      } else {
+        fill_l2(ctx, ev->line_addr, /*is_store=*/true, /*prefetched=*/false);
       }
     }
   }
@@ -396,7 +386,6 @@ void Core::fill_l2(HwContext& ctx, Addr line_addr, bool is_store,
       machine_->coherent_fill(global_id(), line_addr, is_store, ctx);
   SetAssocCache& outer = l3_ != nullptr ? *l3_ : *l2_;
   if (auto ev = outer.fill(line_addr, st, prefetched, ready_at)) {
-    if (par_on_) machine_->par_note_evict(ev->line_addr);
     machine_->on_l2_evict(global_id(), ev->line_addr);
     // Keep the hierarchy inclusive: a line leaving the outermost level
     // leaves every inner copy too — ours and, under a shared outer cache,
@@ -430,9 +419,6 @@ void Core::issue_prefetches(HwContext& ctx, Addr line_addr) noexcept {
                     return !outer.contains(req.line_addr);
                   });
   if (!any_missing) return;
-  // The utilization read below consults machine-shared bus state, so it
-  // must be ordered like any other shared operation.
-  machine_->par_gate();
   FrontSideBus& bus = machine_->bus(chip_idx_);
   if (bus.utilization(ctx.now_) > p.prefetch_bus_threshold) return;
   perf::CounterSet& c = *ctx.counters_;
@@ -485,7 +471,6 @@ bool Core::snoop_inner(Addr line_addr, bool is_store) noexcept {
   const bool held = l1d_.contains(line_addr) ||
                     (l3_ != nullptr && l2_->contains(line_addr));
   if (!held) return false;
-  if (par_on_) machine_->par_note_evict(line_addr);
   if (is_store) {
     invalidate_inner(line_addr);
   } else {

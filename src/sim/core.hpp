@@ -138,20 +138,6 @@ class HwContext {
   /// instructions — OS overhead inflates CPI, as on real hardware.
   void os_overhead(double cycles) noexcept { advance_busy(cycles); }
 
-  /// Swaps the bound counter set without touching the fast-path registers
-  /// (exact: pending batched events flush to the old set first).  The
-  /// host-parallel backend points each context at an LP-local set for the
-  /// duration of a region and folds the locals rank-order afterwards —
-  /// counter adds are commutative uint64 sums, so the fold is bit-identical
-  /// to serial interleaved accumulation.
-  void redirect_counters(perf::CounterSet* counters) noexcept {
-    flush_event_counts();
-    counters_ = counters;
-  }
-  [[nodiscard]] perf::CounterSet* counters() const noexcept {
-    return counters_;
-  }
-
   /// Clears clock, accumulators, fast-path registers and branch history
   /// (new trial).
   void reset() noexcept;
@@ -381,22 +367,6 @@ class Core {
     for (Core* sib : domain_siblings_) sib->snoop_inner(line_addr, is_store);
   }
 
-  // ---- host-parallel backend (set by Machine::par_begin_region) ------------
-  /// Points this core's private caches at the owning LP's grain-key slot
-  /// (null reverts to par::kKeyZero, the serial stamp).
-  void par_set_key(const par::Key* key) noexcept {
-    l1d_.set_par_key(key);
-    if (l2_own_ != nullptr) l2_own_->set_par_key(key);
-  }
-  /// Arms/disarms the free-run evidence hooks on the eviction paths.
-  void par_set_active(bool on) noexcept { par_on_ = on; }
-  /// True if any private cache of this core stamps @p line_addr after @p k.
-  [[nodiscard]] bool par_stamp_after(Addr line_addr,
-                                     par::Key k) const noexcept {
-    return l1d_.par_stamp_after(line_addr, k) ||
-           (l2_own_ != nullptr && l2_own_->par_stamp_after(line_addr, k));
-  }
-
   /// Cold restart (new trial): clears caches, TLBs, predictor, prefetcher
   /// and both contexts.  The attached sink survives a reset, mirroring
   /// Machine::reset (attachment lifetime is the caller's concern).
@@ -487,7 +457,6 @@ class Core {
   int active_contexts_ = 1;
 
   bool fast_path_ = true;          ///< MachineParams::fast_path
-  bool par_on_ = false;            ///< parallel region active (evidence hooks)
   double issue_cost_ = 0;          ///< cached issue_cycles_per_uop()
   double chained_l1_stall_ = 0;    ///< max(0, l1_latency - issue_cost_)
   double issue_stretch_extra_ = 0; ///< issue_cost_ - cycles_per_uop

@@ -1,7 +1,6 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -138,7 +137,6 @@ bool Machine::downgrade_domain(int d, Addr line_addr) noexcept {
 
 LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
                                  HwContext& ctx) noexcept {
-  par_gate();
   const int self_d = domain_of_core_[static_cast<std::size_t>(filler_core)];
   std::uint32_t& holders = directory_[line_addr];
   const std::uint32_t self = 1u << self_d;
@@ -148,14 +146,6 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
     // Read-for-ownership: every remote copy dies.
     for (int d = 0; d < domain_count_; ++d) {
       if ((others & (1u << d)) == 0) continue;
-      std::optional<par::Session::RemoteLock> rl;
-      if (par_session_ != nullptr) {
-        rl.emplace(*par_session_,
-                   domain_lp_[static_cast<std::size_t>(d)]);
-        if (rl->cross() && par_domain_conflict(d, line_addr)) {
-          par_session_->note_conflict();
-        }
-      }
       ctx.counters_->add(Event::kL2Invalidations, 1);
       if (invalidate_domain(d, line_addr)) {
         // Dirty remote copy: implicit writeback on the remote package's bus.
@@ -170,14 +160,6 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
   } else {
     for (int d = 0; d < domain_count_; ++d) {
       if ((others & (1u << d)) == 0) continue;
-      std::optional<par::Session::RemoteLock> rl;
-      if (par_session_ != nullptr) {
-        rl.emplace(*par_session_,
-                   domain_lp_[static_cast<std::size_t>(d)]);
-        if (rl->cross() && par_domain_conflict(d, line_addr)) {
-          par_session_->note_conflict();
-        }
-      }
       if (downgrade_domain(d, line_addr)) {
         ctx.counters_->add(Event::kBusTransactions, 1);
         ctx.counters_->add(Event::kBusWrites, 1);
@@ -192,7 +174,6 @@ LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
 }
 
 void Machine::on_l2_evict(int core_id, Addr line_addr) noexcept {
-  par_gate();
   auto it = directory_.find(line_addr);
   if (it == directory_.end()) return;
   it->second &= ~(1u << domain_of_core_[static_cast<std::size_t>(core_id)]);
@@ -200,18 +181,10 @@ void Machine::on_l2_evict(int core_id, Addr line_addr) noexcept {
 }
 
 void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcept {
-  par_gate();
   const int self_d = domain_of_core_[static_cast<std::size_t>(core_id)];
   std::uint32_t& holders = directory_[line_addr];
   for (int d = 0; d < domain_count_; ++d) {
     if (d == self_d || (holders & (1u << d)) == 0) continue;
-    std::optional<par::Session::RemoteLock> rl;
-    if (par_session_ != nullptr) {
-      rl.emplace(*par_session_, domain_lp_[static_cast<std::size_t>(d)]);
-      if (rl->cross() && par_domain_conflict(d, line_addr)) {
-        par_session_->note_conflict();
-      }
-    }
     ctx.counters_->add(Event::kL2Invalidations, 1);
     if (invalidate_domain(d, line_addr)) {
       ctx.counters_->add(Event::kBusTransactions, 1);
@@ -226,55 +199,6 @@ void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcep
   // construction on private-outer topologies).
   cores_[static_cast<std::size_t>(core_id)]->snoop_siblings(line_addr,
                                                             /*is_store=*/true);
-}
-
-void Machine::par_begin_region(par::Session* session,
-                               const std::vector<int>& domain_lp) noexcept {
-  par_session_ = session;
-  domain_lp_ = domain_lp;
-  for (int d = 0; d < domain_count_; ++d) {
-    const int lp = domain_lp_[static_cast<std::size_t>(d)];
-    const par::Key* key = lp >= 0 ? session->key_slot(lp) : nullptr;
-    for (const int c : domain_cores_[static_cast<std::size_t>(d)]) {
-      cores_[static_cast<std::size_t>(c)]->par_set_key(key);
-    }
-    if (chip_domains_) {
-      chip_caches_[static_cast<std::size_t>(d)]->set_par_key(key);
-    }
-  }
-  for (auto& c : cores_) c->par_set_active(true);
-}
-
-void Machine::par_end_region() noexcept {
-  for (auto& c : cores_) {
-    c->par_set_key(nullptr);
-    c->par_set_active(false);
-  }
-  for (auto& cc : chip_caches_) cc->set_par_key(nullptr);
-  par_session_ = nullptr;
-  domain_lp_.clear();
-}
-
-void Machine::par_note_evict_slow(Addr line_addr) noexcept {
-  par::ThreadState& t = par::tls();
-  if (t.session != par_session_) return;  // foreign thread: nothing to log
-  par_session_->note_evidence(line_addr);
-}
-
-bool Machine::par_domain_conflict(int d, Addr line_addr) const noexcept {
-  const par::Key k = par::tls().key;
-  for (const int c : domain_cores_[static_cast<std::size_t>(d)]) {
-    if (cores_[static_cast<std::size_t>(c)]->par_stamp_after(line_addr, k)) {
-      return true;
-    }
-  }
-  if (chip_domains_ &&
-      chip_caches_[static_cast<std::size_t>(d)]->par_stamp_after(line_addr,
-                                                                 k)) {
-    return true;
-  }
-  return par_session_->evidence_after(
-      domain_lp_[static_cast<std::size_t>(d)], line_addr, k);
 }
 
 unsigned Machine::holders_of(Addr line_addr) const noexcept {

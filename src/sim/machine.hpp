@@ -18,21 +18,15 @@
 // property of the *study configuration*, not the machine: the harness simply
 // binds threads only to allowed contexts.
 //
-// Threading: by default a Machine is confined to one host thread at a time;
-// the harness dispatches concurrent trials by giving each worker thread its
-// own pooled Machine, never by sharing one.  The exception is the
-// host-parallel backend (src/par/): inside a parallel region armed via
-// par_begin_region(), one Machine is driven by several LP threads under the
-// par::Session protocol — every machine-shared entry point below gates on
-// the grain token, so cross-thread access stays mutually exclusive and in
-// serial order (see src/par/session.hpp).
+// Threading: a Machine is confined to one host thread at a time; the
+// harness dispatches concurrent trials by giving each worker thread its own
+// pooled Machine, never by sharing one.
 #pragma once
 
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "par/session.hpp"
 #include "sim/core.hpp"
 #include "sim/hooks.hpp"
 #include "sim/memsys.hpp"
@@ -123,7 +117,6 @@ class Machine {
   /// node's controller backlog + that node's (possibly remote) latency.
   [[nodiscard]] double memory_read(int chip_idx, Addr line_addr,
                                    double t) noexcept {
-    par_gate();
     const int node = node_of_line(line_addr);
     return buses_[static_cast<std::size_t>(chip_idx)].read_via(
         t, mcs_[static_cast<std::size_t>(node)],
@@ -131,7 +124,6 @@ class Machine {
   }
   /// Asynchronous line writeback from @p chip_idx at time @p t.
   void memory_write(int chip_idx, Addr line_addr, double t) noexcept {
-    par_gate();
     buses_[static_cast<std::size_t>(chip_idx)].write_via(
         t, mcs_[static_cast<std::size_t>(node_of_line(line_addr))]);
   }
@@ -179,9 +171,6 @@ class Machine {
   /// private-outer topologies (the default), per chip when the outermost
   /// level is chip-shared.
   [[nodiscard]] int domain_count() const noexcept { return domain_count_; }
-  [[nodiscard]] int domain_of_core(int core_id) const noexcept {
-    return domain_of_core_[static_cast<std::size_t>(core_id)];
-  }
   /// Global core ids belonging to domain @p d.
   [[nodiscard]] const std::vector<int>& domain_cores(int d) const noexcept {
     return domain_cores_[static_cast<std::size_t>(d)];
@@ -216,41 +205,7 @@ class Machine {
   }
   [[nodiscard]] TraceSink* trace_sink() const noexcept { return sink_; }
 
-  // ---- host-parallel backend (src/par/) ------------------------------------
-  /// Arms the machine for one parallel region.  @p session provides the
-  /// token/conflict protocol; @p domain_lp maps each coherence domain to
-  /// the LP that owns it (-1 for domains idle this region).  Every cache of
-  /// domain d stamps the lines it touches through session->key_slot(lp), so
-  /// remote operations can compare "who touched this line last" against
-  /// their own grain key.  Caller guarantees no LP thread is running yet.
-  void par_begin_region(par::Session* session,
-                        const std::vector<int>& domain_lp) noexcept;
-  /// Disarms after the region (stamp sources revert to par::kKeyZero).
-  /// Caller guarantees every LP thread is parked.
-  void par_end_region() noexcept;
-  [[nodiscard]] par::Session* par_session() const noexcept {
-    return par_session_;
-  }
-  /// Orders a machine-shared operation: acquires the calling grain's token
-  /// when a parallel region is active.  No-op (one predictable branch) when
-  /// serial or called from a thread outside the session.
-  void par_gate() noexcept {
-    if (par_session_ != nullptr) par::Session::gate_current(par_session_);
-  }
-  /// Eviction/snoop evidence hook (see par::Session::note_evidence): the
-  /// calling LP destroyed a cached copy of @p line_addr, and with it the
-  /// stamp that may have covered a speculative touch.
-  void par_note_evict(Addr line_addr) noexcept {
-    if (par_session_ != nullptr) par_note_evict_slow(line_addr);
-  }
-
  private:
-  /// Out-of-line tail of par_note_evict (thread-state checks).
-  void par_note_evict_slow(Addr line_addr) noexcept;
-  /// True if domain @p d holds evidence (line stamp or tombstone) that its
-  /// LP already ran past the calling token holder's key on @p line_addr.
-  /// Caller holds the domain's run mutex via par::Session::RemoteLock.
-  [[nodiscard]] bool par_domain_conflict(int d, Addr line_addr) const noexcept;
   /// Invalidates @p line_addr everywhere inside domain @p d; returns true
   /// when the outermost copy was dirty (implicit writeback needed).
   bool invalidate_domain(int d, Addr line_addr) noexcept;
@@ -277,9 +232,6 @@ class Machine {
 
   std::unordered_map<Addr, std::uint32_t> directory_;
   TraceSink* sink_ = nullptr;
-
-  par::Session* par_session_ = nullptr;  ///< active parallel region, or null
-  std::vector<int> domain_lp_;           ///< domain -> owning LP (par mode)
 };
 
 }  // namespace paxsim::sim

@@ -8,10 +8,9 @@
 // Determinism: ordering is lexicographic on (key, tie, id).  The tie value
 // defaults to the id itself, which reproduces exactly the tie-break of the
 // linear scans this heap replaced — "the first strictly smaller clock wins",
-// i.e. equal clocks resolve to the lowest rank.  Callers that participate in
-// a machine-global order (the runtime's ready heap feeding the parallel
-// backend's LP merge) instead pass an explicit tie — the context's flat cpu
-// id — so heap dequeue and cross-LP event merge share one total order
+// i.e. equal clocks resolve to the lowest rank.  Callers that need a
+// machine-global order (the runtime's ready heap) instead pass an explicit
+// tie — the context's flat cpu id — so dequeue order is one total order
 // independent of insertion order or id numbering (covered by the tie-storm
 // unit test).
 #pragma once

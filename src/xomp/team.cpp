@@ -1,7 +1,6 @@
 #include "xomp/team.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -73,100 +72,6 @@ void Team::recompute_ties() {
     tie_of_[r] = (c.chip * p.cores_per_chip + c.core) * p.contexts_per_core +
                  c.context;
   }
-}
-
-void Team::enable_parallel(int threads, double window) {
-  if (threads <= 1) {
-    par_.reset();
-    return;
-  }
-  par_ = std::make_unique<ParRuntime>();
-  par_->session = std::make_unique<par::Session>(threads, window);
-  par_->crew = std::make_unique<par::Crew>(threads - 1);
-  par_->heaps.resize(static_cast<std::size_t>(threads));
-  par_->rank_counters.resize(ctxs_.size());
-  par_->max_lps = threads;
-}
-
-bool Team::par_region_prepare() {
-  ParRuntime& rt = *par_;
-  const int nt = size();
-  // Shard along coherence-domain boundaries: contexts sharing any cache
-  // always land in the same LP, so every cache has exactly one writer
-  // thread and only directory/bus/memory interactions need the token.
-  std::vector<int> rank_domain(static_cast<std::size_t>(nt));
-  std::vector<int> domains;
-  domains.reserve(static_cast<std::size_t>(nt));
-  for (int r = 0; r < nt; ++r) {
-    const sim::LogicalCpu cpu = ctxs_[r]->id();
-    const int core_id =
-        cpu.chip * machine_->params().cores_per_chip + cpu.core;
-    const int d = machine_->domain_of_core(core_id);
-    rank_domain[static_cast<std::size_t>(r)] = d;
-    domains.push_back(d);
-  }
-  std::sort(domains.begin(), domains.end());
-  domains.erase(std::unique(domains.begin(), domains.end()), domains.end());
-  const int n_lp =
-      std::min(rt.max_lps, static_cast<int>(domains.size()));
-  if (n_lp < 2) {
-    // One domain (or --par=1 after clamping): nothing to shard.
-    ++rt.session->stats().serial_regions;
-    return false;
-  }
-  rt.n_lp = n_lp;
-  // Block-partition the (ascending) domain list over the LPs.
-  rt.domain_lp.assign(static_cast<std::size_t>(machine_->domain_count()), -1);
-  for (std::size_t i = 0; i < domains.size(); ++i) {
-    rt.domain_lp[static_cast<std::size_t>(domains[i])] =
-        static_cast<int>(i * static_cast<std::size_t>(n_lp) / domains.size());
-  }
-  rt.rank_lp.resize(static_cast<std::size_t>(nt));
-  rt.initial_lbs.assign(static_cast<std::size_t>(n_lp),
-                        std::numeric_limits<double>::infinity());
-  for (int r = 0; r < nt; ++r) {
-    const int lp =
-        rt.domain_lp[static_cast<std::size_t>(rank_domain[static_cast<std::size_t>(r)])];
-    rt.rank_lp[static_cast<std::size_t>(r)] = lp;
-    rt.initial_lbs[static_cast<std::size_t>(lp)] =
-        std::min(rt.initial_lbs[static_cast<std::size_t>(lp)],
-                 ctxs_[static_cast<std::size_t>(r)]->now());
-  }
-  return true;
-}
-
-void Team::par_region_begin() {
-  ParRuntime& rt = *par_;
-  for (std::size_t r = 0; r < ctxs_.size(); ++r) {
-    rt.rank_counters[r] = perf::CounterSet{};
-    ctxs_[r]->redirect_counters(&rt.rank_counters[r]);
-  }
-  rt.session->begin_region(rt.n_lp, rt.initial_lbs.data());
-  machine_->par_begin_region(rt.session.get(), rt.domain_lp);
-  ++rt.session->stats().parallel_regions;
-}
-
-void Team::par_region_end(bool ok) {
-  ParRuntime& rt = *par_;
-  machine_->par_end_region();
-  rt.session->end_region();
-  for (std::size_t r = 0; r < ctxs_.size(); ++r) {
-    ctxs_[r]->redirect_counters(counters_);
-  }
-  if (ok) {
-    // Rank-order fold of the LP-local shards: commutative uint64 sums, so
-    // the total is bit-identical to serial accumulation.  An aborted
-    // region's shards are garbage and are simply dropped — the caller
-    // resets the machine and re-runs serially.
-    for (const perf::CounterSet& cs : rt.rank_counters) *counters_ += cs;
-  }
-}
-
-void Team::par_guard_construct() {
-  par::ThreadState& t = par::tls();
-  if (t.session == nullptr) return;
-  t.session->note_conflict();
-  throw par::Abort{"unsupported construct in parallel region"};
 }
 
 void Team::build_static_chunks(

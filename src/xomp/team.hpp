@@ -18,27 +18,12 @@
 // Per dynamic iteration the runtime models the front end (trace-cache fetch
 // of the body's code block) and the loop back-edge branch; the body callback
 // performs the actual instrumented loads/stores/ALU work.
-//
-// Parallel backend (src/par/)
-// ---------------------------
-// enable_parallel() arms a host-parallel execution mode for run_loop: the
-// team's contexts are sharded into logical processes (LPs) along coherence
-// domain boundaries and each LP replays its share of the virtual-time heap
-// on its own host thread, synchronised by the conservative token protocol in
-// par::Session.  The global grain order is (virtual clock, context flat cpu
-// id) — exactly the serial heap's order — so the parallel path is
-// bit-identical to the serial one; any interleaving the conflict detector
-// cannot prove equivalent aborts the region with par::Abort and the caller
-// re-runs serially.
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <vector>
 
-#include "par/crew.hpp"
-#include "par/par.hpp"
 #include "perf/counters.hpp"
 #include "sim/machine.hpp"
 #include "xomp/min_heap.hpp"
@@ -83,12 +68,11 @@ class Team {
   /// Overrides the schedule of every parallel loop the team runs, replacing
   /// whatever Schedule the kernel passed (the paxtune schedule axis: tune a
   /// kernel's loops across static/dynamic/guided without editing kernels).
-  /// Applied at run_loop entry, so it covers parallel_for, parallel_reduce,
-  /// the serial heap and the host-parallel backend alike.  Single-thread
-  /// teams execute serial_for, which has no schedule — overrides are
-  /// placement-neutral there by construction.  Like grain, an override
-  /// changes the interleaving, so the experiment engine keys its memo cache
-  /// on it.
+  /// Applied at run_loop entry, so it covers parallel_for and
+  /// parallel_reduce alike.  Single-thread teams execute serial_for, which
+  /// has no schedule — overrides are placement-neutral there by
+  /// construction.  Like grain, an override changes the interleaving, so
+  /// the experiment engine keys its memo cache on it.
   void set_schedule_override(Schedule sched) noexcept {
     sched_override_ = sched;
     has_sched_override_ = true;
@@ -175,7 +159,6 @@ class Team {
   /// and runs body(ctx) on the calling rank.
   template <typename Body>
   void critical(int rank, Body&& body) {
-    par_guard_construct();
     sim::HwContext& ctx = *ctxs_[rank];
     ctx.load(lock_addr_, sim::Dep::kChained);
     ctx.store(lock_addr_);
@@ -190,7 +173,6 @@ class Team {
   /// The acquire/release bracket lock-orders atomics on the same address
   /// against each other for the race detector (see sim/hooks.hpp).
   void atomic_rmw(int rank, sim::Addr addr) {
-    par_guard_construct();
     sim::HwContext& ctx = *ctxs_[rank];
     sync_acquire(ctx, addr);
     ctx.load(addr, sim::Dep::kChained);
@@ -251,19 +233,6 @@ class Team {
     return ctxs_[rank]->id();
   }
 
-  /// Arms the host-parallel backend: parallel loops may run across up to
-  /// @p threads host threads (sharded along coherence-domain boundaries),
-  /// with speculation bounded to @p window virtual cycles ahead of the
-  /// slowest LP (0 disables the bound).  Results are bit-identical to the
-  /// serial path; regions the conflict detector cannot prove equivalent
-  /// throw par::Abort out of the parallel construct, after which the caller
-  /// must discard the run (reset the machine) and re-execute serially.
-  /// @p threads <= 1 disarms the backend.
-  void enable_parallel(int threads, double window);
-  [[nodiscard]] bool parallel_enabled() const noexcept {
-    return par_ != nullptr;
-  }
-
  private:
   static std::uint32_t backedge_site(sim::BlockId body_id) noexcept {
     return 0x40000000u + body_id;
@@ -272,34 +241,9 @@ class Team {
   void fork();
   void join();
 
-  /// Per-region scratch for the host-parallel backend (see enable_parallel).
-  struct ParRuntime {
-    std::unique_ptr<par::Session> session;
-    std::unique_ptr<par::Crew> crew;
-    std::vector<IndexedMinHeap> heaps;          // one ready-heap per LP
-    std::vector<perf::CounterSet> rank_counters;  // LP-local counter shards
-    std::vector<int> rank_lp;      // rank -> LP, recomputed per region
-    std::vector<int> domain_lp;    // coherence domain -> LP (-1: unused)
-    std::vector<double> initial_lbs;  // per-LP starting clock lower bound
-    int max_lps = 0;
-    int n_lp = 0;
-  };
-
   /// Recomputes tie_of_ (context flat cpu ids) from current placements.
   void recompute_ties();
-  /// Computes the region's domain->LP sharding; false when the region must
-  /// run serially (fewer than two LPs).  Counts the fallback in the stats.
-  bool par_region_prepare();
-  /// Arms session + machine and redirects counters to per-rank shards.
-  void par_region_begin();
-  /// Disarms and, when @p ok, folds the shards back in rank order.
-  void par_region_end(bool ok);
-  /// Aborts the enclosing parallel region: critical/atomic_rmw read sibling
-  /// clocks and serialise on shared lines in ways the LP protocol does not
-  /// model, so inside a parallel region they throw par::Abort (the run is
-  /// then redone serially).  No-op on the serial path.
-  void par_guard_construct();
-  /// Builds the static-schedule chunk lists (shared by both run_loop paths).
+  /// Builds the static-schedule chunk lists.
   void build_static_chunks(
       std::size_t begin, std::size_t end, Schedule sched,
       std::vector<std::vector<std::pair<std::size_t, std::size_t>>>& chunks);
@@ -327,11 +271,6 @@ class Team {
     }
     const std::size_t n = end > begin ? end - begin : 0;
     if (n == 0) return;
-
-    if (par_ != nullptr && par_region_prepare()) {
-      run_loop_par(begin, end, sched, body_block, body);
-      return;
-    }
 
     struct ThreadRun {
       std::size_t pos = 0;   // next iteration in current chunk
@@ -391,9 +330,9 @@ class Team {
     };
 
     // Runnable threads in a min-heap keyed by their virtual clock.  Equal
-    // clocks break by the context's flat cpu id so the serial heap and the
-    // parallel backend's cross-LP event merge share one machine-global total
-    // order on (clock, flat id) — the bit-identity invariant depends on it.
+    // clocks break by the context's flat cpu id: one machine-global total
+    // order on (clock, flat id), independent of rank numbering, that every
+    // golden result was produced under.
     ready_.reset(nt);
     for (int r = 0; r < nt; ++r) {
       ready_.push(r, ctxs_[r]->now(), tie_of_[static_cast<std::size_t>(r)]);
@@ -417,122 +356,6 @@ class Team {
     }
   }
 
-  /// Host-parallel core of parallel_for.  Each LP replays exactly the serial
-  /// heap loop restricted to its own ranks; the cross-LP order is restored
-  /// by par::Session's token protocol on the grain keys (clock, flat id).
-  /// The per-grain charging below is a line-for-line copy of run_loop's —
-  /// any divergence breaks bit-identity, which fastpath_diff enforces.
-  template <typename Body>
-  void run_loop_par(std::size_t begin, std::size_t end, Schedule sched,
-                    CodeBlock body_block, Body& body) {
-    ParRuntime& rt = *par_;
-    const int nt = size();
-
-    struct ThreadRun {
-      std::size_t pos = 0;
-      std::size_t lim = 0;
-    };
-    std::vector<ThreadRun> run(static_cast<std::size_t>(nt));
-    std::vector<std::vector<std::pair<std::size_t, std::size_t>>> static_chunks;
-    std::vector<std::size_t> static_next(static_cast<std::size_t>(nt), 0);
-    std::size_t shared_next = begin;  // token-ordered: holders only
-    build_static_chunks(begin, end, sched, static_chunks);
-
-    auto lp_main = [&](int lp) {
-      par::Session& s = *rt.session;
-      par::Session::LpScope scope(s, lp);
-      IndexedMinHeap& ready = rt.heaps[static_cast<std::size_t>(lp)];
-      ready.reset(nt);
-      for (int r = 0; r < nt; ++r) {
-        if (rt.rank_lp[static_cast<std::size_t>(r)] == lp) {
-          ready.push(r, ctxs_[r]->now(), tie_of_[static_cast<std::size_t>(r)]);
-        }
-      }
-      while (!ready.empty()) {
-        const int pick = ready.top();
-        // The grain key is the pick-time clock — the same key the serial
-        // heap would have dequeued this context at.
-        s.begin_grain(lp, par::Key{ready.key_of(pick),
-                                   tie_of_[static_cast<std::size_t>(pick)]});
-        sim::HwContext& ctx = *ctxs_[pick];
-        ThreadRun& tr = run[static_cast<std::size_t>(pick)];
-        bool have = tr.pos < tr.lim;
-        if (!have) {
-          ctx.exec_block(kRuntimeBlockBase + static_cast<sim::BlockId>(pick),
-                         16);
-          ctx.alu(4);
-          switch (sched.kind) {
-            case ScheduleKind::kStatic: {
-              auto& mine = static_chunks[static_cast<std::size_t>(pick)];
-              auto& idx = static_next[static_cast<std::size_t>(pick)];
-              if (idx < mine.size()) {
-                tr.pos = mine[idx].first;
-                tr.lim = mine[idx].second;
-                ++idx;
-                have = true;
-              }
-              break;
-            }
-            case ScheduleKind::kDynamic: {
-              // The cursor is host-shared: even the terminal >= end read
-              // must be token-ordered, or a fast LP could observe chunks
-              // taken by grains ordered after it and quit early.
-              par::Session::gate_current(rt.session.get());
-              if (shared_next < end) {
-                ctx.load(cursor_addr_, sim::Dep::kChained);
-                ctx.store(cursor_addr_);
-                const std::size_t c = sched.chunk == 0 ? 1 : sched.chunk;
-                tr.pos = shared_next;
-                tr.lim = std::min(end, shared_next + c);
-                shared_next = tr.lim;
-                have = true;
-              }
-              break;
-            }
-            case ScheduleKind::kGuided: {
-              par::Session::gate_current(rt.session.get());
-              if (shared_next < end) {
-                ctx.load(cursor_addr_, sim::Dep::kChained);
-                ctx.store(cursor_addr_);
-                const std::size_t remaining = end - shared_next;
-                const std::size_t cmin = sched.chunk == 0 ? 1 : sched.chunk;
-                const std::size_t c = std::max(
-                    cmin, remaining / (2 * static_cast<std::size_t>(nt)));
-                tr.pos = shared_next;
-                tr.lim = std::min(end, shared_next + c);
-                shared_next = tr.lim;
-                have = true;
-              }
-              break;
-            }
-          }
-        }
-        if (!have) {
-          s.end_grain(lp);
-          ready.pop();
-          continue;
-        }
-        for (std::size_t g = 0; g < grain_ && tr.pos < tr.lim; ++g, ++tr.pos) {
-          ctx.exec_block(body_block.id, body_block.uops);
-          body(tr.pos, ctx, pick);
-          ctx.branch(backedge_site(body_block.id), tr.pos + 1 < tr.lim);
-        }
-        s.end_grain(lp);
-        ready.update(pick, ctx.now());
-      }
-    };
-
-    par_region_begin();
-    bool ok = true;
-    try {
-      rt.crew->run(rt.n_lp, lp_main);
-    } catch (const par::Abort&) {
-      ok = false;
-    }
-    par_region_end(ok);
-    if (!ok) throw par::Abort{"parallel region aborted"};
-  }
-
   static constexpr sim::BlockId kRuntimeBlockBase = 0x00F00000;
 
   sim::Machine* machine_;
@@ -549,7 +372,6 @@ class Team {
   /// Context flat cpu id per rank (chip-major, then core, then SMT context):
   /// the machine-global heap tie-break.  Recomputed on repin.
   std::vector<int> tie_of_;
-  std::unique_ptr<ParRuntime> par_;  ///< null unless enable_parallel() armed
   IndexedMinHeap ready_;  ///< run_loop's pick structure, reused across loops
   /// Member list handed to on_team(), reused to avoid per-event allocation.
   std::vector<const sim::HwContext*> members_scratch_;

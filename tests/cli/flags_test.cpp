@@ -105,8 +105,8 @@ TEST(RunFlagTableTest, RegistersTheSharedSpellings) {
   FlagSet fs;
   register_run_flags(fs, &run);
   for (const char* name :
-       {"class", "trials", "seed", "par", "par-window", "grain", "sched",
-        "chunk", "scale", "machine", "check", "trace", "no-verify"}) {
+       {"class", "trials", "seed", "grain", "sched", "chunk", "scale",
+        "machine", "check", "trace", "no-verify"}) {
     EXPECT_TRUE(fs.has(name)) << name;
   }
 }

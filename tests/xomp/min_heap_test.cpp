@@ -120,7 +120,7 @@ TEST(IndexedMinHeapTest, MatchesLinearScanUnderChurn) {
 }
 
 TEST(IndexedMinHeapTest, TieStormDequeuesInExplicitTieOrder) {
-  // The parallel backend's invariant: when many entries share one virtual
+  // The runtime's ready-heap invariant: when many entries share one virtual
   // clock (a tie storm — every thread synced by a barrier), dequeue order
   // must follow the explicit tie value (the context flat cpu id), not the
   // insertion order or the id numbering.  Push in adversarial orders with

@@ -204,7 +204,7 @@ TEST(TeamTest, EmptyRangeIsNoop) {
   int calls = 0;
   team.parallel_for(
       10, 10, Schedule::dynamic(1), kBlk,
-      // paxlint: allow(shared-scratch) -- host-parallel replay is not enabled for this Team, so the body runs on one host thread; the counter is read only after the loop returns
+      // paxlint: allow(shared-scratch) -- a Team runs every loop body on one host thread, and the counter is read only after the loop returns
       [&](std::size_t, sim::HwContext&, int) { ++calls; });
   EXPECT_EQ(calls, 0);
 }

@@ -385,8 +385,8 @@ struct FileScan {
           emit(kSharedScratch, tk.line, tk.col,
                std::string(what) + " '" + std::string(name) +
                    "' is mutated inside a parallel body without per-rank "
-                   "indexing — concurrent host threads race on it under "
-                   "--par (FT-pencil / ADI-scratch class)");
+                   "indexing — every rank's body writes the same host "
+                   "buffer (FT-pencil / ADI-scratch class)");
         }
       } else if (!last_method.empty() && kMutating.count(last_method) != 0) {
         if (!rank_indexed) {
@@ -686,7 +686,7 @@ struct FileScan {
         }
         if (reversed) {
           emit(kFoldOrder, rev_line, rev_col,
-               "accumulation over a reversed range — per-rank/per-LP "
+               "accumulation over a reversed range — per-rank "
                "shards must fold in ascending rank order for "
                "deterministic (bit-identical) results");
           break;
@@ -700,8 +700,8 @@ struct FileScan {
                    "reduction folds '" + std::string(f.ct(r).text) + "[" +
                        std::string(loop_var) +
                        "]' while iterating in descending order — shards "
-                       "must fold in ascending rank order (the --par "
-                       "counter-fold discipline)");
+                       "must fold in ascending rank order for deterministic "
+                       "(bit-identical) results");
               a = send;
               break;
             }

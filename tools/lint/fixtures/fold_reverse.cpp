@@ -1,6 +1,6 @@
 // Fold-order fixture: per-rank shard reductions that fold in descending
-// or reversed order (flagged — the --par counter-fold discipline requires
-// ascending rank order for bit-identical results), plus two clean loops:
+// or reversed order (flagged — shard folds must run in ascending rank
+// order for bit-identical results), plus two clean loops:
 // a descending element update and an ascending fold.
 #include <vector>
 

@@ -1,7 +1,7 @@
 // Seeded re-introduction of the PR 7 FT transpose race at its original
 // code shape: ONE pencil buffer member shared by every rank.  Under the
-// host-parallel backend each rank's body assigns and fills the same
-// vector concurrently.  The fix (see src/npb/kernels/ft.cpp) is a
+// former host-parallel backend each rank's body assigned and filled the
+// same vector concurrently.  The fix (see src/npb/kernels/ft.cpp) is a
 // per-rank pencils_[rank] pool; paxlint must flag this shape.
 //
 // Fixtures are never compiled — they are analyzer inputs for the golden
