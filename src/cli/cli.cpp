@@ -1,5 +1,6 @@
 #include "cli/cli.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -205,8 +206,10 @@ FlagSet make_flag_table(Command* cmd) {
       for (const std::string& tok : split_csv(v)) {
         char* end = nullptr;
         const double x = std::strtod(tok.c_str(), &end);
-        if (tok.empty() || end == nullptr || *end != '\0' || x < 1.0) {
-          return "bad --scales '" + v + "' (need comma-separated numbers >= 1)";
+        if (tok.empty() || end == nullptr || *end != '\0' ||
+            !std::isfinite(x) || x < 1.0) {
+          return "bad --scales '" + v +
+                 "' (need comma-separated finite numbers >= 1)";
         }
         xs.push_back(x);
       }

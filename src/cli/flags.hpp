@@ -23,6 +23,7 @@
 // paxsim_cli, and a table of closures needs no translation unit.
 #pragma once
 
+#include <cmath>
 #include <cstdlib>
 #include <functional>
 #include <memory>
@@ -136,7 +137,7 @@ class FlagSet {
     return add(std::move(s));
   }
 
-  /// double flag with an exclusive lower bound check supplied by min.
+  /// Finite double flag with an inclusive lower bound check supplied by min.
   FlagSet& add_double(std::string name, double* out, double min,
                       std::string hint, std::string help) {
     FlagSpec s;
@@ -148,9 +149,10 @@ class FlagSet {
     s.apply = [out, min, n](const std::string& v) -> std::string {
       char* end = nullptr;
       const double x = std::strtod(v.c_str(), &end);
-      if (v.empty() || end == nullptr || *end != '\0' || x < min) {
-        return "bad --" + n + " (need a number >= " + std::to_string(min) +
-               ")";
+      if (v.empty() || end == nullptr || *end != '\0' || !std::isfinite(x) ||
+          x < min) {
+        return "bad --" + n + " (need a finite number >= " +
+               std::to_string(min) + ")";
       }
       *out = x;
       return {};

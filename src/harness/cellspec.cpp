@@ -1,6 +1,7 @@
 // paxsim/harness/cellspec.cpp
 #include "harness/cellspec.hpp"
 
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -91,8 +92,9 @@ CellSpec& CellSpec::problem_class(char letter) {
 }
 
 CellSpec& CellSpec::scale(double machine_scale) {
-  if (machine_scale < 1.0) {
-    fail("bad scale " + std::to_string(machine_scale) + " (need >= 1)");
+  if (!std::isfinite(machine_scale) || machine_scale < 1.0) {
+    fail("bad scale " + std::to_string(machine_scale) +
+         " (need a finite number >= 1)");
     return *this;
   }
   opt_.machine_scale = machine_scale;

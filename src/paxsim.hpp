@@ -11,7 +11,8 @@
 //   check::    race detection / invariant audit reports
 //   trace::    CPI stall-stack tracing and the Chrome-tracing exporter
 //   report::   the one JSON writer every machine-readable report uses,
-//              and its consumer-side parser
+//              and the one reader every JSON input goes through (store
+//              entries, job files, topology files)
 //   serve::    the persistent sweep service — the on-disk content-addressed
 //              result store, job files and the batch driver
 //   lmb::      the LMbench-analog calibration probes

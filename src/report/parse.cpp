@@ -3,8 +3,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 namespace paxsim::report {
 
@@ -35,21 +35,10 @@ std::string JsonValue::string_or(std::string_view key,
   return (v != nullptr && v->is_string()) ? v->string : std::move(fallback);
 }
 
-double JsonValue::number_or(std::string_view key,
-                            double fallback) const noexcept {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->is_number()) ? v->number : fallback;
-}
-
-bool JsonValue::bool_or(std::string_view key, bool fallback) const noexcept {
-  const JsonValue* v = find(key);
-  return (v != nullptr && v->is_bool()) ? v->boolean : fallback;
-}
-
 namespace {
 
 /// Recursive-descent parser over a flat buffer.  Depth-capped so a
-/// pathological (or corrupted) store entry cannot overflow the host stack.
+/// pathological (or corrupted) input cannot overflow the host stack.
 class Parser {
  public:
   Parser(std::string_view text, std::string* error)
@@ -64,6 +53,7 @@ class Parser {
   }
 
  private:
+  /// How many arrays/objects may nest inside one another.
   static constexpr int kMaxDepth = 64;
 
   bool fail(const std::string& msg) {
@@ -90,7 +80,6 @@ class Parser {
   }
 
   bool value(JsonValue* out, int depth) {
-    if (depth > kMaxDepth) return fail("nesting too deep");
     if (at_end()) return fail("unexpected end of input");
     const char c = text_[pos_];
     switch (c) {
@@ -119,6 +108,7 @@ class Parser {
 
   bool object(JsonValue* out, int depth) {
     ++pos_;  // '{'
+    if (depth == kMaxDepth) return fail("nesting too deep");
     out->kind = JsonValue::Kind::kObject;
     skip_ws();
     if (!at_end() && text_[pos_] == '}') {
@@ -130,6 +120,13 @@ class Parser {
       std::string key;
       if (at_end() || text_[pos_] != '"' || !string(&key)) {
         return fail("expected object key");
+      }
+      // Consumers look members up by name, so a repeated name would mean
+      // whichever copy the lookup happens to find.
+      for (const auto& member : out->members) {
+        if (member.first == key) {
+          return fail("duplicate member \"" + key + "\"");
+        }
       }
       skip_ws();
       if (at_end() || text_[pos_] != ':') return fail("expected ':'");
@@ -154,6 +151,7 @@ class Parser {
 
   bool array(JsonValue* out, int depth) {
     ++pos_;  // '['
+    if (depth == kMaxDepth) return fail("nesting too deep");
     out->kind = JsonValue::Kind::kArray;
     skip_ws();
     if (!at_end() && text_[pos_] == ']') {
@@ -247,6 +245,9 @@ class Parser {
       ++pos_;
     }
     if (pos_ == digits_start) return fail("expected a value");
+    if (text_[digits_start] == '0' && pos_ - digits_start > 1) {
+      return fail("leading zero in number");
+    }
     if (!at_end() && text_[pos_] == '.') {
       ++pos_;
       const std::size_t frac = pos_;
@@ -269,6 +270,7 @@ class Parser {
     out->kind = JsonValue::Kind::kNumber;
     out->raw_number.assign(text_.substr(start, pos_ - start));
     out->number = std::strtod(out->raw_number.c_str(), nullptr);
+    if (std::isinf(out->number)) return fail("number out of range");
     return true;
   }
 

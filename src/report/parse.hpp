@@ -1,10 +1,11 @@
 // paxsim/report/parse.hpp
 //
 // The one JSON reader: the consumer-side counterpart of report::Json.
-// Everything in the tree that ingests JSON it previously emitted — the
-// result store's entries (src/serve/store), serve job files
-// (src/serve/jobs) — parses through this small document model, so number
-// handling, escapes and error reporting are defined in exactly one place.
+// Everything in the tree that ingests JSON — the result store's entries
+// (src/serve/store), serve job files (src/serve/jobs) and topology files
+// (src/sim/topology) — parses through this small document model, so number
+// handling, escapes, limits and error reporting are defined in exactly one
+// place.
 //
 // The model is deliberately minimal: a JsonValue is null, a bool, a number,
 // a string, an array, or an object whose members keep insertion order (the
@@ -55,18 +56,17 @@ class JsonValue {
   /// value is not an unsigned integer literal that fits.
   [[nodiscard]] bool as_u64(std::uint64_t* out) const noexcept;
 
-  /// Convenience accessors with defaults for optional members.
+  /// The string member @p key, or @p fallback when absent or not a string.
   [[nodiscard]] std::string string_or(std::string_view key,
                                       std::string fallback) const;
-  [[nodiscard]] double number_or(std::string_view key,
-                                 double fallback) const noexcept;
-  [[nodiscard]] bool bool_or(std::string_view key,
-                             bool fallback) const noexcept;
 };
 
 /// Parses exactly one JSON value from @p text (trailing whitespace allowed,
-/// trailing garbage rejected).  On failure returns false and, when @p error
-/// is non-null, a human-readable message with the byte offset.
+/// trailing garbage rejected).  Strict RFC 8259 numbers only (no leading
+/// zeros, no '+', digits on both sides of '.'), and none that overflows a
+/// double; at most 64 nested arrays/objects; no member name repeated within
+/// one object.  On failure returns false and, when @p error is non-null, a
+/// message of the form "<why> at byte N".
 bool parse_json_value(std::string_view text, JsonValue* out,
                       std::string* error = nullptr);
 

@@ -77,8 +77,9 @@ bool apply_knobs(const report::JsonValue& obj, Knobs* k, bool is_sweep,
       }
       k->grain = static_cast<std::size_t>(g);
     } else if (name == "scale") {
-      if (!v.is_number() || v.number <= 0) {
-        *error = "bad \"scale\" (need a positive number)";
+      // CellSpec::scale bounds the value when the sweep resolves.
+      if (!v.is_number()) {
+        *error = "bad \"scale\" (need a number)";
         return false;
       }
       k->scale = v.number;

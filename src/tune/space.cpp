@@ -1,6 +1,7 @@
 // paxsim/tune/space.cpp
 #include "tune/space.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace paxsim::tune {
@@ -114,7 +115,9 @@ void SearchSpace::validate() const {
     if (g < 1) throw std::invalid_argument("SearchSpace: grain must be >= 1");
   }
   for (const double s : scales) {
-    if (s < 1.0) throw std::invalid_argument("SearchSpace: scale must be >= 1");
+    if (!std::isfinite(s) || s < 1.0) {
+      throw std::invalid_argument("SearchSpace: scale must be finite and >= 1");
+    }
   }
 }
 

@@ -442,6 +442,8 @@ TEST(CliParseTest, TuneDefaultsAndRejections) {
   EXPECT_FALSE(P({"tune", "--top-k=0"}).ok());
   EXPECT_FALSE(P({"tune", "--schedules=fastest"}).ok());
   EXPECT_FALSE(P({"tune", "--grains=0"}).ok());
+  EXPECT_FALSE(P({"tune", "--scales=8,nan"}).ok());
+  EXPECT_FALSE(P({"tune", "--scales=inf"}).ok());
 }
 
 TEST(CliExecTest, TuneFindsTheKnownWinnerForCG) {

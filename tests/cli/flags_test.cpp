@@ -149,7 +149,10 @@ TEST(RunFlagTableTest, RejectsBadValuesWithTheSharedMessages) {
             FlagSet::Outcome::kError);
   EXPECT_NE(error.find("bad --machine"), std::string::npos);
   EXPECT_EQ(fs.parse_flag("--trials=0", &error), FlagSet::Outcome::kError);
-  EXPECT_EQ(fs.parse_flag("--scale=0.5", &error), FlagSet::Outcome::kError);
+  for (const char* bad : {"--scale=0.5", "--scale=nan", "--scale=inf"}) {
+    EXPECT_EQ(fs.parse_flag(bad, &error), FlagSet::Outcome::kError) << bad;
+    EXPECT_NE(error.find("bad --scale"), std::string::npos) << bad;
+  }
 }
 
 TEST(EngineFlagTableTest, JobsAndStore) {

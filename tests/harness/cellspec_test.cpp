@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "harness/config.hpp"
@@ -156,6 +157,15 @@ TEST(CellSpecTest, ResolveRejectsInconsistentSpecs) {
   EXPECT_NE(why_of(CellSpec::bench("CG").config("Serial").problem_class('Q'))
                 .find("bad problem class"),
             std::string::npos);
+  // The scale must be a finite number >= 1: a NaN scale once reached
+  // MachineParams::scaled and spun forever.
+  for (const double bad : {0.5, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    EXPECT_NE(why_of(CellSpec::bench("CG").config("Serial").scale(bad))
+                  .find("bad scale"),
+              std::string::npos)
+        << bad;
+  }
   // First builder error wins and later setters don't mask it.
   EXPECT_NE(why_of(CellSpec::bench("CG").config("Serial").grain(0).trials(0))
                 .find("grain"),

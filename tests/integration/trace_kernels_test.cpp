@@ -14,7 +14,7 @@
 
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
-#include "report/json.hpp"
+#include "report/parse.hpp"
 #include "trace/chrome.hpp"
 
 namespace paxsim {
@@ -122,7 +122,8 @@ TEST(TraceKernelsTest, ChromeExportIsWellFormedJson) {
     std::ostringstream os;
     trace::write_chrome_trace(os, tr.trace);
     std::string error;
-    EXPECT_TRUE(report::validate_json(os.str(), &error))
+    report::JsonValue parsed;
+    EXPECT_TRUE(report::parse_json_value(os.str(), &parsed, &error))
         << cfg->name << ": " << error;
   }
 }
@@ -132,7 +133,8 @@ TEST(TraceKernelsTest, ChromeExportValidForEmptyReport) {
   std::ostringstream os;
   trace::write_chrome_trace(os, empty);
   std::string error;
-  EXPECT_TRUE(report::validate_json(os.str(), &error)) << error;
+  report::JsonValue parsed;
+  EXPECT_TRUE(report::parse_json_value(os.str(), &parsed, &error)) << error;
 }
 
 }  // namespace

@@ -231,6 +231,24 @@ TEST(JobFileTest, PairModeRequiresPairs) {
   EXPECT_NE(err.find("pair"), std::string::npos) << err;
 }
 
+TEST(JobFileTest, RejectsOverflowingScaleAndDuplicateKnobs) {
+  const auto with_defaults = [](const std::string& knobs) {
+    return R"({"schema_version":1,"kind":"job_file","defaults":{)" + knobs +
+           R"(},"sweeps":[{"benches":["CG"],"configs":["Serial"]}]})";
+  };
+  EXPECT_NE(parse_fail(with_defaults(R"("scale":1e999)")).find("out of range"),
+            std::string::npos);
+  EXPECT_NE(parse_fail(with_defaults(R"("trials":1,"trials":2)"))
+                .find("duplicate member \"trials\""),
+            std::string::npos);
+  // The job file checks the knob's type; CellSpec owns its bound.
+  EXPECT_NE(parse_fail(with_defaults(R"("scale":"big")")).find("\"scale\""),
+            std::string::npos);
+  EXPECT_NE(parse_fail(with_defaults(R"("scale":0.5)")).find("bad scale"),
+            std::string::npos);
+  EXPECT_EQ(parse_ok(with_defaults(R"("scale":2)")).cells.size(), 1u);
+}
+
 TEST(JobFileTest, RejectsMalformedJson) {
   parse_fail("{");
   parse_fail("");

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "report/json.hpp"
 #include "report/parse.hpp"
 #include "serve/store.hpp"
 
@@ -84,10 +83,13 @@ TEST(ServeCellsTest, ProgressStreamIsValidNdjson) {
   ASSERT_EQ(lines.size(), plan.cells.size());
   for (const std::string& line : lines) {
     std::string error;
-    ASSERT_TRUE(report::validate_json(line, &error)) << error << "\n" << line;
     report::JsonValue v;
-    ASSERT_TRUE(report::parse_json_value(line, &v, &error)) << error;
-    EXPECT_EQ(v.number_or("schema_version", 0), 1);
+    ASSERT_TRUE(report::parse_json_value(line, &v, &error))
+        << error << "\n" << line;
+    const report::JsonValue* schema = v.find("schema_version");
+    std::uint64_t version = 0;
+    EXPECT_TRUE(schema != nullptr && schema->as_u64(&version));
+    EXPECT_EQ(version, 1u);
     EXPECT_EQ(v.string_or("kind", ""), "serve_progress");
     EXPECT_EQ(v.string_or("outcome", ""), "computed");
     EXPECT_EQ(v.string_or("digest", "").size(), 32u);

@@ -77,6 +77,43 @@ TEST(TopologyTest, JsonRoundTripsEveryPreset) {
   }
 }
 
+TEST(TopologyTest, IntegerFieldsMustBeIntegerLiterals) {
+  const std::string doc = Topology::paxville().to_json();
+  const std::string field = "\"packages\":2,";
+  ASSERT_NE(doc.find(field), std::string::npos) << doc;
+  const auto with_packages = [&](const std::string& value) {
+    std::string text = doc;
+    text.replace(text.find(field), field.size(),
+                 "\"packages\":" + value + ",");
+    return text;
+  };
+  Topology t;
+  std::string why;
+  ASSERT_TRUE(Topology::parse_json(with_packages("2"), &t, &why)) << why;
+  for (const char* bad : {"2-5", "2e", "+2", "02"}) {
+    EXPECT_FALSE(Topology::parse_json(with_packages(bad), &t, &why)) << bad;
+    EXPECT_NE(why.find(" at byte "), std::string::npos) << bad << ": " << why;
+  }
+  for (const char* bad : {"2.0", "2e0", "-2", "4294967298"}) {
+    EXPECT_FALSE(Topology::parse_json(with_packages(bad), &t, &why)) << bad;
+    EXPECT_EQ(why, "field 'packages' must be an integer") << bad;
+  }
+  // A repeated member is refused, not resolved to either copy.
+  EXPECT_FALSE(
+      Topology::parse_json(with_packages("4,\"packages\":2"), &t, &why));
+  EXPECT_NE(why.find("duplicate member \"packages\""), std::string::npos)
+      << why;
+}
+
+TEST(TopologyTest, RejectsCapacityWhoseLineProductWraps) {
+  Topology t = Topology::paxville();
+  t.levels[0].geometry.line_bytes = std::size_t{1} << 52;
+  t.levels[0].geometry.ways = 4096;  // line_bytes * ways wraps to 0
+  std::string why;
+  EXPECT_FALSE(t.validate(&why));
+  EXPECT_NE(why.find("capacity"), std::string::npos) << why;
+}
+
 TEST(TopologyTest, RejectsZeroWayCache) {
   Topology t = Topology::paxville();
   t.levels[0].geometry.ways = 0;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <unordered_set>
 
 #include "harness/config.hpp"
@@ -111,6 +112,9 @@ TEST(SearchSpaceTest, ValidateRejectsBadAxes) {
   EXPECT_THROW(s.validate(), std::invalid_argument);
   s = test_space();
   s.scales.clear();
+  EXPECT_THROW(s.validate(), std::invalid_argument);
+  s = test_space();
+  s.scales = {std::numeric_limits<double>::quiet_NaN()};
   EXPECT_THROW(s.validate(), std::invalid_argument);
 }
 

@@ -14,7 +14,7 @@
 
 #include "harness/engine.hpp"
 #include "npb/kernel.hpp"
-#include "report/json.hpp"
+#include "report/parse.hpp"
 
 namespace paxsim::tune {
 namespace {
@@ -120,7 +120,8 @@ TEST(TunerTest, ReportIsAValidSchemadDocument) {
   write_tuning_report(os, rep);
   const std::string doc = os.str();
   std::string why;
-  EXPECT_TRUE(report::validate_json(doc, &why)) << why;
+  report::JsonValue parsed;
+  EXPECT_TRUE(report::parse_json_value(doc, &parsed, &why)) << why;
   EXPECT_NE(doc.find("\"kind\":\"tuning_report\""), std::string::npos);
   EXPECT_NE(doc.find("\"schema_version\""), std::string::npos);
   EXPECT_NE(doc.find("\"trajectory\""), std::string::npos);
