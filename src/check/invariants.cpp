@@ -1,6 +1,5 @@
 #include "check/invariants.hpp"
 
-#include <algorithm>
 #include <set>
 #include <sstream>
 #include <unordered_map>
@@ -184,38 +183,6 @@ void InvariantAuditor::audit_coherence(const sim::Machine& m) {
       record("swmr", "line " + hex(line) + " owned E/M by domain " +
                          std::to_string(owner) + " but resident in " +
                          std::to_string(holders) + " domains");
-    }
-  }
-
-  // Directory <-> outer-cache residency, both directions.
-  std::unordered_map<sim::Addr, unsigned> dir;
-  for (const auto& [line, holders] : m.directory_snapshot()) {
-    dir.emplace(line, holders);
-    for (int d = 0; d < ndomains; ++d) {
-      const bool bit = (holders & (1u << d)) != 0;
-      const bool resident =
-          outer[static_cast<std::size_t>(d)].count(line) != 0;
-      if (bit && !resident) {
-        record("directory", "bit set for domain " + std::to_string(d) +
-                                " on line " + hex(line) +
-                                " absent from that outer cache");
-      }
-    }
-  }
-  for (int d = 0; d < ndomains; ++d) {
-    // Sorted copy: hash order must not pick which violations become the
-    // recorded examples.
-    std::vector<std::pair<sim::Addr, sim::LineState>> resident(
-        outer[static_cast<std::size_t>(d)].begin(),
-        outer[static_cast<std::size_t>(d)].end());
-    std::sort(resident.begin(), resident.end());
-    for (const auto& [line, state] : resident) {
-      const auto it = dir.find(line);
-      if (it == dir.end() || (it->second & (1u << d)) == 0) {
-        record("directory", "domain " + std::to_string(d) + " holds line " +
-                                hex(line) + " (" + state_name(state) +
-                                ") with no directory bit");
-      }
     }
   }
 }

@@ -319,7 +319,8 @@ class Core {
     return issue_cost_;
   }
 
-  /// Global core id (0..3) used by the coherence directory.
+  /// Global core id (0..3 on Paxville); Machine maps it to a coherence
+  /// domain.
   [[nodiscard]] int global_id() const noexcept {
     return chip_idx_ * params_->cores_per_chip + core_idx_;
   }

@@ -83,6 +83,12 @@ Machine::Machine(const MachineParams& p)
     domain_chip_[static_cast<std::size_t>(d)] =
         cores_[static_cast<std::size_t>(c)]->chip_index();
   }
+  outer_.resize(static_cast<std::size_t>(domain_count_));
+  for (int d = 0; d < domain_count_; ++d) {
+    outer_[static_cast<std::size_t>(d)] =
+        chip_domains_ ? chip_caches_[static_cast<std::size_t>(d)].get()
+                      : &cores_[static_cast<std::size_t>(d)]->outer_cache();
+  }
   if (chip_domains_) {
     for (int c = 0; c < static_cast<int>(cores_.size()); ++c) {
       for (const int o : domain_cores_[static_cast<std::size_t>(domain_of_core_[static_cast<std::size_t>(c)])]) {
@@ -110,7 +116,6 @@ void Machine::reset() noexcept {
   for (auto& mc : mcs_) mc.reset();
   for (auto& b : buses_) b.reset();
   for (auto& c : cores_) c->reset();
-  directory_.clear();
 }
 
 bool Machine::invalidate_domain(int d, Addr line_addr) noexcept {
@@ -138,62 +143,47 @@ bool Machine::downgrade_domain(int d, Addr line_addr) noexcept {
 LineState Machine::coherent_fill(int filler_core, Addr line_addr, bool is_store,
                                  HwContext& ctx) noexcept {
   const int self_d = domain_of_core_[static_cast<std::size_t>(filler_core)];
-  std::uint32_t& holders = directory_[line_addr];
-  const std::uint32_t self = 1u << self_d;
-  const std::uint32_t others = holders & ~self;
-  LineState st;
   if (is_store) {
     // Read-for-ownership: every remote copy dies.
-    for (int d = 0; d < domain_count_; ++d) {
-      if ((others & (1u << d)) == 0) continue;
-      ctx.counters_->add(Event::kL2Invalidations, 1);
-      if (invalidate_domain(d, line_addr)) {
-        // Dirty remote copy: implicit writeback on the remote package's bus.
-        ctx.counters_->add(Event::kBusTransactions, 1);
-        ctx.counters_->add(Event::kBusWrites, 1);
-        memory_write(domain_chip_[static_cast<std::size_t>(d)], line_addr,
-                     ctx.now());
-      }
-    }
-    holders = self;
-    st = LineState::kModified;
-  } else {
-    for (int d = 0; d < domain_count_; ++d) {
-      if ((others & (1u << d)) == 0) continue;
-      if (downgrade_domain(d, line_addr)) {
-        ctx.counters_->add(Event::kBusTransactions, 1);
-        ctx.counters_->add(Event::kBusWrites, 1);
-        memory_write(domain_chip_[static_cast<std::size_t>(d)], line_addr,
-                     ctx.now());
-      }
-    }
-    st = others != 0 ? LineState::kShared : LineState::kExclusive;
-    holders |= self;
+    invalidate_remote(self_d, line_addr, ctx);
+    return LineState::kModified;
   }
-  return st;
-}
-
-void Machine::on_l2_evict(int core_id, Addr line_addr) noexcept {
-  auto it = directory_.find(line_addr);
-  if (it == directory_.end()) return;
-  it->second &= ~(1u << domain_of_core_[static_cast<std::size_t>(core_id)]);
-  if (it->second == 0) directory_.erase(it);
-}
-
-void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcept {
-  const int self_d = domain_of_core_[static_cast<std::size_t>(core_id)];
-  std::uint32_t& holders = directory_[line_addr];
+  bool shared = false;
   for (int d = 0; d < domain_count_; ++d) {
-    if (d == self_d || (holders & (1u << d)) == 0) continue;
-    ctx.counters_->add(Event::kL2Invalidations, 1);
-    if (invalidate_domain(d, line_addr)) {
+    if (d == self_d || !outer_[static_cast<std::size_t>(d)]->contains(line_addr)) {
+      continue;
+    }
+    shared = true;
+    if (downgrade_domain(d, line_addr)) {
       ctx.counters_->add(Event::kBusTransactions, 1);
       ctx.counters_->add(Event::kBusWrites, 1);
       memory_write(domain_chip_[static_cast<std::size_t>(d)], line_addr,
                    ctx.now());
     }
   }
-  holders = 1u << self_d;
+  return shared ? LineState::kShared : LineState::kExclusive;
+}
+
+void Machine::invalidate_remote(int self_d, Addr line_addr,
+                                HwContext& ctx) noexcept {
+  for (int d = 0; d < domain_count_; ++d) {
+    if (d == self_d || !outer_[static_cast<std::size_t>(d)]->contains(line_addr)) {
+      continue;
+    }
+    ctx.counters_->add(Event::kL2Invalidations, 1);
+    if (invalidate_domain(d, line_addr)) {
+      // Dirty remote copy: implicit writeback on the remote package's bus.
+      ctx.counters_->add(Event::kBusTransactions, 1);
+      ctx.counters_->add(Event::kBusWrites, 1);
+      memory_write(domain_chip_[static_cast<std::size_t>(d)], line_addr,
+                   ctx.now());
+    }
+  }
+}
+
+void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcept {
+  invalidate_remote(domain_of_core_[static_cast<std::size_t>(core_id)],
+                    line_addr, ctx);
   // Intra-domain: sibling cores sharing the writer's outer cache drop their
   // inner copies so the writer becomes the sole holder (no-op by
   // construction on private-outer topologies).
@@ -202,19 +192,11 @@ void Machine::store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcep
 }
 
 unsigned Machine::holders_of(Addr line_addr) const noexcept {
-  const auto it = directory_.find(line_addr);
-  return it == directory_.end() ? 0u : it->second;
-}
-
-std::vector<std::pair<Addr, unsigned>> Machine::directory_snapshot() const {
-  std::vector<std::pair<Addr, unsigned>> out;
-  out.reserve(directory_.size());
-  // paxlint: allow(determinism) -- hash order never escapes: the snapshot is sorted into address order below
-  for (const auto& [line, holders] : directory_) out.emplace_back(line, holders);
-  // Hash order would leak into anything that renders the snapshot; address
-  // order is the canonical presentation.
-  std::sort(out.begin(), out.end());
-  return out;
+  unsigned mask = 0;
+  for (int d = 0; d < domain_count_; ++d) {
+    if (outer_[static_cast<std::size_t>(d)]->contains(line_addr)) mask |= 1u << d;
+  }
+  return mask;
 }
 
 }  // namespace paxsim::sim

@@ -2,11 +2,13 @@
 //
 // The whole platform, built from a Topology description (sim/topology.hpp):
 // packages ("chips") with cores and SMT contexts, a per-package link
-// (front-side bus or point-to-point), one memory controller per NUMA node,
-// and the coherence directory.  The directory tracks *coherence domains* —
-// one per owner of an outermost cache instance: every core on the default
-// private-L2 Paxville machine, every chip when the outermost level is
-// chip-shared (shared-L2 or L3 topologies).  `MachineParams{}` (no topology
+// (front-side bus or point-to-point) and one memory controller per NUMA
+// node.  Coherence snoops the outer caches, as the paper's machine snoops
+// its shared FSB: a fill or store upgrade asks every other *coherence
+// domain* — one per owner of an outermost cache instance: every core on the
+// default private-L2 Paxville machine, every chip when the outermost level
+// is chip-shared (shared-L2 or L3 topologies) — whether its outer cache
+// holds the line.  `MachineParams{}` (no topology
 // attached) builds the calibrated Paxville machine, bit-identical to the
 // pre-topology simulator (test-enforced).
 //
@@ -24,7 +26,8 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/core.hpp"
@@ -41,10 +44,17 @@ namespace paxsim::sim {
 /// caches exactly as distinct working sets do (and never falsely share).
 class AddressSpace {
  public:
-  /// @param program_index  0-based program slot; each slot owns a 1-TiB
-  ///        window of the simulated address space.
+  /// Each program slot owns a window of 2^kWindowBits bytes (1 TiB).
+  static constexpr unsigned kWindowBits = 40;
+  /// Slots 0 .. kMaxPrograms-1 have windows inside the caches' supported
+  /// range, below 2^SetAssocCache::kAddrBits (slot k owns window k + 1).
+  static constexpr int kMaxPrograms =
+      (1 << (SetAssocCache::kAddrBits - kWindowBits)) - 1;
+
+  /// @param program_index  0-based program slot.  Throws
+  ///        std::invalid_argument for a slot outside [0, kMaxPrograms).
   explicit AddressSpace(int program_index)
-      : base_((static_cast<Addr>(program_index) + 1) << 40), next_(base_) {}
+      : base_(window_base(program_index)), next_(base_) {}
 
   /// Allocates @p bytes aligned to @p align (power of two), never freed.
   [[nodiscard]] Addr alloc(std::size_t bytes, std::size_t align = 64) noexcept {
@@ -57,7 +67,7 @@ class AddressSpace {
   /// Base address of this program's code segment (for the trace cache and
   /// ITLB model), disjoint from the data window.
   [[nodiscard]] Addr code_base() const noexcept {
-    return base_ + (static_cast<Addr>(1) << 39);
+    return base_ + (static_cast<Addr>(1) << (kWindowBits - 1));
   }
 
   [[nodiscard]] Addr data_base() const noexcept { return base_; }
@@ -66,6 +76,15 @@ class AddressSpace {
   }
 
  private:
+  static Addr window_base(int program_index) {
+    if (program_index < 0 || program_index >= kMaxPrograms) {
+      throw std::invalid_argument(
+          "paxsim: program slot " + std::to_string(program_index) +
+          " is outside 0.." + std::to_string(kMaxPrograms - 1));
+    }
+    return (static_cast<Addr>(program_index) + 1) << kWindowBits;
+  }
+
   Addr base_;
   Addr next_;
 };
@@ -150,8 +169,8 @@ class Machine {
   /// Wall-clock virtual time: max clock over all contexts.
   [[nodiscard]] double wall_time() const noexcept;
 
-  /// Cold restart for a new trial: caches, TLBs, predictors, buses,
-  /// directory and context clocks all cleared.
+  /// Cold restart for a new trial: caches, TLBs, predictors, buses and
+  /// context clocks all cleared.
   void reset() noexcept;
 
   // ---- coherence (called by Core) -----------------------------------------
@@ -160,9 +179,6 @@ class Machine {
   /// (events such as remote writebacks are charged to it).
   LineState coherent_fill(int filler_core, Addr line_addr, bool is_store,
                           HwContext& ctx) noexcept;
-  /// Records that @p core_id's domain no longer holds @p line_addr in its
-  /// outermost cache.
-  void on_l2_evict(int core_id, Addr line_addr) noexcept;
   /// Store hit on a Shared line: invalidate all remote copies.
   void store_upgrade(int core_id, Addr line_addr, HwContext& ctx) noexcept;
 
@@ -177,22 +193,14 @@ class Machine {
   }
   /// The outermost cache instance owned by domain @p d.
   [[nodiscard]] const SetAssocCache& domain_outer_cache(int d) const noexcept {
-    return chip_domains_
-               ? *chip_caches_[static_cast<std::size_t>(d)]
-               : cores_[static_cast<std::size_t>(d)]->outer_cache();
+    return *outer_[static_cast<std::size_t>(d)];
   }
   /// True when domains are per-chip (shared outermost level).
   [[nodiscard]] bool chip_domains() const noexcept { return chip_domains_; }
 
-  /// Directory introspection (tests): bitmask of *domains* holding @p line
-  /// (domain == core on the default private-L2 machine).
+  /// Bitmask of the *domains* whose outer cache holds @p line_addr (domain
+  /// == core on the default private-L2 machine): what a snoop would see.
   [[nodiscard]] unsigned holders_of(Addr line_addr) const noexcept;
-
-  /// Full directory content, one (line address, holder bitmask) pair per
-  /// tracked line — the invariant checker cross-audits it against the
-  /// outermost caches.
-  [[nodiscard]] std::vector<std::pair<Addr, unsigned>> directory_snapshot()
-      const;
 
   // ---- analysis hooks (src/check/) ----------------------------------------
   /// Attaches/detaches the event-stream observer.  Only reference-path code
@@ -212,6 +220,10 @@ class Machine {
   /// Downgrades @p line_addr to Shared inside domain @p d; returns true
   /// when the outermost copy was dirty.
   bool downgrade_domain(int d, Addr line_addr) noexcept;
+  /// Invalidates @p line_addr in every domain but @p self_d whose outer
+  /// cache holds it, charging the invalidations and any dirty writebacks
+  /// to @p ctx.
+  void invalidate_remote(int self_d, Addr line_addr, HwContext& ctx) noexcept;
 
   MachineParams params_;
   Topology topo_;
@@ -229,8 +241,8 @@ class Machine {
   std::vector<int> domain_of_core_;
   std::vector<std::vector<int>> domain_cores_;
   std::vector<int> domain_chip_;
+  std::vector<const SetAssocCache*> outer_;  ///< domain -> its outer cache
 
-  std::unordered_map<Addr, std::uint32_t> directory_;
   TraceSink* sink_ = nullptr;
 };
 

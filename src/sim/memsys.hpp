@@ -26,8 +26,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
+#include <cstddef>
+#include <vector>
 
 #include "sim/params.hpp"
 #include "sim/types.hpp"
@@ -76,9 +76,12 @@ class BucketServer {
  public:
   /// Reserves @p occ occupancy-cycles at time @p t; returns the backlog
   /// delay the request waits before service begins.
+  /// Virtual time starts at 0 and only moves forward, so @p t >= 0 and the
+  /// windows a run touches are dense from 0.
   double reserve(double t, double occ) noexcept {
-    const auto w = static_cast<std::int64_t>(t / kWindowCycles);
+    const auto w = static_cast<std::size_t>(t / kWindowCycles);
     const double elapsed = t - static_cast<double>(w) * kWindowCycles;
+    if (w >= buckets_.size()) buckets_.resize(w + 1, 0.0);
     double& used = buckets_[w];
     const double delay = std::max(0.0, used - elapsed);
     used += occ;
@@ -90,11 +93,11 @@ class BucketServer {
   /// Bucket width in cycles.  The per-window capacity reset briefly forgives
   /// backlog (roughly prefetch_depth lines per boundary), so the width is
   /// chosen large enough that the resulting bandwidth overshoot stays in the
-  /// low single digits of a percent, while map growth stays negligible.
+  /// low single digits of a percent, while bucket growth stays negligible.
   static constexpr double kWindowCycles = 32768.0;
 
  private:
-  std::unordered_map<std::int64_t, double> buckets_;
+  std::vector<double> buckets_;  ///< occupancy-cycles used, per window
 };
 
 /// The shared memory controller.  All packages' misses funnel through it;

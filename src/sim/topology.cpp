@@ -63,7 +63,7 @@ bool Topology::validate(std::string* error) const {
     return fail(error, "smt_per_core must be in [1,4]");
   }
   if (total_cores() > 32) {
-    return fail(error, "more than 32 cores (directory width)");
+    return fail(error, "more than 32 cores (holder mask width)");
   }
   if (total_contexts() > 64) return fail(error, "more than 64 contexts");
   if (link_read_occupancy <= 0 || link_write_occupancy <= 0) {
