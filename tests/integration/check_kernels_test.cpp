@@ -2,12 +2,17 @@
 //  * the seeded-racy diagnostic kernels (RW, RF) must be flagged with the
 //    right conflict kinds on a multi-threaded configuration;
 //  * every shipped suite kernel must come back clean under --check=full on
-//    Serial, HT-off and HT-on configurations (class S keeps it fast);
+//    Serial, HT-off and HT-on configurations (class S keeps it fast), and
+//    under --check=invariants on every row of every machine preset;
 //  * --check=off must leave results bit-identical to an unchecked run.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
+#include "sim/topology.hpp"
 
 namespace paxsim::harness {
 namespace {
@@ -104,6 +109,45 @@ TEST(CheckKernelsTest, SuiteIsCleanUnderFullChecking) {
     }
   }
 }
+
+// Every kernel on every configs_for() row of one preset, audited: the
+// machine-state laws (inclusion, SWMR, structure) must hold on every
+// topology, not only the default machine.  One test per preset so ctest can
+// spread the sweep.
+class CheckPresetTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(CheckPresetTest, EveryKernelAndRowIsCleanUnderInvariants) {
+  RunOptions opt = checked_options(sim::CheckMode::kInvariants);
+  opt.topology = std::make_shared<const sim::Topology>(
+      *sim::Topology::from_preset(GetParam()));
+  sim::Machine machine(opt.machine_params());
+  for (const StudyConfig& cfg : configs_for(*opt.topology)) {
+    for (const npb::Benchmark b : npb::kAllBenchmarks) {
+      const RunResult r = run_single(machine, b, cfg, opt, opt.trial_seed(0));
+      const std::string cell =
+          std::string(npb::benchmark_name(b)) + " @ " + cfg.name;
+      EXPECT_TRUE(r.verified) << cell;
+      EXPECT_TRUE(r.check.clean())
+          << cell << ": " << r.check.violations_total << " violations"
+          << (r.check.violations.empty()
+                  ? ""
+                  : " first=[" + r.check.violations[0].rule + "] " +
+                        r.check.violations[0].detail);
+      EXPECT_GT(r.check.audits, 0u) << cell << ": no invariant audit ran";
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Presets, CheckPresetTest,
+    ::testing::ValuesIn(sim::Topology::preset_names()),
+    [](const ::testing::TestParamInfo<std::string>& param_info) {
+      std::string name = param_info.param;
+      for (char& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
 
 TEST(CheckKernelsTest, CheckOffIsBitIdenticalToUncheckedRun) {
   const StudyConfig* cfg = find_config("HT off -4-2");
