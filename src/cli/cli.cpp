@@ -772,6 +772,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
           } else {
             harness::print_check_report(out, r.check);
           }
+          if (!r.check.clean()) return kExitFindings;
         }
         return 0;
       }
@@ -798,6 +799,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
           } else {
             harness::print_check_report(out, r.program[0].check);
           }
+          if (!r.program[0].check.clean()) return kExitFindings;
         }
         return 0;
       }

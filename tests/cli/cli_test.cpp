@@ -168,6 +168,27 @@ TEST(CliExecTest, PairReportsBothPrograms) {
   EXPECT_NE(out.find("EP[1]@"), std::string::npos);
 }
 
+TEST(CliExecTest, CheckedRunsExitThreeOnFindings) {
+  std::string out;
+  // The seeded-racy kernel: the report is printed, then the exit code says
+  // it is not clean.
+  EXPECT_EQ(run_cli({"run", "--bench=RW", "--config=HT off -4-2", "--class=S",
+                     "--check=full", "--csv"},
+                    out),
+            kExitFindings);
+  EXPECT_NE(out.find("\"clean\":false"), std::string::npos);
+  EXPECT_EQ(run_cli({"pair", "--bench=RW,EP", "--config=HT off -4-2",
+                     "--class=S", "--check=race"},
+                    out),
+            kExitFindings);
+  // A clean report keeps exit 0.
+  EXPECT_EQ(run_cli({"run", "--bench=CG", "--config=HT off -4-2", "--class=S",
+                     "--check=full", "--csv"},
+                    out),
+            0);
+  EXPECT_NE(out.find("\"clean\":true"), std::string::npos);
+}
+
 TEST(CliExecTest, SchedReportsMigrations) {
   std::string out;
   EXPECT_EQ(run_cli({"sched", "--bench=EP,EP", "--config=HT on -4-1",
