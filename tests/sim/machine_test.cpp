@@ -1,8 +1,11 @@
-// Unit tests for the machine topology, the coherence directory and the
-// cross-core invalidation/downgrade flows.
+// Unit tests for the machine topology, snooped coherence (the holder mask
+// each line's outer-cache residency implies) and the cross-core
+// invalidation/downgrade flows.
 #include "sim/machine.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
 
 namespace paxsim::sim {
 namespace {
@@ -156,6 +159,17 @@ TEST(MachineTest, AddressSpacesDisjoint) {
   EXPECT_NE(a0 >> 40, a1 >> 40) << "programs live in disjoint 1-TiB windows";
   EXPECT_NE(p0.code_base() >> 39, a0 >> 39)
       << "code and data are disjoint within a program";
+}
+
+TEST(MachineTest, AddressSpaceSlotsStayInsideCacheRange) {
+  // The last accepted slot's window, code segment included, ends at the
+  // caches' 2^kAddrBits limit; the slot after it and negative slots throw.
+  const Addr limit = Addr{1} << SetAssocCache::kAddrBits;
+  const AddressSpace last(AddressSpace::kMaxPrograms - 1);
+  EXPECT_EQ(last.data_base() + (Addr{1} << AddressSpace::kWindowBits), limit);
+  EXPECT_LT(last.code_base(), limit);
+  EXPECT_THROW(AddressSpace{AddressSpace::kMaxPrograms}, std::invalid_argument);
+  EXPECT_THROW(AddressSpace{-1}, std::invalid_argument);
 }
 
 TEST(MachineTest, AddressSpaceAlignment) {
