@@ -10,8 +10,6 @@
 #include <thread>
 #include <unordered_set>
 
-#include "xomp/team.hpp"
-
 namespace paxsim::harness {
 namespace {
 
@@ -585,8 +583,12 @@ std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
     if (it != profiles_.end()) return it->second;
   }
   // Profile outside the lock; a concurrent duplicate computes the identical
-  // (deterministic) profile and first insertion wins.
-  ProfiledRun run = run_profiled_serial(b, opt, seed);
+  // (deterministic) profile and first insertion wins.  The profiler is the
+  // profiling machine's one sink, and the check mode is not part of the
+  // profile (profile_key omits it), so a checked caller profiles unchecked.
+  RunOptions popt = opt;
+  popt.check_mode = sim::CheckMode::kOff;
+  ProfiledRun run = run_profiled_serial(b, popt, seed);
   auto prof =
       std::make_shared<const model::KernelProfile>(std::move(run.profile));
   std::lock_guard<std::mutex> lock(mu_);
@@ -677,41 +679,7 @@ TimelineResult ExperimentEngine::timeline(npb::Benchmark b,
                                           const RunOptions& opt,
                                           std::uint64_t seed) {
   MachinePool::Lease lease = pool_for(opt.machine_params()).acquire();
-  sim::Machine& machine = *lease;
-  machine.reset();
-
-  sim::AddressSpace space(0);
-  perf::CounterSet counters;
-  TimelineResult out;
-
-  auto kernel = npb::make_kernel(b);
-  kernel->setup(space, npb::ProblemConfig{opt.cls, seed});
-  xomp::Team team(machine, cfg.cpus, &counters, space);
-  for (int chip = 0; chip < machine.params().chips; ++chip) {
-    for (int core = 0; core < machine.params().cores_per_chip; ++core) {
-      int n = 0;
-      for (const sim::LogicalCpu c : cfg.cpus) {
-        if (c.chip == chip && c.core == core) ++n;
-      }
-      machine.core(chip, core).set_active_contexts(n > 0 ? n : 1);
-    }
-  }
-
-  double prev_wall = 0;
-  for (int s = 0; s < kernel->total_steps(); ++s) {
-    kernel->step(team, s);
-    team.flush();
-    out.timeline.sample(counters);
-    const double w = team.wall_time();
-    out.step_wall.push_back(w - prev_wall);
-    prev_wall = w;
-  }
-
-  out.run.wall_cycles = team.wall_time();
-  out.run.counters = counters;
-  out.run.metrics = perf::derive_metrics(out.run.counters);
-  out.run.verified = !opt.verify || kernel->verify();
-  return out;
+  return run_timeline(*lease, b, cfg, opt, seed);
 }
 
 TraceResult ExperimentEngine::trace(npb::Benchmark b, const StudyConfig& cfg,

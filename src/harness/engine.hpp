@@ -34,10 +34,8 @@
 
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
-#include "harness/sched_runner.hpp"
 #include "harness/stats.hpp"
 #include "model/predict.hpp"
-#include "perf/timeline.hpp"
 
 namespace paxsim::harness {
 
@@ -345,14 +343,6 @@ struct PredictionResult {
   bool store_hit = false;
 };
 
-/// Per-step timeline of one run (the VTune sampling view): produced by
-/// ExperimentEngine::timeline() for the timeline drivers.
-struct TimelineResult {
-  RunResult run;                  ///< whole-run counters and metrics
-  perf::Timeline timeline;        ///< per-step counter deltas
-  std::vector<double> step_wall;  ///< per-step wall-cycle deltas
-};
-
 /// The engine: machine pool + memoized cell cache + worker dispatch.
 class ExperimentEngine {
  public:
@@ -406,15 +396,15 @@ class ExperimentEngine {
                                                       const RunOptions& opt,
                                                       std::uint64_t seed);
 
-  /// Scheduler-policy run on a pooled machine.  Not memoized: policies are
-  /// stateful objects the cache cannot key.
+  /// Scheduler-policy run on a pooled machine (run_scheduled).  Not
+  /// memoized: policies are stateful objects the cache cannot key.
   ScheduledResult scheduled(const std::vector<npb::Benchmark>& benches,
                             const StudyConfig& cfg, sched::Scheduler& policy,
                             const RunOptions& opt, std::uint64_t seed);
 
-  /// Per-step sampled run on a pooled machine.  Not memoized (the timeline
-  /// is not part of the cell table).  Does not throw on verification
-  /// failure; the caller inspects result.run.verified.
+  /// Per-step sampled run on a pooled machine (run_timeline).  Not memoized
+  /// (the timeline is not part of the cell table).  Does not throw on
+  /// verification failure; the caller inspects result.run.verified.
   TimelineResult timeline(npb::Benchmark b, const StudyConfig& cfg,
                           const RunOptions& opt, std::uint64_t seed);
 

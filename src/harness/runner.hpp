@@ -7,29 +7,36 @@
 //                     threads split evenly (Figure 4 / Figure 5), the
 //                     programs interleaved in virtual time the way two
 //                     processes share a real machine;
+//   * run_scheduled — one or two programs under an OS-scheduler policy
+//                     (src/sched) that places threads and may migrate them
+//                     between kernel steps (the paper's future work);
 //   * run_traced    — run_single with a trace::Tracer attached (CPI stall
 //                     stacks + event recording, RunOptions::trace_mode);
-//   * speedup helpers over repeated trials.
+//   * run_profiled_serial — a serial run with a model::Profiler attached;
+//   * run_timeline  — run_single sampled after every kernel step.
 //
-// Every runner takes the sim::Machine to run on (the MachinePool recycling
-// path; the machine is reset() to a cold state on entry, so results are
-// bit-identical to a fresh construction).  The historical machine-less
-// [[deprecated]] wrappers are gone — every call site routes through
-// ExperimentEngine, which pools machines and memoizes cells.
+// All of them share one step path: build one program per workload, then
+// always step the program furthest behind in virtual time.  Every runner
+// takes the sim::Machine to run on (the MachinePool recycling path; the
+// machine is reset() to a cold state on entry, so results are bit-identical
+// to a fresh construction) — except run_profiled_serial, which builds its
+// own profiling machine.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "check/report.hpp"
 #include "harness/config.hpp"
-#include "harness/stats.hpp"
 #include "model/profile.hpp"
 #include "npb/kernel.hpp"
 #include "perf/counters.hpp"
 #include "perf/metrics.hpp"
+#include "perf/timeline.hpp"
+#include "sched/scheduler.hpp"
 #include "sim/machine.hpp"
 #include "trace/report.hpp"
 
@@ -99,8 +106,9 @@ struct RunResult {
   /// they measure the simulator inner loop, not workload setup.
   double host_sim_sec = 0;
   /// Analysis findings when opt.check_mode != kOff (default-constructed —
-  /// trivially clean — otherwise).  For pair runs the analyses observe the
-  /// whole machine, so both programs carry the same machine-wide report.
+  /// trivially clean — otherwise).  For pair and scheduled runs the
+  /// analyses observe the whole machine, so every program carries the same
+  /// machine-wide report.
   check::CheckReport check;
 };
 
@@ -155,13 +163,40 @@ struct ProfiledRun {
 /// MachineParams::profile enabled and a model::Profiler attached, then
 /// fills profile.anchor from the run's own counters.  The run routes
 /// through the reference path but its counters and wall time are
-/// bit-identical to an unprofiled serial run (test-enforced).
+/// bit-identical to an unprofiled serial run (test-enforced).  Throws
+/// std::invalid_argument when opt.check_mode != kOff (the machine carries
+/// one sink).
 ProfiledRun run_profiled_serial(npb::Benchmark bench, const RunOptions& opt,
                                 std::uint64_t seed);
 
-/// Mean speedup (serial wall / config wall) over opt.trials trials,
-/// with the per-trial serial baseline sharing the trial's seed.
-TrialStats speedup_over_trials(npb::Benchmark bench, const StudyConfig& cfg,
-                               const RunOptions& opt);
+/// Outcome of a scheduled (possibly multi-program) run.
+struct ScheduledResult {
+  std::vector<RunResult> program;  ///< per-program results
+  int migrations = 0;              ///< migrations the policy performed
+  std::string scheduler;           ///< policy name
+};
+
+/// Runs @p benches (one or two programs) co-scheduled on @p cfg under
+/// @p policy on @p machine.  The policy is consulted for initial placement
+/// and after every kernel step for rebalancing.  Thread counts are split
+/// evenly between programs (all contexts to a single program).
+ScheduledResult run_scheduled(sim::Machine& machine,
+                              const std::vector<npb::Benchmark>& benches,
+                              const StudyConfig& cfg, sched::Scheduler& policy,
+                              const RunOptions& opt, std::uint64_t seed);
+
+/// Per-step timeline of one run (the VTune sampling view).
+struct TimelineResult {
+  RunResult run;                  ///< whole-run counters and metrics
+  perf::Timeline timeline;        ///< per-step counter deltas
+  std::vector<double> step_wall;  ///< per-step wall-cycle deltas
+};
+
+/// run_single on @p machine with the counters flushed and sampled after
+/// every kernel step.  Does not throw on verification failure; the caller
+/// inspects result.run.verified.
+TimelineResult run_timeline(sim::Machine& machine, npb::Benchmark bench,
+                            const StudyConfig& cfg, const RunOptions& opt,
+                            std::uint64_t seed);
 
 }  // namespace paxsim::harness

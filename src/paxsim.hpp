@@ -36,7 +36,6 @@
 #include "harness/plot.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
-#include "harness/sched_runner.hpp"
 #include "harness/stats.hpp"
 #include "lmb/lmbench.hpp"
 #include "model/predict.hpp"

@@ -11,9 +11,9 @@
 #include <vector>
 
 #include "harness/runner.hpp"
-#include "harness/sched_runner.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/topology.hpp"
+#include "xomp/schedule.hpp"
 
 namespace paxsim::harness {
 namespace {
@@ -230,22 +230,6 @@ TEST(ExperimentEngineTest, ParallelDispatchMatchesSerialDispatch) {
   }
 }
 
-TEST(ExperimentEngineTest, SpeedupStatsMatchesLegacyHelper) {
-  const RunOptions opt = quick_options();
-  const StudyConfig* cfg = find_config("HT off -2-2");
-
-  ExperimentEngine engine(1);
-  const StudyResult study =
-      engine.run(ExperimentPlan(opt, {*cfg})
-                     .add_benchmark(npb::Benchmark::kMG)
-                     .with_serial_baselines());
-  const TrialStats from_engine = study.speedup_stats(npb::Benchmark::kMG, 0);
-  const TrialStats legacy =
-      speedup_over_trials(npb::Benchmark::kMG, *cfg, opt);
-  EXPECT_DOUBLE_EQ(from_engine.mean, legacy.mean);
-  EXPECT_DOUBLE_EQ(from_engine.stdev, legacy.stdev);
-}
-
 TEST(ExperimentEngineTest, ScheduledMatchesLegacyRunner) {
   const RunOptions opt = quick_options();
   const StudyConfig* cfg = find_config("HT on -8-2");
@@ -254,37 +238,47 @@ TEST(ExperimentEngineTest, ScheduledMatchesLegacyRunner) {
   const std::uint64_t seed = opt.trial_seed(0);
 
   auto p1 = sched::make_ht_aware();
-  const ScheduledResult legacy = run_scheduled(benches, *cfg, *p1, opt, seed);
+  sim::Machine machine(opt.machine_params());
+  const ScheduledResult fresh =
+      run_scheduled(machine, benches, *cfg, *p1, opt, seed);
 
   ExperimentEngine engine(1);
   auto p2 = sched::make_ht_aware();
   const ScheduledResult pooled =
       engine.scheduled(benches, *cfg, *p2, opt, seed);
 
-  ASSERT_EQ(legacy.program.size(), pooled.program.size());
-  EXPECT_EQ(legacy.migrations, pooled.migrations);
-  for (std::size_t p = 0; p < legacy.program.size(); ++p) {
-    EXPECT_TRUE(same_result(legacy.program[p], pooled.program[p]));
+  ASSERT_EQ(fresh.program.size(), pooled.program.size());
+  EXPECT_EQ(fresh.migrations, pooled.migrations);
+  for (std::size_t p = 0; p < fresh.program.size(); ++p) {
+    EXPECT_TRUE(same_result(fresh.program[p], pooled.program[p]));
   }
 }
 
 TEST(ExperimentEngineTest, TimelineMatchesWholeRunCounters) {
-  const RunOptions opt = quick_options();
   const StudyConfig* cfg = find_config("HT on -4-1");
-  const std::uint64_t seed = opt.trial_seed(0);
+  // The kernel defaults, then a grain and a schedule override: the
+  // timeline must honour both exactly as a whole run does.
+  RunOptions tuned = quick_options();
+  tuned.grain = 8;
+  tuned.sched_kind = static_cast<int>(xomp::ScheduleKind::kDynamic);
+  tuned.sched_chunk = 4;
+  for (const RunOptions& opt : {quick_options(), tuned}) {
+    SCOPED_TRACE(testing::Message() << "grain " << opt.grain);
+    const std::uint64_t seed = opt.trial_seed(0);
+    ExperimentEngine engine(1);
+    const TimelineResult tl =
+        engine.timeline(npb::Benchmark::kMG, *cfg, opt, seed);
+    const RunResult whole =
+        engine.single(npb::Benchmark::kMG, *cfg, opt, seed);
 
-  ExperimentEngine engine(1);
-  const TimelineResult tl =
-      engine.timeline(npb::Benchmark::kMG, *cfg, opt, seed);
-  const RunResult whole = engine.single(npb::Benchmark::kMG, *cfg, opt, seed);
-
-  EXPECT_TRUE(same_result(tl.run, whole))
-      << "sampling per step must not perturb the run";
-  EXPECT_GT(tl.timeline.intervals(), 0u);
-  EXPECT_EQ(tl.step_wall.size(), tl.timeline.intervals());
-  double total = 0;
-  for (const double w : tl.step_wall) total += w;
-  EXPECT_DOUBLE_EQ(total, tl.run.wall_cycles);
+    EXPECT_TRUE(same_result(tl.run, whole))
+        << "sampling per step must not perturb the run";
+    EXPECT_GT(tl.timeline.intervals(), 0u);
+    EXPECT_EQ(tl.step_wall.size(), tl.timeline.intervals());
+    double total = 0;
+    for (const double w : tl.step_wall) total += w;
+    EXPECT_DOUBLE_EQ(total, tl.run.wall_cycles);
+  }
 }
 
 TEST(ExperimentEngineTest, ForEachCoversEveryIndexExactlyOnce) {

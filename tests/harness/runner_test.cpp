@@ -8,6 +8,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "harness/engine.hpp"
 #include "harness/report.hpp"
 #include "sim/topology.hpp"
 
@@ -81,8 +82,13 @@ TEST(RunnerTest, ParallelBeatsSerialOnFourCores) {
 TEST(RunnerTest, SpeedupOverTrialsAggregates) {
   RunOptions opt = quick();
   opt.trials = 2;
+  ExperimentEngine engine(1);
   const TrialStats st =
-      speedup_over_trials(npb::Benchmark::kEP, *find_config("HT off -2-1"), opt);
+      engine
+          .run(ExperimentPlan(opt, {*find_config("HT off -2-1")})
+                   .add_benchmark(npb::Benchmark::kEP)
+                   .with_serial_baselines())
+          .speedup_stats(npb::Benchmark::kEP, 0);
   EXPECT_EQ(st.n, 2);
   EXPECT_GT(st.mean, 1.0) << "EP is embarrassingly parallel";
   EXPECT_LT(st.mean, 2.5);

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "harness/runner.hpp"
 #include "npb/kernel.hpp"
 
@@ -126,6 +128,14 @@ TEST(ProfilerTest, EPIsOverwhelminglyParallel) {
     for (const std::uint64_t c : m) transitions += c;
   EXPECT_LT(static_cast<double>(transitions),
             0.01 * static_cast<double>(p.loads + p.stores));
+}
+
+TEST(ProfilerTest, RunProfiledSerialRejectsCheckMode) {
+  harness::RunOptions opt = quick_options();
+  opt.check_mode = sim::CheckMode::kFull;
+  EXPECT_THROW(harness::run_profiled_serial(npb::Benchmark::kEP, opt,
+                                            opt.trial_seed(0)),
+               std::invalid_argument);
 }
 
 TEST(ProfilerTest, FinishIsIdempotent) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/config.hpp"
+#include "harness/engine.hpp"
 #include "harness/runner.hpp"
 #include "perf/metrics.hpp"
 
@@ -27,6 +28,17 @@ harness::RunResult serial_run(Benchmark b,
   const auto opt = quick(cls);
   sim::Machine machine(opt.machine_params());
   return harness::run_serial(machine, b, opt, opt.trial_seed(0));
+}
+
+/// Class-W speedup of @p b on configuration @p cfg over its serial
+/// baseline.
+harness::TrialStats speedup(Benchmark b, const char* cfg) {
+  harness::ExperimentEngine engine(1);
+  return engine
+      .run(harness::ExperimentPlan(quick(), {*harness::find_config(cfg)})
+               .add_benchmark(b)
+               .with_serial_baselines())
+      .speedup_stats(b, 0);
 }
 
 double per_instr(const harness::RunResult& r, Event e) {
@@ -78,10 +90,7 @@ TEST(WorkloadSignatureTest, EpTouchesAlmostNoMemory) {
 }
 
 TEST(WorkloadSignatureTest, EpScalesNearlyLinearlyOnRealCores) {
-  const auto opt = quick();
-  const auto st =
-      harness::speedup_over_trials(Benchmark::kEP,
-                                   *harness::find_config("HT off -4-2"), opt);
+  const auto st = speedup(Benchmark::kEP, "HT off -4-2");
   EXPECT_GT(st.mean, 3.3) << "4 cores on an embarrassingly parallel kernel";
 }
 
@@ -90,9 +99,7 @@ TEST(WorkloadSignatureTest, MgIsPrefetchFriendlyAndBandwidthHungry) {
   EXPECT_GT(r.metrics.prefetch_bus_fraction, 0.3)
       << "MG's stencil streams must engage the stream prefetcher";
   // Bandwidth-bound: one extra core on the same package buys little.
-  const auto opt = quick();
-  const auto cmp = harness::speedup_over_trials(
-      Benchmark::kMG, *harness::find_config("HT off -2-1"), opt);
+  const auto cmp = speedup(Benchmark::kMG, "HT off -2-1");
   EXPECT_LT(cmp.mean, 1.7) << "one package's bus caps MG";
 }
 
@@ -134,11 +141,8 @@ TEST(WorkloadSignatureTest, IsStressesTheDtlb) {
 TEST(WorkloadSignatureTest, LuIsSynchronisationLimited) {
   // LU runs one parallel region per k-plane: at 8 threads its runtime
   // (front-end + barrier) overhead share must exceed the blocked solvers'.
-  const auto opt = quick();
-  const auto lu = harness::speedup_over_trials(
-      Benchmark::kLU, *harness::find_config("HT on -8-2"), opt);
-  const auto bt = harness::speedup_over_trials(
-      Benchmark::kBT, *harness::find_config("HT on -8-2"), opt);
+  const auto lu = speedup(Benchmark::kLU, "HT on -8-2");
+  const auto bt = speedup(Benchmark::kBT, "HT on -8-2");
   EXPECT_LT(lu.mean, bt.mean)
       << "plane-at-a-time parallelism must scale worse than line sweeps";
 }

@@ -7,7 +7,7 @@
 
 #include <set>
 
-#include "harness/sched_runner.hpp"
+#include "harness/runner.hpp"
 
 namespace paxsim::sched {
 namespace {
@@ -159,12 +159,21 @@ harness::RunOptions quick() {
   return opt;
 }
 
+// Runs on a machine of its own, built from @p opt.
+harness::ScheduledResult scheduled_run(
+    const std::vector<npb::Benchmark>& benches,
+    const harness::StudyConfig& cfg, Scheduler& policy,
+    const harness::RunOptions& opt, std::uint64_t seed) {
+  sim::Machine machine(opt.machine_params());
+  return harness::run_scheduled(machine, benches, cfg, policy, opt, seed);
+}
+
 TEST(SchedRunnerTest, SingleProgramMatchesPinnedBaseline) {
   const auto opt = quick();
   const auto* cfg = harness::find_config("HT off -4-2");
   auto pol = make_pinned_spread();
-  const auto r = harness::run_scheduled({npb::Benchmark::kBT}, *cfg, *pol,
-                                        opt, opt.trial_seed(0));
+  const auto r = scheduled_run({npb::Benchmark::kBT}, *cfg, *pol, opt,
+                               opt.trial_seed(0));
   ASSERT_EQ(r.program.size(), 1u);
   EXPECT_TRUE(r.program[0].verified);
   EXPECT_EQ(r.migrations, 0);
@@ -188,9 +197,9 @@ TEST(SchedRunnerTest, PairUnderEveryPolicyVerifies) {
       case 3: s = make_ht_aware(); break;
       default: s = make_symbiotic(1); break;
     }
-    const auto r = harness::run_scheduled(
-        {npb::Benchmark::kCG, npb::Benchmark::kEP}, *cfg, *s, opt,
-        opt.trial_seed(0));
+    const auto r =
+        scheduled_run({npb::Benchmark::kCG, npb::Benchmark::kEP}, *cfg, *s,
+                      opt, opt.trial_seed(0));
     ASSERT_EQ(r.program.size(), 2u) << s->name();
     EXPECT_TRUE(r.program[0].verified) << s->name();
     EXPECT_TRUE(r.program[1].verified) << s->name();
@@ -206,12 +215,12 @@ TEST(SchedRunnerTest, MigrationChurnCostsTime) {
   const auto* cfg = harness::find_config("HT off -4-2");
   auto pinned = make_pinned_spread();
   auto churn = make_random_migrating(1.0, 5);
-  const auto rp = harness::run_scheduled(
-      {npb::Benchmark::kMG, npb::Benchmark::kMG}, *cfg, *pinned, opt,
-      opt.trial_seed(0));
-  const auto rc = harness::run_scheduled(
-      {npb::Benchmark::kMG, npb::Benchmark::kMG}, *cfg, *churn, opt,
-      opt.trial_seed(0));
+  const auto rp =
+      scheduled_run({npb::Benchmark::kMG, npb::Benchmark::kMG}, *cfg,
+                    *pinned, opt, opt.trial_seed(0));
+  const auto rc =
+      scheduled_run({npb::Benchmark::kMG, npb::Benchmark::kMG}, *cfg, *churn,
+                    opt, opt.trial_seed(0));
   EXPECT_GT(rc.migrations, 0);
   const double wp =
       std::max(rp.program[0].wall_cycles, rp.program[1].wall_cycles);
@@ -227,12 +236,10 @@ TEST(SchedRunnerTest, NaivePackLosesToSpreadWhenRoomExists) {
   const auto* cfg = harness::find_config("HT on -8-2");
   auto pack = make_naive_pack();
   auto aware = make_ht_aware();
-  const auto rp = harness::run_scheduled({npb::Benchmark::kFT,
-                                          npb::Benchmark::kFT},
-                                         *cfg, *pack, opt, opt.trial_seed(0));
-  const auto ra = harness::run_scheduled({npb::Benchmark::kFT,
-                                          npb::Benchmark::kFT},
-                                         *cfg, *aware, opt, opt.trial_seed(0));
+  const auto rp = scheduled_run({npb::Benchmark::kFT, npb::Benchmark::kFT},
+                                *cfg, *pack, opt, opt.trial_seed(0));
+  const auto ra = scheduled_run({npb::Benchmark::kFT, npb::Benchmark::kFT},
+                                *cfg, *aware, opt, opt.trial_seed(0));
   (void)rp;
   (void)ra;
   // naive-pack puts each 4-thread program on ... all 8 contexts are used
@@ -240,12 +247,10 @@ TEST(SchedRunnerTest, NaivePackLosesToSpreadWhenRoomExists) {
   auto pack2 = make_naive_pack();
   auto aware2 = make_ht_aware();
   const harness::StudyConfig* cmt = harness::find_config("HT on -4-1");
-  const auto p2 = harness::run_scheduled({npb::Benchmark::kFT,
-                                          npb::Benchmark::kFT},
-                                         *cmt, *pack2, opt, opt.trial_seed(0));
-  const auto a2 = harness::run_scheduled({npb::Benchmark::kFT,
-                                          npb::Benchmark::kFT},
-                                         *cmt, *aware2, opt, opt.trial_seed(0));
+  const auto p2 = scheduled_run({npb::Benchmark::kFT, npb::Benchmark::kFT},
+                                *cmt, *pack2, opt, opt.trial_seed(0));
+  const auto a2 = scheduled_run({npb::Benchmark::kFT, npb::Benchmark::kFT},
+                                *cmt, *aware2, opt, opt.trial_seed(0));
   const double wp2 =
       std::max(p2.program[0].wall_cycles, p2.program[1].wall_cycles);
   const double wa2 =
