@@ -298,6 +298,20 @@ void print_result(std::ostream& out, const std::string& label,
       << " prefetch_share=" << r.metrics.prefetch_bus_fraction << '\n';
 }
 
+/// Prints the report of a checked run (one JSON line under --csv) and
+/// returns the exit code it calls for: kExitFindings unless it is clean.
+/// Unchecked runs print nothing and return 0.
+int report_check(std::ostream& out, const harness::RunOptions& opt,
+                 const check::CheckReport& report, bool csv) {
+  if (opt.check_mode == sim::CheckMode::kOff) return 0;
+  if (csv) {
+    harness::print_check_report_json(out, report);
+  } else {
+    harness::print_check_report(out, report);
+  }
+  return report.clean() ? 0 : kExitFindings;
+}
+
 int do_list(const Command& cmd, std::ostream& out) {
   out << "benchmarks:";
   for (const npb::Benchmark b : npb::kAllBenchmarks) {
@@ -591,6 +605,11 @@ ParseResult parse(const std::vector<std::string>& args) {
       need(cmd.benches.size() == 1,
            "run/timeline need --bench=<one benchmark>");
       need(!cmd.config_name.empty(), "run/timeline need --config=<name>");
+      if (cmd.kind == Command::Kind::kRun && cmd.profile) {
+        need(cmd.options.check_mode == sim::CheckMode::kOff,
+             "--profile and --check are mutually exclusive (one sink per "
+             "machine)");
+      }
       break;
     case Command::Kind::kPredict:
       need(cmd.benches.size() == 1, "predict needs --bench=<one benchmark>");
@@ -766,15 +785,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                        s, cmd.csv);
           out << "speedup," << study.speedup(cell.a, 0) << '\n';
         }
-        if (cell.opt.check_mode != sim::CheckMode::kOff) {
-          if (cmd.csv) {
-            harness::print_check_report_json(out, r.check);
-          } else {
-            harness::print_check_report(out, r.check);
-          }
-          if (!r.check.clean()) return kExitFindings;
-        }
-        return 0;
+        return report_check(out, cell.opt, r.check, cmd.csv);
       }
       case Command::Kind::kPair: {
         const auto cell = spec_for(cmd, cmd.benches[0])
@@ -791,17 +802,9 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                            "[" + std::to_string(p) + "]@" + cmd.config_name,
                        r.program[p], cmd.csv);
         }
-        if (cell.opt.check_mode != sim::CheckMode::kOff) {
-          // One machine-wide checker covers both programs; the report is
-          // shared, so print it once.
-          if (cmd.csv) {
-            harness::print_check_report_json(out, r.program[0].check);
-          } else {
-            harness::print_check_report(out, r.program[0].check);
-          }
-          if (!r.program[0].check.clean()) return kExitFindings;
-        }
-        return 0;
+        // One machine-wide checker covers both programs; the report is
+        // shared, so print it once.
+        return report_check(out, cell.opt, r.program[0].check, cmd.csv);
       }
       case Command::Kind::kTimeline: {
         const auto cell = spec_for(cmd, cmd.benches[0]).resolve();
@@ -823,7 +826,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                 << " prefetch_share=" << m.prefetch_bus_fraction << '\n';
           }
         }
-        return 0;
+        return report_check(out, cell.opt, tl.run.check, cmd.csv);
       }
       case Command::Kind::kTrace: {
         auto spec = spec_for(cmd, cmd.benches[0]);
@@ -887,7 +890,8 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                        r.program[p], cmd.csv);
         }
         out << "migrations," << r.migrations << '\n';
-        return 0;
+        // Every program carries the same machine-wide report.
+        return report_check(out, cell.opt, r.program[0].check, cmd.csv);
       }
     }
   } catch (const std::exception& e) {

@@ -101,8 +101,9 @@ struct ParseResult {
 /// Parses argv (excluding argv[0]).  Pure; no I/O.
 [[nodiscard]] ParseResult parse(const std::vector<std::string>& args);
 
-/// Exit code of a checked `run` or `pair` whose check report is not clean
-/// (after the report is printed).  1 stays errors, 2 stays usage.
+/// Exit code of a checked `run`, `pair`, `sched` or `timeline` whose check
+/// report is not clean (after the report is printed).  1 stays errors, 2
+/// stays usage.
 inline constexpr int kExitFindings = 3;
 
 /// Executes @p cmd, writing human-readable (or CSV) output to @p out and

@@ -103,6 +103,10 @@ TEST(CliParseTest, RunAcceptsProfileFlag) {
   EXPECT_TRUE(r.command->profile);
   EXPECT_FALSE(
       P({"run", "--bench=CG", "--config=Serial"}).command->profile);
+  // The profiler is the machine's one sink, so a check cannot ride along.
+  EXPECT_FALSE(P({"run", "--bench=EP", "--config=Serial", "--class=S",
+                  "--profile", "--check=full"})
+                   .ok());
 }
 
 TEST(CliParseTest, SchedAcceptsEveryShippedPolicy) {
@@ -181,9 +185,28 @@ TEST(CliExecTest, CheckedRunsExitThreeOnFindings) {
                      "--class=S", "--check=race"},
                     out),
             kExitFindings);
+  EXPECT_EQ(run_cli({"sched", "--bench=RW,RW", "--config=HT off -4-2",
+                     "--class=S", "--policy=random-migrating", "--check=full",
+                     "--csv"},
+                    out),
+            kExitFindings);
+  EXPECT_NE(out.find("\"clean\":false"), std::string::npos);
+  EXPECT_EQ(run_cli({"timeline", "--bench=RW", "--config=HT off -4-2",
+                     "--class=S", "--check=full", "--csv"},
+                    out),
+            kExitFindings);
+  EXPECT_NE(out.find("\"clean\":false"), std::string::npos);
   // A clean report keeps exit 0.
   EXPECT_EQ(run_cli({"run", "--bench=CG", "--config=HT off -4-2", "--class=S",
                      "--check=full", "--csv"},
+                    out),
+            0);
+  EXPECT_NE(out.find("\"clean\":true"), std::string::npos);
+  // Migrations keep the checker's view of each thread (Team::repin reports
+  // every move), so a migrating schedule of suite kernels stays clean.
+  EXPECT_EQ(run_cli({"sched", "--bench=CG,FT", "--config=HT on -8-2",
+                     "--class=S", "--policy=random-migrating", "--check=full",
+                     "--csv"},
                     out),
             0);
   EXPECT_NE(out.find("\"clean\":true"), std::string::npos);
@@ -231,6 +254,13 @@ TEST(CliExecTest, PredictReportsPredictionAndProfileCost) {
             0);
   EXPECT_NE(out.find("EP@HT off -2-1"), std::string::npos);
   EXPECT_NE(out.find("(predicted), speedup="), std::string::npos);
+  EXPECT_NE(out.find("profile: collected"), std::string::npos);
+  // The profile does not depend on the check mode, so a checked request
+  // profiles on an unchecked machine instead of failing.
+  EXPECT_EQ(run_cli({"predict", "--bench=EP", "--config=HT off -2-1",
+                     "--class=S", "--check=full"},
+                    out),
+            0);
   EXPECT_NE(out.find("profile: collected"), std::string::npos);
 }
 
