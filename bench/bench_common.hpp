@@ -146,27 +146,49 @@ inline const std::vector<npb::Benchmark>& study_benchmarks() {
   return v;
 }
 
-/// Prints the Table-1 header so each artifact is self-describing.
-inline void print_study_header(const char* artifact,
-                               double machine_scale = 16.0) {
-  std::printf("paxsim reproduction of Grant & Afsahi, IPPS 2007 — %s\n",
-              artifact);
-  std::printf(
-      "machine: 2 chips x 2 cores x 2 HT contexts (capacity scale 1/%g)\n\n",
-      machine_scale);
-}
-
-/// Topology-aware header variant for the artifacts that honour --machine:
-/// the shape line is derived from the Topology accessors, not hard-coded.
-inline void print_study_header(const char* artifact, const sim::Topology& topo,
-                               double machine_scale = 16.0) {
+/// Prints the artifact banner and the run's machine (its resolved topology
+/// and --scale), so each artifact is self-describing.
+inline void print_study_header(const char* artifact, const BenchOptions& opt) {
+  const sim::Topology topo = opt.run.resolved_topology();
   std::printf("paxsim reproduction of Grant & Afsahi, IPPS 2007 — %s\n",
               artifact);
   std::printf(
       "machine: %s — %d chips x %d cores x %d contexts "
       "(capacity scale 1/%g)\n\n",
       topo.name.c_str(), topo.packages, topo.cores_per_package,
-      topo.smt_per_core, machine_scale);
+      topo.smt_per_core, opt.run.machine_scale);
+}
+
+/// The run machine's multithreaded rows: its Table-1 rows minus Serial.
+inline std::vector<harness::StudyConfig> parallel_study_configs(
+    const BenchOptions& opt) {
+  auto configs = harness::configs_for(opt.run.resolved_topology());
+  configs.erase(configs.begin());  // configs_for() puts Serial first
+  return configs;
+}
+
+/// The first row of @p configs realising @p arch; nullptr when the machine
+/// has no such row (no "HT on" rows without SMT, for example).
+inline const harness::StudyConfig* find_arch(
+    const std::vector<harness::StudyConfig>& configs,
+    harness::Architecture arch) {
+  for (const harness::StudyConfig& c : configs) {
+    if (c.arch == arch) return &c;
+  }
+  return nullptr;
+}
+
+/// The first row of @p configs with the most contexts among those spanning
+/// at most @p max_chips packages (Serial qualifies for any).
+inline const harness::StudyConfig& widest_config(
+    const std::vector<harness::StudyConfig>& configs, int max_chips = 1 << 30) {
+  const harness::StudyConfig* widest = &configs.front();
+  for (const harness::StudyConfig& c : configs) {
+    if (c.chips <= max_chips && c.cpus.size() > widest->cpus.size()) {
+      widest = &c;
+    }
+  }
+  return *widest;
 }
 
 }  // namespace paxsim::bench

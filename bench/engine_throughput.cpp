@@ -48,10 +48,12 @@ int main(int argc, char** argv) {
   opt.run.cls = npb::ProblemClass::kClassS;  // engine overhead, not the sim
   opt.jobs = 4;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("engine throughput: pooling, memoization, --jobs");
+  bench::print_study_header("engine throughput: pooling, memoization, --jobs",
+                            opt);
   bench::print_host_provenance("engine_throughput", opt);
 
-  const auto plan = harness::ExperimentPlan(opt.run, harness::all_configs())
+  const auto configs = harness::configs_for(opt.run.resolved_topology());
+  const auto plan = harness::ExperimentPlan(opt.run, configs)
                         .add_benchmarks(bench::study_benchmarks())
                         .with_serial_baselines()
                         .trials(opt.run.trials);

@@ -51,12 +51,7 @@ int main(int argc, char** argv) {
 
   const std::string machine_spec =
       opt.run.topology == nullptr ? std::string() : opt.run.topology->name;
-  if (opt.run.topology == nullptr) {
-    bench::print_study_header("Extension: model-driven autotuning");
-  } else {
-    bench::print_study_header("Extension: model-driven autotuning",
-                              *opt.run.topology, opt.run.machine_scale);
-  }
+  bench::print_study_header("Extension: model-driven autotuning", opt);
   bench::print_host_provenance("ext_autotune", opt);
 
   harness::ExperimentEngine engine(opt.jobs);

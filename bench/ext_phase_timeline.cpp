@@ -1,8 +1,8 @@
 // bench/ext_phase_timeline.cpp — EXTENSION artifact: per-step architectural
 // metric timelines (the VTune sampling view the paper's authors worked
 // from, but exact).  Shows how each benchmark's behaviour evolves across
-// its timed steps on a chosen configuration — e.g. CG's cold-cache first
-// solve vs its warm steady state.
+// its timed steps on the machine's widest configuration (HT on -8-2 on
+// Paxville) — e.g. CG's cold-cache first solve vs its warm steady state.
 #include <iostream>
 
 #include "bench/bench_common.hpp"
@@ -14,10 +14,11 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("Extension: per-step metric timeline");
+  bench::print_study_header("Extension: per-step metric timeline", opt);
   bench::print_host_provenance("ext_phase_timeline", opt);
 
-  const harness::StudyConfig* cfg = harness::find_config("HT on -8-2");
+  const harness::StudyConfig cfg =
+      bench::widest_config(harness::configs_for(opt.run.resolved_topology()));
   const auto& benches = bench::study_benchmarks();
 
   // Sampled runs fan out over the engine workers (one pooled machine each);
@@ -27,13 +28,13 @@ int main(int argc, char** argv) {
   std::vector<harness::TimelineResult> timelines(benches.size());
   engine.for_each(benches.size(), [&](std::size_t i) {
     timelines[i] =
-        engine.timeline(benches[i], *cfg, opt.run, opt.run.trial_seed(0));
+        engine.timeline(benches[i], cfg, opt.run, opt.run.trial_seed(0));
   });
 
   for (std::size_t bi = 0; bi < benches.size(); ++bi) {
     const harness::TimelineResult& tl = timelines[bi];
     harness::Table table(std::string(npb::benchmark_name(benches[bi])) +
-                             " per-step metrics on HT on -8-2",
+                             " per-step metrics on " + cfg.name,
                          {"Mcycles", "CPI", "L1miss", "L2miss", "stall%",
                           "prefetch%"});
     for (std::size_t i = 0; i < tl.timeline.intervals(); ++i) {

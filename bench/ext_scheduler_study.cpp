@@ -4,7 +4,8 @@
 // experimenting with other schedulers..."
 //
 // Compares OS-scheduler policies on single-program and multi-program
-// workloads across chip-multithreaded configurations:
+// workloads on the machine's widest one-chip configuration and its widest
+// configuration (HT on -4-1 and HT on -8-2 on Paxville):
 //   pinned-spread    — well-pinned OpenMP (the study's measurement mode)
 //   naive-pack       — topology-blind placement (siblings first)
 //   random-migrating — 2.6-era load-balancer churn (the migration effect
@@ -24,7 +25,8 @@ int main(int argc, char** argv) {
   opt.run.cls = npb::ProblemClass::kClassA;
   if (!bench::parse_args(argc, argv, opt)) return 1;
   bench::print_study_header(
-      "Extension: OS-scheduler policy study (paper section 5 future work)");
+      "Extension: OS-scheduler policy study (paper section 5 future work)",
+      opt);
   bench::print_host_provenance("ext_scheduler_study", opt);
 
   struct Workload {
@@ -36,7 +38,9 @@ int main(int argc, char** argv) {
       {"CG+FT", {npb::Benchmark::kCG, npb::Benchmark::kFT}},
       {"FT+FT", {npb::Benchmark::kFT, npb::Benchmark::kFT}},
   };
-  const char* configs[] = {"HT on -4-1", "HT on -8-2"};
+  const auto rows = harness::configs_for(opt.run.resolved_topology());
+  const harness::StudyConfig* configs[] = {&bench::widest_config(rows, 1),
+                                           &bench::widest_config(rows)};
   constexpr int kPolicies = 5;
   constexpr std::size_t kWorkloads = 3;
 
@@ -66,14 +70,13 @@ int main(int argc, char** argv) {
     const std::size_t cfg_i = i / (kWorkloads * kPolicies);
     const std::size_t w_i = (i / kPolicies) % kWorkloads;
     const int policy = static_cast<int>(i % kPolicies);
-    const harness::StudyConfig* cfg = harness::find_config(configs[cfg_i]);
     const auto s = make_policy(policy);
-    results[i] = engine.scheduled(workloads[w_i].benches, *cfg, *s, opt.run,
-                                  seed);
+    results[i] = engine.scheduled(workloads[w_i].benches, *configs[cfg_i], *s,
+                                  opt.run, seed);
   });
 
   for (std::size_t cfg_i = 0; cfg_i < std::size(configs); ++cfg_i) {
-    const char* cname = configs[cfg_i];
+    const std::string& cname = configs[cfg_i]->name;
     harness::Table table(std::string("completion time (Mcycles) on ") + cname,
                          {"pinned-spread", "naive-pack", "random-migrating",
                           "ht-aware", "symbiotic"});

@@ -18,26 +18,21 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  const sim::Topology topo = opt.run.topology != nullptr
-                                 ? *opt.run.topology
-                                 : sim::Topology::paxville();
+  const sim::Topology topo = opt.run.resolved_topology();
   bench::print_study_header("Extension: speedup vs thread count (flat order)",
-                            topo, opt.run.machine_scale);
+                            opt);
   bench::print_host_provenance("ext_thread_scaling", opt);
 
   // Build incremental configs by slicing the machine's widest Table-1
-  // configuration, whose cpus are listed in flat enumeration order.
-  const std::vector<harness::StudyConfig> configs = harness::configs_for(topo);
-  const harness::StudyConfig* full = &configs.front();  // Serial fallback
-  for (const harness::StudyConfig& c : configs) {
-    if (static_cast<int>(c.cpus.size()) == topo.total_contexts()) full = &c;
-  }
-  const int total = static_cast<int>(full->cpus.size());
+  // configuration, which holds every context in flat enumeration order.
+  const auto configs = harness::configs_for(topo);
+  const harness::StudyConfig& full = bench::widest_config(configs);
+  const int total = static_cast<int>(full.cpus.size());
   std::vector<harness::StudyConfig> ladder;
   for (int n = 1; n <= total; ++n) {
-    harness::StudyConfig c = *full;
+    harness::StudyConfig c = full;
     c.threads = n;
-    c.cpus.assign(full->cpus.begin(), full->cpus.begin() + n);
+    c.cpus.assign(full.cpus.begin(), full.cpus.begin() + n);
     ladder.push_back(std::move(c));
   }
 

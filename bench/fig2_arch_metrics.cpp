@@ -14,10 +14,12 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("Figure 2: architectural metrics, single program");
+  bench::print_study_header("Figure 2: architectural metrics, single program",
+                            opt);
   bench::print_host_provenance("fig2_arch_metrics", opt);
 
-  const auto& all = harness::all_configs();  // serial + 7 parallel
+  // Serial first: the DTLB panel normalises over it.
+  const auto all = harness::configs_for(opt.run.resolved_topology());
   std::vector<std::string> cols;
   for (const auto& c : all) cols.emplace_back(c.name);
 

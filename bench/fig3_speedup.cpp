@@ -1,7 +1,8 @@
 // bench/fig3_speedup.cpp — regenerates Figure 3 of the paper:
 // speedup of each NAS OpenMP benchmark over serial, for every Table-1
-// configuration, averaged over trials.  Also prints the paper's §4.1.7
-// CG deep-dive (HT on -8-2 vs HT off -4-2 architectural comparison).
+// configuration of the run's machine, averaged over trials.  Also prints
+// the paper's §4.1.7 CG deep-dive (CMT-based SMP, HT on -8-2, vs CMP-based
+// SMP, HT off -4-2) when the machine has both rows.
 #include <iostream>
 
 #include "bench/bench_common.hpp"
@@ -12,10 +13,11 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("Figure 3: speedup of NAS OpenMP applications");
+  bench::print_study_header("Figure 3: speedup of NAS OpenMP applications",
+                            opt);
   bench::print_host_provenance("fig3_speedup", opt);
 
-  const auto configs = harness::parallel_configs();
+  const auto configs = bench::parallel_study_configs(opt);
   std::vector<std::string> cols;
   for (const auto& c : configs) cols.emplace_back(c.name);
 
@@ -54,23 +56,31 @@ int main(int argc, char** argv) {
 
   // --- §4.1.7: why CG behaves differently at full load ----------------------
   // Cache hits: both cells were already simulated for the table above.
-  const auto* cmp_smp = harness::find_config("HT off -4-2");
-  const auto* cmt_smp = harness::find_config("HT on -8-2");
-  const auto seed = opt.run.trial_seed(0);
-  const auto r4 = engine.single(npb::Benchmark::kCG, *cmp_smp, opt.run, seed);
-  const auto r8 = engine.single(npb::Benchmark::kCG, *cmt_smp, opt.run, seed);
-  harness::Table dive("CG deep-dive (paper §4.1.7)",
-                      {"HT off -4-2", "HT on -8-2"});
-  dive.add_row("L2 miss rate", {r4.metrics.l2_miss_rate, r8.metrics.l2_miss_rate});
-  dive.add_row("L1 miss rate", {r4.metrics.l1d_miss_rate, r8.metrics.l1d_miss_rate});
-  dive.add_row("CPI", {r4.metrics.cpi, r8.metrics.cpi});
-  dive.add_row("prefetch bus share",
-               {r4.metrics.prefetch_bus_fraction, r8.metrics.prefetch_bus_fraction});
-  dive.add_row("bus transactions",
-               {static_cast<double>(r4.counters.get(perf::Event::kBusTransactions)),
-                static_cast<double>(r8.counters.get(perf::Event::kBusTransactions))});
-  dive.print(std::cout);
-  if (opt.csv) dive.print_csv(std::cout);
+  const auto* cmp_smp = bench::find_arch(configs, harness::Architecture::kCmpSmp);
+  const auto* cmt_smp = bench::find_arch(configs, harness::Architecture::kCmtSmp);
+  if (cmp_smp != nullptr && cmt_smp != nullptr) {
+    const auto seed = opt.run.trial_seed(0);
+    const auto r4 = engine.single(npb::Benchmark::kCG, *cmp_smp, opt.run, seed);
+    const auto r8 = engine.single(npb::Benchmark::kCG, *cmt_smp, opt.run, seed);
+    harness::Table dive("CG deep-dive (paper §4.1.7)",
+                        {cmp_smp->name, cmt_smp->name});
+    const perf::Event bus = perf::Event::kBusTransactions;
+    dive.add_row("L2 miss rate",
+                 {r4.metrics.l2_miss_rate, r8.metrics.l2_miss_rate});
+    dive.add_row("L1 miss rate",
+                 {r4.metrics.l1d_miss_rate, r8.metrics.l1d_miss_rate});
+    dive.add_row("CPI", {r4.metrics.cpi, r8.metrics.cpi});
+    dive.add_row("prefetch bus share", {r4.metrics.prefetch_bus_fraction,
+                                        r8.metrics.prefetch_bus_fraction});
+    dive.add_row("bus transactions",
+                 {static_cast<double>(r4.counters.get(bus)),
+                  static_cast<double>(r8.counters.get(bus))});
+    dive.print(std::cout);
+    if (opt.csv) dive.print_csv(std::cout);
+  } else {
+    std::printf("CG deep-dive (paper §4.1.7) left out: the machine lacks a "
+                "CMP-based SMP or CMT-based SMP row\n");
+  }
   bench::print_engine_stats(engine);
   return 0;
 }

@@ -24,7 +24,8 @@ struct Workload {
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("Figure 4: multi-program workloads (CG/FT, FT/FT, CG/CG)");
+  bench::print_study_header(
+      "Figure 4: multi-program workloads (CG/FT, FT/FT, CG/CG)", opt);
   bench::print_host_provenance("fig4_multiprogram", opt);
 
   const Workload workloads[] = {
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
       {"CG/CG", npb::Benchmark::kCG, npb::Benchmark::kCG},
   };
 
-  const auto configs = harness::parallel_configs();
+  const auto configs = bench::parallel_study_configs(opt);
   std::vector<std::string> cols;
   for (const auto& c : configs) cols.emplace_back(c.name);
 

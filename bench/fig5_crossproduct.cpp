@@ -1,8 +1,9 @@
 // bench/fig5_crossproduct.cpp — regenerates Figure 5 of the paper: the
 // cross-product multi-program study.  Every unordered pair from the full
 // eight-benchmark suite (including identical pairs) is co-scheduled on each
-// fully-loaded configuration; the distribution of per-program speedups over
-// serial is summarised as a box-and-whiskers plot per configuration.
+// multithreaded configuration of the run's machine; the distribution of
+// per-program speedups over serial is summarised as a box-and-whiskers plot
+// per configuration.
 //
 // This is the heaviest artifact: use --class=A (default here) or --class=W
 // for a quick pass; --class=B matches the other figures.
@@ -18,21 +19,16 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;  // cross-product default
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("Figure 5: multi-programmed speedup of NAS benchmark pairs");
+  bench::print_study_header(
+      "Figure 5: multi-programmed speedup of NAS benchmark pairs", opt);
   bench::print_host_provenance("fig5_crossproduct", opt);
 
-  // The configurations a pair can fully load (>= 2 contexts).
-  const char* config_names[] = {"HT on -2-1", "HT off -2-1", "HT on -4-1",
-                                "HT off -2-2", "HT on -4-2", "HT off -4-2",
-                                "HT on -8-2"};
-  std::vector<harness::StudyConfig> configs;
-  for (const char* name : config_names) {
-    configs.push_back(*harness::find_config(name));
-  }
+  // The configurations a pair can fully load: every row with >= 2 contexts.
+  const auto configs = bench::parallel_study_configs(opt);
 
-  // The full cross-product (36 unordered pairs x 7 configurations) plus the
-  // eight serial baselines — one declarative plan, fanned out over --jobs
-  // workers with every repeated cell served from the engine cache.
+  // The full cross-product (36 unordered pairs x every row, 7 on Paxville)
+  // plus the eight serial baselines — one declarative plan, fanned out over
+  // --jobs workers with every repeated cell served from the engine cache.
   const std::vector<npb::Benchmark> suite(std::begin(npb::kAllBenchmarks),
                                           std::end(npb::kAllBenchmarks));
   harness::ExperimentEngine engine(opt.jobs);
@@ -50,7 +46,7 @@ int main(int argc, char** argv) {
   std::vector<std::pair<std::string, harness::BoxStats>> boxes;
   double lo = 1e300, hi = -1e300;
   for (std::size_t ci = 0; ci < configs.size(); ++ci) {
-    const char* name = config_names[ci];
+    const char* name = configs[ci].name.c_str();
     std::vector<double> speedups;
     for (std::size_t pi = 0; pi < study.plan().pairs().size(); ++pi) {
       const auto& [a, b] = study.plan().pairs()[pi];

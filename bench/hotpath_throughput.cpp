@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
   if (!bench::parse_args(argc, argv, opt)) return 1;
   bench::print_study_header("hot-path throughput: fast vs reference path",
-                            opt.run.machine_scale);
+                            opt);
   bench::print_host_provenance("hotpath_throughput", opt);
 
   const harness::StudyConfig& cfg = harness::serial_config();

@@ -1,14 +1,22 @@
 // bench/sec3_lmbench.cpp — regenerates the paper's Section 3 platform
 // characterisation: LMbench-style load latency ladder and streaming
 // read/write bandwidth, one package vs both packages, on the *unscaled*
-// calibrated machine.
+// calibrated machine.  It takes no arguments: the stream buffer is sized
+// for that machine's caches, so other machines (--machine=) are refused.
 #include <cstdio>
 
 #include "paxsim.hpp"
 
 using namespace paxsim;
 
-int main() {
+int main(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr,
+                 "error: unexpected argument '%s'\nusage: %s  (no arguments: "
+                 "it measures the calibrated machine)\n",
+                 argv[1], argv[0]);
+    return 2;
+  }
   const sim::MachineParams full{};
   std::printf("paxsim reproduction of Grant & Afsahi, IPPS 2007 — Section 3\n");
   std::printf("LMbench-analog on the calibrated machine (unscaled)\n\n");

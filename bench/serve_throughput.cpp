@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassS;  // store overhead, not the sim
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("serve throughput: cold compute vs warm store");
+  bench::print_study_header("serve throughput: cold compute vs warm store",
+                            opt);
   bench::print_host_provenance("serve_throughput", opt);
 
   // The acceptance-shaped sweep: all kernels x all Table-1 configurations,

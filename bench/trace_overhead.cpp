@@ -59,10 +59,11 @@ Timing time_plain(sim::Machine& machine, npb::Benchmark bench,
 }
 
 bool stacks_sum_to_wall(const trace::TraceReport& t, std::string& why) {
-  for (const trace::ContextStack& c : t.contexts) {
+  for (std::size_t i = 0; i < t.contexts.size(); ++i) {
+    const trace::ContextStack& c = t.contexts[i];
     if (!c.active) continue;
     if (c.stack.sum() != t.wall_cycles) {
-      why = "cpu" + std::to_string(c.cpu.flat()) + " stack sums to " +
+      why = "cpu" + std::to_string(i) + " stack sums to " +
             std::to_string(c.stack.sum()) + ", wall is " +
             std::to_string(t.wall_cycles);
       return false;
@@ -78,8 +79,7 @@ int main(int argc, char** argv) {
   opt.run.cls = npb::ProblemClass::kClassS;  // accountant cost, not the model
   opt.run.verify = false;
   if (!bench::parse_args(argc, argv, opt)) return 1;
-  bench::print_study_header("trace overhead: tracer vs reference path",
-                            opt.run.machine_scale);
+  bench::print_study_header("trace overhead: tracer vs reference path", opt);
   bench::print_host_provenance("trace_overhead", opt);
 
   const harness::StudyConfig& cfg = harness::serial_config();

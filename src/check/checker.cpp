@@ -41,8 +41,9 @@ void Checker::on_access(const sim::HwContext& ctx, sim::Addr addr,
   }
   if (detector_ && !detector_->exempt(addr)) {
     detector_->on_access(tid_of(ctx), addr, is_store,
-                         AccessRecord{-1, ctx.id(), ctx.last_block(),
-                                      ctx.now()});
+                         AccessRecord{-1, ctx.id(),
+                                      machine_->topology().flat(ctx.id()),
+                                      ctx.last_block(), ctx.now()});
   }
 }
 

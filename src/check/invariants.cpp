@@ -51,7 +51,7 @@ void InvariantAuditor::audit_coherence(const sim::Machine& m) {
   // (every core on private-L2 topologies, every chip when the outer level is
   // chip-shared).  Each domain owns one outer residency map; cores keep
   // their own L1 (and, on three-level topologies, private mid-L2) maps.
-  const int ncores = m.params().total_cores();
+  const int ncores = m.topology().total_cores();
   const int ndomains = m.domain_count();
 
   struct CoreLines {
@@ -188,7 +188,7 @@ void InvariantAuditor::audit_coherence(const sim::Machine& m) {
 }
 
 void InvariantAuditor::audit_tlbs(const sim::Machine& m) {
-  const int ncores = m.params().total_cores();
+  const int ncores = m.topology().total_cores();
   for (int c = 0; c < ncores; ++c) {
     const sim::Core& core = m.core_by_id(c);
     for (const auto& e : core.dtlb().table().live_lines()) {
@@ -207,7 +207,7 @@ void InvariantAuditor::audit_tlbs(const sim::Machine& m) {
 }
 
 void InvariantAuditor::audit_structures(const sim::Machine& m) {
-  const int ncores = m.params().total_cores();
+  const int ncores = m.topology().total_cores();
   std::string why;
   for (int c = 0; c < ncores; ++c) {
     const sim::Core& core = m.core_by_id(c);

@@ -29,6 +29,7 @@ namespace paxsim::check {
 struct AccessRecord {
   int tid = -1;               ///< dense thread id
   sim::LogicalCpu cpu{};      ///< hardware context that executed it
+  int slot = 0;               ///< its context number (Topology::flat)
   sim::BlockId block = 0;     ///< code block fetched last (the "racy PC")
   double vtime = 0;           ///< virtual time of the access
 };

@@ -240,15 +240,6 @@ FlagSet make_flag_table(Command* cmd) {
   return fs;
 }
 
-/// The configuration table for the command's machine: the Table-1 list for
-/// the default, the topology's analogue ladder otherwise.
-std::vector<harness::StudyConfig> configs_for_command(const Command& cmd) {
-  if (cmd.options.topology != nullptr) {
-    return harness::configs_for(*cmd.options.topology);
-  }
-  return harness::all_configs();
-}
-
 std::unique_ptr<sched::Scheduler> make_policy(const std::string& name,
                                               std::uint64_t seed) {
   if (name == "pinned-spread") return sched::make_pinned_spread();
@@ -322,7 +313,7 @@ int do_list(const Command& cmd, std::ostream& out) {
     out << " (machine " << cmd.options.topology->name << ")";
   }
   out << ":\n";
-  for (const auto& c : configs_for_command(cmd)) {
+  for (const auto& c : harness::configs_for(cmd.options.resolved_topology())) {
     out << "  \"" << c.name << "\"  (" << harness::architecture_name(c.arch)
         << ", " << c.threads << " thread" << (c.threads > 1 ? "s" : "")
         << ", " << c.chips << " chip" << (c.chips > 1 ? "s" : "") << ")\n";
@@ -532,6 +523,7 @@ std::string usage() {
       "                                            digest or by the cell axes\n"
       "                                            (--bench/--config/--mode...)\n"
       "  lmbench                                   section-3 characterisation\n"
+      "                                            (calibrated machine only)\n"
       "flags (every subcommand accepts the full table):\n" +
       fs.help_text(2);
 }
@@ -633,6 +625,12 @@ ParseResult parse(const std::vector<std::string>& args) {
     case Command::Kind::kServe:
       need(!cmd.jobs_file.empty(), "serve needs --jobs-file=<plan.json>");
       break;
+    case Command::Kind::kLmbench:
+      // The stream buffer is sized for the calibrated machine's caches.
+      need(cmd.machine.empty(),
+           "lmbench measures the calibrated machine only; --machine is not "
+           "supported");
+      break;
     case Command::Kind::kStore:
       need(cmd.store_action == "stat" || cmd.store_action == "ls" ||
                cmd.store_action == "gc" || cmd.store_action == "verify" ||
@@ -650,8 +648,9 @@ ParseResult parse(const std::vector<std::string>& args) {
   }
   if (!res.error.empty()) return res;
   if (!cmd.config_name.empty() &&
-      harness::find_config_index(configs_for_command(cmd), cmd.config_name) <
-          0) {
+      harness::find_config_index(
+          harness::configs_for(cmd.options.resolved_topology()),
+          cmd.config_name) < 0) {
     res.error = "unknown configuration '" + cmd.config_name +
                 "' (see `paxsim list" +
                 (cmd.machine.empty() ? "" : " --machine=" + cmd.machine) +

@@ -214,8 +214,7 @@ bool CellSpec::resolve(Resolved* out, std::string* why) const {
     r.cfg = explicit_cfg_;
   } else {
     if (config_name_.empty()) return err("configuration not set");
-    const std::vector<StudyConfig> table =
-        topo == nullptr ? all_configs() : configs_for(*topo);
+    const auto table = configs_for(r.opt.resolved_topology());
     const int i = find_config_index(table, config_name_);
     if (i < 0) {
       return err("unknown configuration '" + config_name_ + "' on machine '" +

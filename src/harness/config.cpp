@@ -1,19 +1,11 @@
 #include "harness/config.hpp"
 
-#include <cstdlib>
-
 #include "sim/topology.hpp"
 
 namespace paxsim::harness {
 namespace {
 
 using sim::LogicalCpu;
-
-constexpr LogicalCpu cpu(int chip, int core, int ctx) {
-  return LogicalCpu{static_cast<std::uint8_t>(chip),
-                    static_cast<std::uint8_t>(core),
-                    static_cast<std::uint8_t>(ctx)};
-}
 
 /// "HT on -8-2"-style name from the HT state, thread count and chip count.
 std::string config_name(bool ht_on, int threads, int chips) {
@@ -22,32 +14,6 @@ std::string config_name(bool ht_on, int threads, int chips) {
   s += '-';
   s += std::to_string(chips);
   return s;
-}
-
-std::vector<StudyConfig> build_configs() {
-  std::vector<StudyConfig> v;
-  // Serial baseline: B0.
-  v.push_back({"Serial", Architecture::kSerial, false, 1, 1, {cpu(0, 0, 0)}});
-  // Group 1: HT on -2-1 vs serial.
-  v.push_back({"HT on -2-1", Architecture::kSMT, true, 2, 1,
-               {cpu(0, 0, 0), cpu(0, 0, 1)}});
-  // Group 2: one chip.
-  v.push_back({"HT off -2-1", Architecture::kCMP, false, 2, 1,
-               {cpu(0, 0, 0), cpu(0, 1, 0)}});
-  v.push_back({"HT on -4-1", Architecture::kCMT, true, 4, 1,
-               {cpu(0, 0, 0), cpu(0, 0, 1), cpu(0, 1, 0), cpu(0, 1, 1)}});
-  // Group 3: both chips at half use.
-  v.push_back({"HT off -2-2", Architecture::kSMP, false, 2, 2,
-               {cpu(0, 0, 0), cpu(1, 0, 0)}});
-  v.push_back({"HT on -4-2", Architecture::kSmtSmp, true, 4, 2,
-               {cpu(0, 0, 0), cpu(0, 0, 1), cpu(1, 0, 0), cpu(1, 0, 1)}});
-  // Group 4: everything.
-  v.push_back({"HT off -4-2", Architecture::kCmpSmp, false, 4, 2,
-               {cpu(0, 0, 0), cpu(0, 1, 0), cpu(1, 0, 0), cpu(1, 1, 0)}});
-  v.push_back({"HT on -8-2", Architecture::kCmtSmp, true, 8, 2,
-               {cpu(0, 0, 0), cpu(0, 0, 1), cpu(0, 1, 0), cpu(0, 1, 1),
-                cpu(1, 0, 0), cpu(1, 0, 1), cpu(1, 1, 0), cpu(1, 1, 1)}});
-  return v;
 }
 
 }  // namespace
@@ -67,25 +33,15 @@ std::string_view architecture_name(Architecture a) noexcept {
 }
 
 const std::vector<StudyConfig>& all_configs() {
-  static const std::vector<StudyConfig> configs = build_configs();
+  static const std::vector<StudyConfig> configs =
+      configs_for(sim::Topology::paxville());
   return configs;
 }
 
-const StudyConfig& serial_config() {
-  for (const StudyConfig& c : all_configs()) {
-    if (c.is_serial()) return c;
-  }
-  // Table 1 always contains the Serial row; reaching here means the config
-  // table was edited into an invalid state.
-  std::abort();
-}
+const StudyConfig& serial_config() { return all_configs().front(); }
 
 std::vector<StudyConfig> parallel_configs() {
-  std::vector<StudyConfig> out;
-  for (const StudyConfig& c : all_configs()) {
-    if (!c.is_serial()) out.push_back(c);
-  }
-  return out;
+  return {all_configs().begin() + 1, all_configs().end()};
 }
 
 const StudyConfig* find_config(std::string_view name) {
@@ -101,66 +57,57 @@ std::vector<StudyConfig> configs_for(const sim::Topology& topo) {
   const int S = topo.smt_per_core;
   std::vector<StudyConfig> v;
 
-  const auto add = [&v](Architecture arch, bool ht_on, int chips,
+  const auto add = [&v](Architecture arch, bool ht_on,
                         std::vector<LogicalCpu> cpus) {
     const int threads = static_cast<int>(cpus.size());
+    const int chips = cpus.back().chip + 1;  // rows fill packages from 0
     v.push_back({config_name(ht_on, threads, chips), arch, ht_on, threads,
                  chips, std::move(cpus)});
   };
+  // The contexts @p keep accepts, in the topology's flat order.
+  const auto pick = [&topo](auto keep) {
+    std::vector<LogicalCpu> cpus;
+    for (int i = 0; i < topo.total_contexts(); ++i) {
+      if (keep(topo.unflat(i))) cpus.push_back(topo.unflat(i));
+    }
+    return cpus;
+  };
 
   // Serial baseline: context 0 of core 0 of package 0.
-  v.push_back(
-      {"Serial", Architecture::kSerial, false, 1, 1, {cpu(0, 0, 0)}});
+  v.push_back({"Serial", Architecture::kSerial, false, 1, 1, {LogicalCpu{}}});
 
-  // Group 1: the SMT pair (two contexts of one core).
-  if (S > 1) {
-    add(Architecture::kSMT, true, 1, {cpu(0, 0, 0), cpu(0, 0, 1)});
-  }
-  // Group 2: one chip.  The CMP pair, then — when the chip has more than
-  // two cores — every core of the chip, then the chip with HT on.
+  // Group 1: the SMT pair (two contexts of core 0).
+  if (S > 1) add(Architecture::kSMT, true, {topo.unflat(0), topo.unflat(1)});
+  // Group 2: one chip.  The CMP pair (cores 0, 1), then — past two cores —
+  // every core of the chip, then the chip with HT on.
   if (C > 1) {
-    add(Architecture::kCMP, false, 1, {cpu(0, 0, 0), cpu(0, 1, 0)});
+    add(Architecture::kCMP, false, {topo.unflat(0), topo.unflat(S)});
     if (C > 2) {
-      std::vector<LogicalCpu> cpus;
-      for (int c = 0; c < C; ++c) cpus.push_back(cpu(0, c, 0));
-      add(Architecture::kCMP, false, 1, std::move(cpus));
+      add(Architecture::kCMP, false, pick([](LogicalCpu c) {
+            return c.chip == 0 && c.context == 0;
+          }));
     }
     if (S > 1) {
-      std::vector<LogicalCpu> cpus;
-      for (int c = 0; c < C; ++c) {
-        for (int s = 0; s < S; ++s) cpus.push_back(cpu(0, c, s));
-      }
-      add(Architecture::kCMT, true, 1, std::move(cpus));
+      add(Architecture::kCMT, true,
+          pick([](LogicalCpu c) { return c.chip == 0; }));
     }
   }
   // Group 3: both-chips-at-half-use (one core per chip, HT off then on).
   if (P > 1) {
-    std::vector<LogicalCpu> one_core;
-    for (int p = 0; p < P; ++p) one_core.push_back(cpu(p, 0, 0));
-    add(Architecture::kSMP, false, P, std::move(one_core));
+    add(Architecture::kSMP, false, pick([](LogicalCpu c) {
+          return c.core == 0 && c.context == 0;
+        }));
     if (S > 1) {
-      std::vector<LogicalCpu> cpus;
-      for (int p = 0; p < P; ++p) {
-        for (int s = 0; s < S; ++s) cpus.push_back(cpu(p, 0, s));
-      }
-      add(Architecture::kSmtSmp, true, P, std::move(cpus));
+      add(Architecture::kSmtSmp, true,
+          pick([](LogicalCpu c) { return c.core == 0; }));
     }
   }
   // Group 4: everything.
   if (P > 1 && C > 1) {
-    std::vector<LogicalCpu> cpus;
-    for (int p = 0; p < P; ++p) {
-      for (int c = 0; c < C; ++c) cpus.push_back(cpu(p, c, 0));
-    }
-    add(Architecture::kCmpSmp, false, P, std::move(cpus));
+    add(Architecture::kCmpSmp, false,
+        pick([](LogicalCpu c) { return c.context == 0; }));
     if (S > 1) {
-      std::vector<LogicalCpu> all;
-      for (int p = 0; p < P; ++p) {
-        for (int c = 0; c < C; ++c) {
-          for (int s = 0; s < S; ++s) all.push_back(cpu(p, c, s));
-        }
-      }
-      add(Architecture::kCmtSmp, true, P, std::move(all));
+      add(Architecture::kCmtSmp, true, pick([](LogicalCpu) { return true; }));
     }
   }
   return v;
@@ -174,20 +121,14 @@ int find_config_index(const std::vector<StudyConfig>& configs,
   return -1;
 }
 
-std::string cpu_label(sim::LogicalCpu cpu_, bool ht_on) {
-  // The Paxville-shaped default; Figure 1's A0..A7 / B0..B3 labelling.
-  static const sim::Topology paxville = sim::Topology::paxville();
-  return cpu_label(cpu_, ht_on, paxville);
-}
-
-std::string cpu_label(sim::LogicalCpu cpu_, bool ht_on,
+std::string cpu_label(sim::LogicalCpu cpu, bool ht_on,
                       const sim::Topology& topo) {
   // Built via += rather than `"A" + std::to_string(...)`: GCC 12's
   // -Wrestrict misfires on operator+(const char*, string&&) at -O3
   // (GCC PR105651), and the -Werror CI build must stay clean.
   std::string label(1, ht_on ? 'A' : 'B');
-  label += std::to_string(ht_on ? topo.flat(cpu_)
-                                : topo.core_id(cpu_.chip, cpu_.core));
+  label += std::to_string(ht_on ? topo.flat(cpu)
+                                : topo.core_id(cpu.chip, cpu.core));
   return label;
 }
 

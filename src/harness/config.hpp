@@ -47,13 +47,12 @@ struct StudyConfig {
   }
 };
 
-/// All Table-1 configurations, serial first, in the paper's group order.
+/// All Table-1 configurations, serial first, in the paper's group order:
+/// configs_for(sim::Topology::paxville()), built once.
 [[nodiscard]] const std::vector<StudyConfig>& all_configs();
 
 /// The Serial baseline row of Table 1 — the reference point every speedup
-/// in the study is computed against.  Looked up by its architecture rather
-/// than by list position, so reordering all_configs() cannot silently
-/// change what "serial" means.
+/// in the study is computed against.
 [[nodiscard]] const StudyConfig& serial_config();
 
 /// The seven multithreaded configurations (Table 1 minus serial).
@@ -62,12 +61,12 @@ struct StudyConfig {
 /// Finds a configuration by its paper name ("HT on -4-1"); nullptr if absent.
 [[nodiscard]] const StudyConfig* find_config(std::string_view name);
 
-/// The Table-1 analogue for an arbitrary topology: Serial first, then the
-/// same HT-pair / one-chip / one-core-per-chip / everything ladder the paper
-/// enumerates, with each rung present only when the topology has the
-/// hardware for it (SMT rungs need smt_per_core > 1, multi-chip rungs need
-/// more than one package).  For the default Paxville shape this reproduces
-/// all_configs() exactly, names included (test-enforced).
+/// The Table-1 analogue for an arbitrary topology: Serial first (always —
+/// serial_config() relies on it), then the same HT-pair / one-chip /
+/// one-core-per-chip / everything ladder the paper enumerates, with each
+/// rung present only when the topology has the hardware for it (SMT rungs
+/// need smt_per_core > 1, multi-chip rungs need more than one package).  On
+/// the Paxville shape this is Table 1.
 [[nodiscard]] std::vector<StudyConfig> configs_for(const sim::Topology& topo);
 
 /// Finds a configuration of @p topo by name; nullopt-style nullptr-free
@@ -75,12 +74,9 @@ struct StudyConfig {
 [[nodiscard]] int find_config_index(const std::vector<StudyConfig>& configs,
                                     std::string_view name);
 
-/// Figure-1 label of a hardware context under the given HT state:
-/// "A0".."A7" when HT is on, "B0".."B3" when it is off (Paxville shape).
-[[nodiscard]] std::string cpu_label(sim::LogicalCpu cpu, bool ht_on);
-
-/// Topology-aware variant: the A-label numbers contexts by the topology's
-/// dense flat() index, the B-label numbers physical cores by its core_id().
+/// Figure-1 label of a hardware context under the given HT state: the
+/// A-label numbers contexts by @p topo's flat(), the B-label numbers
+/// physical cores by its core_id() ("A0".."A7" / "B0".."B3" on Paxville).
 [[nodiscard]] std::string cpu_label(sim::LogicalCpu cpu, bool ht_on,
                                     const sim::Topology& topo);
 

@@ -105,8 +105,8 @@ std::string config_fingerprint(const StudyConfig& cfg) {
   s += std::to_string(cfg.threads);
   s += '/';
   s += std::to_string(cfg.chips);
-  // Spell out chip.core.context rather than LogicalCpu::flat(): flat() is
-  // Paxville-shaped and aliases distinct contexts on wider topologies.
+  // Spell out chip.core.context: the key must not depend on a machine's
+  // context numbering.
   for (const sim::LogicalCpu c : cfg.cpus) {
     s += ':';
     s += std::to_string(c.chip);
@@ -530,11 +530,6 @@ StudyResult ExperimentEngine::run(const ExperimentPlan& plan) {
     result.cells_.emplace(key, cache_.at(key));
   });
   return result;
-}
-
-model::Placement placement_for(const StudyConfig& cfg) {
-  static const sim::Topology paxville = sim::Topology::paxville();
-  return placement_for(cfg, paxville);
 }
 
 model::Placement placement_for(const StudyConfig& cfg,

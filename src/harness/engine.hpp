@@ -318,13 +318,9 @@ class StudyResult {
   std::unordered_map<CellKey, CellValue, CellKeyHash> cells_;
 };
 
-/// Thread placement the analytical model needs from a Table-1 row: team
-/// size, distinct cores/chips occupied, the worst-case SMT sharing degree
-/// and each rank's physical core.
-[[nodiscard]] model::Placement placement_for(const StudyConfig& cfg);
-
-/// Topology-aware variant: core identities and per-chip occupancy come from
-/// @p topo's accessors instead of the Paxville 2-cores-per-chip arithmetic.
+/// Thread placement the analytical model needs from a Table-1 row on
+/// @p topo: team size, distinct cores/chips occupied, the worst-case SMT
+/// sharing degree and each rank's physical core (@p topo's core_id()).
 [[nodiscard]] model::Placement placement_for(const StudyConfig& cfg,
                                              const sim::Topology& topo);
 

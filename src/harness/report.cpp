@@ -80,18 +80,17 @@ namespace {
 
 void print_access(std::ostream& os, const char* role,
                   const check::AccessRecord& a) {
-  os << "      " << role << ": thread " << a.tid << " on cpu "
-     << static_cast<int>(a.cpu.flat()) << " (chip " << int{a.cpu.chip}
-     << " core " << int{a.cpu.core} << " ctx " << int{a.cpu.context}
-     << "), block " << a.block << ", t=" << std::fixed << std::setprecision(0)
-     << a.vtime << '\n';
+  os << "      " << role << ": thread " << a.tid << " on cpu " << a.slot
+     << " (chip " << int{a.cpu.chip} << " core " << int{a.cpu.core}
+     << " ctx " << int{a.cpu.context} << "), block " << a.block << ", t="
+     << std::fixed << std::setprecision(0) << a.vtime << '\n';
   os.unsetf(std::ios::fixed);
 }
 
 void json_access(report::Json& j, const check::AccessRecord& a) {
   j.object()
       .field("tid", a.tid)
-      .field("cpu", static_cast<int>(a.cpu.flat()))
+      .field("cpu", a.slot)
       .field("block", static_cast<std::uint64_t>(a.block))
       .field("vtime", a.vtime)
       .end();
@@ -286,8 +285,7 @@ std::string region_label(const trace::RegionStats& r) {
 
 Table trace_context_table(const trace::TraceReport& t) {
   Table tab("per-context CPI stack (cycles)", stack_columns({"wall"}));
-  // Rows are labelled by the dense context slot (the list is in slot
-  // order); LogicalCpu::flat() would alias slots on non-Paxville shapes.
+  // Rows are labelled by the dense context slot (the list is in slot order).
   for (std::size_t i = 0; i < t.contexts.size(); ++i) {
     const trace::ContextStack& c = t.contexts[i];
     if (!c.active) continue;
@@ -352,7 +350,7 @@ void print_trace_report_json(std::ostream& os, const std::string& bench,
   for (std::size_t i = 0; i < t.contexts.size(); ++i) {
     const trace::ContextStack& c = t.contexts[i];
     j.object()
-        .field("cpu", static_cast<int>(i))  // dense slot; flat() can alias
+        .field("cpu", static_cast<int>(i))  // dense slot
         .field("active", c.active)
         .field("wall_cycles", c.stack.sum())
         .field("executed", c.executed);

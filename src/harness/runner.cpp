@@ -43,19 +43,17 @@ struct Programs {
 /// Declares each core's SMT activity from the live placements of the
 /// unfinished programs.
 void refresh_smt_activity(sim::Machine& machine, const Programs& progs) {
-  const auto& p = machine.params();
-  for (int chip = 0; chip < p.chips; ++chip) {
-    for (int core = 0; core < p.cores_per_chip; ++core) {
-      int n = 0;
-      for (const auto& prog : progs.list) {
-        if (prog->done()) continue;
-        for (int r = 0; r < prog->team->size(); ++r) {
-          const sim::LogicalCpu c = prog->team->placement_of(r);
-          if (c.chip == chip && c.core == core) ++n;
-        }
+  const sim::Topology& topo = machine.topology();
+  for (int id = 0; id < topo.total_cores(); ++id) {
+    int n = 0;
+    for (const auto& prog : progs.list) {
+      if (prog->done()) continue;
+      for (int r = 0; r < prog->team->size(); ++r) {
+        const sim::LogicalCpu c = prog->team->placement_of(r);
+        if (topo.core_id(c.chip, c.core) == id) ++n;
       }
-      machine.core(chip, core).set_active_contexts(std::max(1, n));
     }
+    machine.core_by_id(id).set_active_contexts(std::max(1, n));
   }
 }
 

@@ -89,6 +89,13 @@ struct RunOptions {
     p.trace_mode = trace_mode;
     return p;
   }
+  /// The machine's shape, unscaled: MachineParams::resolved_topology(), so
+  /// a null topology means the calibrated default there and only there.
+  [[nodiscard]] sim::Topology resolved_topology() const {
+    sim::MachineParams p{};
+    p.set_topology(topology);
+    return p.resolved_topology();
+  }
   [[nodiscard]] std::uint64_t trial_seed(int trial) const noexcept {
     return base_seed + static_cast<std::uint64_t>(trial) * 104729;
   }

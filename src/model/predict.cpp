@@ -67,8 +67,7 @@ struct Hierarchy {
 
 Hierarchy resolve_hierarchy(const sim::MachineParams& m) {
   Hierarchy h;
-  if (m.topology == nullptr) return h;  // default machine: seed arithmetic
-  const sim::Topology& t = *m.topology;
+  const sim::Topology t = m.resolved_topology();
   h.l2_per_chip = t.levels.size() >= 2 &&
                   t.levels[1].scope == sim::SharingScope::kPerChip;
   if (t.levels.size() >= 3) {

@@ -52,7 +52,7 @@ Machine::Machine(const MachineParams& p)
     }
   }
 
-  cores_.reserve(static_cast<std::size_t>(p.total_cores()));
+  cores_.reserve(static_cast<std::size_t>(topo_.total_cores()));
   for (int chip = 0; chip < p.chips; ++chip) {
     for (int core = 0; core < p.cores_per_chip; ++core) {
       cores_.push_back(std::make_unique<Core>(params_, this, chip, core));
@@ -72,7 +72,7 @@ Machine::Machine(const MachineParams& p)
   }
 
   // Coherence domains: one per outermost cache instance.
-  domain_count_ = chip_domains_ ? p.chips : p.total_cores();
+  domain_count_ = chip_domains_ ? p.chips : topo_.total_cores();
   domain_of_core_.resize(cores_.size());
   domain_cores_.assign(static_cast<std::size_t>(domain_count_), {});
   domain_chip_.assign(static_cast<std::size_t>(domain_count_), 0);

@@ -109,7 +109,7 @@ class Machine {
 
   /// Core @p core_idx of chip @p chip_idx.
   [[nodiscard]] Core& core(int chip_idx, int core_idx) noexcept {
-    return *cores_[chip_idx * params_.cores_per_chip + core_idx];
+    return *cores_[topo_.core_id(chip_idx, core_idx)];
   }
   [[nodiscard]] Core& core_by_id(int global_id) noexcept {
     return *cores_[global_id];

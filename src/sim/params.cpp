@@ -114,20 +114,14 @@ Topology MachineParams::resolved_topology() const {
   t.packages = chips;
   t.cores_per_package = cores_per_chip;
   t.smt_per_core = contexts_per_core;
-  t.interconnect = Interconnect::kSharedFsb;
-  t.link_read_occupancy = bus_read_occupancy;
+  t.link_read_occupancy = bus_read_occupancy;  // one shared FSB per package
   t.link_write_occupancy = bus_write_occupancy;
-  t.remote_node_extra_latency = 0;
   t.levels = {
       {"L1D", l1d, SharingScope::kPerCore, l1_latency},
       {"L2", l2, SharingScope::kPerCore, l2_latency},
   };
-  MemNode node;
-  node.latency = mem_latency;
-  node.read_occupancy = mem_read_occupancy;
-  node.write_occupancy = mem_write_occupancy;
-  for (int p2 = 0; p2 < chips; ++p2) node.home_packages.push_back(p2);
-  t.nodes = {std::move(node)};
+  t.nodes = {{mem_latency, mem_read_occupancy, mem_write_occupancy, {}}};
+  for (int p2 = 0; p2 < chips; ++p2) t.nodes[0].home_packages.push_back(p2);
   return t;
 }
 

@@ -228,15 +228,6 @@ struct MachineParams {
   /// associativity so structures stay well-formed.  An attached topology's
   /// cache levels scale identically.
   [[nodiscard]] MachineParams scaled(double factor) const;
-
-  /// Total logical processors when HT is enabled.
-  [[nodiscard]] int total_contexts() const noexcept {
-    return chips * cores_per_chip * contexts_per_core;
-  }
-  /// Total physical cores.
-  [[nodiscard]] int total_cores() const noexcept {
-    return chips * cores_per_chip;
-  }
 };
 
 }  // namespace paxsim::sim

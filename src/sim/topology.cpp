@@ -416,21 +416,9 @@ bool Topology::parse_json(std::string_view text, Topology* out,
 // Presets.
 
 Topology Topology::paxville() {
-  Topology t;
+  // The calibrated machine MachineParams{} describes, under a preset name.
+  Topology t = MachineParams{}.resolved_topology();
   t.name = "paxville";
-  t.packages = 2;
-  t.cores_per_package = 2;
-  t.smt_per_core = 2;
-  t.interconnect = Interconnect::kSharedFsb;
-  t.link_read_occupancy = 50.2;
-  t.link_write_occupancy = 50.2;
-  t.remote_node_extra_latency = 0;
-  t.levels = {
-      {"L1D", CacheGeometry{16 * 1024, 64, 8}, SharingScope::kPerCore, 4},
-      {"L2", CacheGeometry{2 * 1024 * 1024, 64, 8}, SharingScope::kPerCore,
-       30},
-  };
-  t.nodes = {{383, 40.4, 28.4, {0, 1}}};
   return t;
 }
 

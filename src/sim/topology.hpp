@@ -97,9 +97,9 @@ struct Topology {
   [[nodiscard]] int core_id(int chip, int core) const noexcept {
     return chip * cores_per_package + core;
   }
-  /// Dense context index of a logical CPU under THIS topology.  Equals
-  /// LogicalCpu::flat() for the default 2x2x2 shape; unlike flat(), it
-  /// stays collision-free for machines with more than 2 cores per chip.
+  /// Dense context number of a logical CPU, chip-major as the Linux kernel
+  /// enumerated them (Figure 1's A0..A7 on the paper's machine): the one
+  /// place it is computed, for every per-context slot, tid and label.
   [[nodiscard]] int flat(const LogicalCpu& cpu) const noexcept {
     return (cpu.chip * cores_per_package + cpu.core) * smt_per_core +
            cpu.context;

@@ -40,20 +40,12 @@ enum class Dep : std::uint8_t {
   return n;
 }
 
-/// Identifies one of the up-to-8 logical processors of the machine.
-///
-/// Numbering follows the paper's Figure 1: with HT enabled, contexts are
-/// A0..A7 in (chip, core, context) order; with HT disabled, cores are
-/// B0..B3 in (chip, core) order.
+/// Identifies one hardware context of the machine by its position.  Its
+/// dense number depends on the machine's shape: see sim::Topology::flat().
 struct LogicalCpu {
-  std::uint8_t chip = 0;     ///< physical package, 0 or 1
-  std::uint8_t core = 0;     ///< core within the package, 0 or 1
-  std::uint8_t context = 0;  ///< SMT hardware context within the core, 0 or 1
-
-  /// Flat index in 0..7 (chip-major, as the Linux kernel enumerated them).
-  [[nodiscard]] constexpr int flat() const noexcept {
-    return chip * 4 + core * 2 + context;
-  }
+  std::uint8_t chip = 0;     ///< physical package
+  std::uint8_t core = 0;     ///< core within the package
+  std::uint8_t context = 0;  ///< SMT hardware context within the core
 
   friend constexpr bool operator==(LogicalCpu, LogicalCpu) = default;
 };

@@ -28,17 +28,19 @@ void write_chrome_trace(std::ostream& os, const TraceReport& report) {
   os << "{\"traceEvents\":[\n";
   bool first = true;
 
-  // Track metadata: one named thread per hardware context.
+  // Track metadata: one named thread per hardware context.  The contexts
+  // are in slot order, so a context's index is the tid its events carry.
   if (!first) os << ",\n";
   first = false;
   os << R"({"ph":"M","pid":0,"name":"process_name",)"
      << R"("args":{"name":"paxsim machine"}})";
-  for (const ContextStack& cs : report.contexts) {
+  for (std::size_t tid = 0; tid < report.contexts.size(); ++tid) {
+    const sim::LogicalCpu cpu = report.contexts[tid].cpu;
     os << ",\n"
-       << R"({"ph":"M","pid":0,"tid":)" << cs.cpu.flat()
-       << R"(,"name":"thread_name","args":{"name":"cpu)" << cs.cpu.flat()
-       << " (chip" << int{cs.cpu.chip} << " core" << int{cs.cpu.core}
-       << " ctx" << int{cs.cpu.context} << ")\"}}";
+       << R"({"ph":"M","pid":0,"tid":)" << tid
+       << R"(,"name":"thread_name","args":{"name":"cpu)" << tid << " (chip"
+       << int{cpu.chip} << " core" << int{cpu.core} << " ctx"
+       << int{cpu.context} << ")\"}}";
   }
 
   for (const TraceEvent& ev : report.events) {

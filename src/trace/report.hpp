@@ -31,7 +31,7 @@ struct TraceEvent {
   };
 
   Kind kind{};
-  std::uint8_t cpu = 0;      ///< flat hardware-context id
+  std::uint8_t cpu = 0;      ///< context slot (the topology's flat())
   std::uint32_t region = 0;  ///< dynamic region ordinal (0 = outside)
   double t0 = 0;
   double t1 = 0;
@@ -68,7 +68,7 @@ struct TraceReport {
   sim::TraceMode mode = sim::TraceMode::kOff;
   double wall_cycles = 0;
 
-  std::vector<ContextStack> contexts;  ///< one per hardware context
+  std::vector<ContextStack> contexts;  ///< one per context, in slot order
   std::vector<RegionStats> regions;    ///< serial (body 0) first, then by body
 
   /// Retained events, merged across contexts in t0 order (kEvents/kFull).

@@ -14,14 +14,12 @@ Tracer::Tracer(sim::Machine& machine, sim::TraceMode mode,
     : machine_(machine),
       mode_(mode),
       events_(mode == sim::TraceMode::kEvents ||
-              mode == sim::TraceMode::kFull),
-      cores_per_chip_(machine.params().cores_per_chip),
-      contexts_per_core_(machine.params().contexts_per_core) {
+              mode == sim::TraceMode::kFull) {
   assert(machine.trace_sink() == nullptr && "machine already has a sink");
   // One dense slot per hardware context of the machine's topology (see
-  // flat_index()).
+  // slot()).
   const std::size_t slots =
-      static_cast<std::size_t>(machine.params().total_contexts());
+      static_cast<std::size_t>(machine.topology().total_contexts());
   ctxs_.reserve(slots);
   for (std::size_t i = 0; i < slots; ++i) {
     PerCtx s;
@@ -39,8 +37,12 @@ Tracer::~Tracer() {
   if (attached_) machine_.set_trace_sink(nullptr);
 }
 
+int Tracer::slot(const sim::HwContext& ctx) const noexcept {
+  return machine_.topology().flat(ctx.id());
+}
+
 Tracer::PerCtx& Tracer::state(const sim::HwContext& ctx) noexcept {
-  return ctxs_[static_cast<std::size_t>(flat_index(ctx.id()))];
+  return ctxs_[static_cast<std::size_t>(slot(ctx))];
 }
 
 std::size_t Tracer::region_index(sim::BlockId body) {
@@ -89,7 +91,7 @@ void Tracer::on_loop(const sim::HwContext& ctx, sim::BlockId body,
 
   TraceEvent ev;
   ev.kind = TraceEvent::Kind::kLoop;
-  ev.cpu = static_cast<std::uint8_t>(flat_index(ctx.id()));
+  ev.cpu = static_cast<std::uint8_t>(slot(ctx));
   ev.region = lead.cur_region;
   ev.t0 = ev.t1 = ctx.now();
   ev.a = body;
@@ -108,14 +110,14 @@ void Tracer::on_team(TeamEvent ev, const void* team,
       flats.clear();
       for (std::size_t i = 0; i < count; ++i) {
         PerCtx& s = state(*members[i]);
-        flats.push_back(flat_index(members[i]->id()));
+        flats.push_back(slot(*members[i]));
         s.team = team;
         s.cur_region = region;
         s.cur_body = 0;  // serial until the team dispatches a loop
         s.cur_region_idx = 0;
         TraceEvent e;
         e.kind = TraceEvent::Kind::kFork;
-        e.cpu = static_cast<std::uint8_t>(flat_index(members[i]->id()));
+        e.cpu = static_cast<std::uint8_t>(slot(*members[i]));
         e.region = region;
         e.t0 = e.t1 = members[i]->now();
         record(s, e);
@@ -130,11 +132,11 @@ void Tracer::on_team(TeamEvent ev, const void* team,
       flats.clear();
       for (std::size_t i = 0; i < count; ++i) {
         PerCtx& s = state(*members[i]);
-        flats.push_back(flat_index(members[i]->id()));
+        flats.push_back(slot(*members[i]));
         s.team = team;
         TraceEvent e;
         e.kind = TraceEvent::Kind::kBarrier;
-        e.cpu = static_cast<std::uint8_t>(flat_index(members[i]->id()));
+        e.cpu = static_cast<std::uint8_t>(slot(*members[i]));
         e.region = s.cur_region;
         e.t0 = e.t1 = members[i]->now();
         record(s, e);
@@ -146,7 +148,7 @@ void Tracer::on_team(TeamEvent ev, const void* team,
         PerCtx& s = state(*members[i]);
         TraceEvent e;
         e.kind = TraceEvent::Kind::kJoin;
-        e.cpu = static_cast<std::uint8_t>(flat_index(members[i]->id()));
+        e.cpu = static_cast<std::uint8_t>(slot(*members[i]));
         e.region = s.cur_region;
         e.t0 = e.t1 = members[i]->now();
         record(s, e);
@@ -170,7 +172,7 @@ void Tracer::on_sync(SyncOp op, const sim::HwContext& ctx, sim::Addr addr) {
   TraceEvent e;
   e.kind = op == SyncOp::kAcquire ? TraceEvent::Kind::kCriticalEnter
                                   : TraceEvent::Kind::kCriticalExit;
-  e.cpu = static_cast<std::uint8_t>(flat_index(ctx.id()));
+  e.cpu = static_cast<std::uint8_t>(slot(ctx));
   e.region = s.cur_region;
   e.t0 = e.t1 = ctx.now();
   e.a = addr;
@@ -192,10 +194,10 @@ void Tracer::on_thread_moved(const sim::HwContext& from,
   sf.team = nullptr;
   TraceEvent e;
   e.kind = TraceEvent::Kind::kThreadMoved;
-  e.cpu = static_cast<std::uint8_t>(flat_index(to.id()));
+  e.cpu = static_cast<std::uint8_t>(slot(to));
   e.region = st.cur_region;
   e.t0 = e.t1 = to.now();
-  e.a = static_cast<std::uint64_t>(flat_index(from.id()));
+  e.a = static_cast<std::uint64_t>(slot(from));
   record(st, e);
 }
 
@@ -228,7 +230,7 @@ void Tracer::on_access_stall(const sim::HwContext& ctx, sim::MemLevel level,
   if (events_ && level == sim::MemLevel::kMem) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kMemMiss;
-    e.cpu = static_cast<std::uint8_t>(flat_index(ctx.id()));
+    e.cpu = static_cast<std::uint8_t>(slot(ctx));
     e.region = s.cur_region;
     e.t0 = ctx.now();  // hook fires before the stall advances the clock
     e.t1 = ctx.now() + stall;
@@ -269,7 +271,7 @@ void Tracer::on_flush(const sim::HwContext& ctx, double busy,
   if (events_) {
     TraceEvent e;
     e.kind = TraceEvent::Kind::kSample;
-    e.cpu = static_cast<std::uint8_t>(flat_index(ctx.id()));
+    e.cpu = static_cast<std::uint8_t>(slot(ctx));
     e.region = s.cur_region;
     e.t0 = e.t1 = ctx.now();
     e.v0 = busy;
@@ -289,23 +291,13 @@ TraceReport Tracer::finish(double wall_cycles) {
   rep.mode = mode_;
   rep.wall_cycles = wall_cycles;
 
-  const auto& p = machine_.params();
-  for (int chip = 0; chip < p.chips; ++chip) {
-    for (int core = 0; core < p.cores_per_chip; ++core) {
-      for (int c = 0; c < p.contexts_per_core; ++c) {
-        sim::LogicalCpu cpu{static_cast<std::uint8_t>(chip),
-                            static_cast<std::uint8_t>(core),
-                            static_cast<std::uint8_t>(c)};
-        PerCtx& s = ctxs_[static_cast<std::size_t>(flat_index(cpu))];
-        ContextStack cs;
-        cs.cpu = cpu;
-        cs.active = s.executed > 0;
-        cs.executed = s.executed;
-        cs.stack = s.stack;
-        cs.stack.close(wall_cycles);
-        rep.contexts.push_back(cs);
-      }
-    }
+  // Slot order: rep.contexts[i] is the context the topology numbers i.
+  for (std::size_t i = 0; i < ctxs_.size(); ++i) {
+    const PerCtx& s = ctxs_[i];
+    ContextStack cs{machine_.topology().unflat(static_cast<int>(i)),
+                    s.executed > 0, s.stack, s.executed};
+    cs.stack.close(wall_cycles);
+    rep.contexts.push_back(cs);
   }
 
   rep.regions = regions_;

@@ -120,14 +120,8 @@ class Tracer final : public sim::TraceSink {
   };
 
   [[nodiscard]] PerCtx& state(const sim::HwContext& ctx) noexcept;
-  /// Dense slot of @p ctx: (chip*cores_per_chip + core)*contexts_per_core +
-  /// context.  Equals LogicalCpu::flat() on the default 2x2x2 shape, and
-  /// stays collision-free on arbitrary topologies (flat() would alias once
-  /// cores_per_chip or contexts_per_core leave the Paxville shape).
-  [[nodiscard]] int flat_index(sim::LogicalCpu cpu) const noexcept {
-    return (cpu.chip * cores_per_chip_ + cpu.core) * contexts_per_core_ +
-           cpu.context;
-  }
+  /// Dense slot of @p ctx: the machine topology's flat() number.
+  [[nodiscard]] int slot(const sim::HwContext& ctx) const noexcept;
   /// RegionStats slot for @p body, created on first use (0 pre-created).
   [[nodiscard]] std::size_t region_index(sim::BlockId body);
   void record(PerCtx& s, const TraceEvent& ev) {
@@ -138,10 +132,8 @@ class Tracer final : public sim::TraceSink {
   sim::TraceMode mode_;
   bool attached_ = false;
   bool events_ = false;  ///< ring recording active (kEvents / kFull)
-  int cores_per_chip_ = 2;
-  int contexts_per_core_ = 2;
 
-  std::vector<PerCtx> ctxs_;  ///< indexed by flat_index()
+  std::vector<PerCtx> ctxs_;  ///< indexed by slot()
   std::vector<RegionStats> regions_;  ///< [0] is the serial bucket
   std::unordered_map<sim::BlockId, std::size_t> region_index_;
   std::unordered_map<const void*, std::vector<int>> team_members_;

@@ -80,9 +80,7 @@ TuneReport tune(harness::ExperimentEngine& engine,
   // machine's own Table-1 row set (Serial included — the tuner is not told
   // that parallel wins; it has to find out).
   SearchSpace space;
-  space.configs = base_opt.topology == nullptr
-                      ? harness::all_configs()
-                      : harness::configs_for(*base_opt.topology);
+  space.configs = harness::configs_for(base_opt.resolved_topology());
   space.sched_kinds = topt.sched_kinds;
   space.chunks = topt.chunks;
   space.grains = topt.grains;

@@ -14,17 +14,17 @@ namespace {
 /// Hyper-Threading row on a machine without SMT) is refused instead of
 /// indexing past the machine's cores.
 void require_hosted(const sim::Machine& machine, sim::LogicalCpu cpu) {
-  const sim::MachineParams& p = machine.params();
-  if (cpu.chip < p.chips && cpu.core < p.cores_per_chip &&
-      cpu.context < p.contexts_per_core) {
+  const sim::Topology& t = machine.topology();
+  if (cpu.chip < t.packages && cpu.core < t.cores_per_package &&
+      cpu.context < t.smt_per_core) {
     return;
   }
   throw std::invalid_argument(
       "hardware context " + std::to_string(cpu.chip) + "." +
       std::to_string(cpu.core) + "." + std::to_string(cpu.context) +
-      " is outside the machine (" + std::to_string(p.chips) + " chips x " +
-      std::to_string(p.cores_per_chip) + " cores x " +
-      std::to_string(p.contexts_per_core) + " contexts)");
+      " is outside the machine (" + std::to_string(t.packages) + " chips x " +
+      std::to_string(t.cores_per_package) + " cores x " +
+      std::to_string(t.smt_per_core) + " contexts)");
 }
 
 }  // namespace
@@ -63,14 +63,9 @@ Team::Team(sim::Machine& machine, std::vector<sim::LogicalCpu> cpus,
 }
 
 void Team::recompute_ties() {
-  // Flat cpu id from the machine's own shape (LogicalCpu::flat() assumes the
-  // paper's fixed 2x2x2 box; scaled topologies need the real strides).
-  const sim::MachineParams& p = machine_->params();
   tie_of_.resize(ctxs_.size());
   for (std::size_t r = 0; r < ctxs_.size(); ++r) {
-    const sim::LogicalCpu c = ctxs_[r]->id();
-    tie_of_[r] = (c.chip * p.cores_per_chip + c.core) * p.contexts_per_core +
-                 c.context;
+    tie_of_[r] = machine_->topology().flat(ctxs_[r]->id());
   }
 }
 

@@ -34,6 +34,13 @@ TEST(CliParseTest, ListAndLmbench) {
   EXPECT_EQ(P({"lmbench"}).command->kind, Command::Kind::kLmbench);
 }
 
+TEST(CliParseTest, LmbenchRefusesAMachine) {
+  // Its stream buffer is sized for the calibrated machine's caches.
+  for (const char* m : {"--machine=numa16", "--machine=paxville"}) {
+    EXPECT_NE(P({"lmbench", m}).error.find("--machine"), std::string::npos);
+  }
+}
+
 TEST(CliParseTest, RunParsesEverything) {
   const auto r = P({"run", "--bench=cg", "--config=HT on -4-1", "--class=W",
                     "--trials=5", "--seed=99", "--jobs=4", "--csv",

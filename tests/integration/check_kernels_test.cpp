@@ -4,13 +4,17 @@
 //  * every shipped suite kernel must come back clean under --check=full on
 //    Serial, HT-off and HT-on configurations (class S keeps it fast), and
 //    under --check=invariants on every row of every machine preset;
-//  * --check=off must leave results bit-identical to an unchecked run.
+//  * --check=off must leave results bit-identical to an unchecked run;
+//  * a race record numbers its cpu by the machine's own topology.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "harness/config.hpp"
+#include "harness/report.hpp"
 #include "harness/runner.hpp"
 #include "sim/topology.hpp"
 
@@ -148,6 +152,39 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(CheckKernelsTest, RaceRecordsNumberCpusByTheMachine) {
+  // numa16 has 4 cores per chip: each printed record's cpu number must be
+  // Topology::flat of its (chip, core, ctx), not a Paxville-shaped number.
+  RunOptions opt = checked_options(sim::CheckMode::kRace);
+  const sim::Topology numa = sim::Topology::numa16();
+  opt.topology = std::make_shared<const sim::Topology>(numa);
+  const StudyConfig widest = configs_for(numa).back();
+  ASSERT_EQ(widest.name, "HT off -16-4");
+  sim::Machine machine(opt.machine_params());
+  const RunResult r = run_single(machine, npb::Benchmark::kRacyHist, widest,
+                                 opt, opt.trial_seed(0));
+  ASSERT_FALSE(r.check.races.empty());
+
+  std::ostringstream os;
+  print_check_report(os, r.check);
+  std::istringstream lines(os.str());
+  std::size_t records = 0;
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t at = line.find(" on cpu ");
+    if (at == std::string::npos) continue;
+    int cpu = -1;
+    sim::LogicalCpu id;
+    ASSERT_EQ(std::sscanf(line.c_str() + at,
+                          " on cpu %d (chip %hhu core %hhu ctx %hhu)", &cpu,
+                          &id.chip, &id.core, &id.context),
+              4)
+        << line;
+    EXPECT_EQ(cpu, numa.flat(id)) << line;
+    ++records;
+  }
+  EXPECT_EQ(records, 2 * r.check.races.size());  // prior + current each
+}
 
 TEST(CheckKernelsTest, CheckOffIsBitIdenticalToUncheckedRun) {
   const StudyConfig* cfg = find_config("HT off -4-2");

@@ -5,9 +5,13 @@
 //   * tracing never perturbs virtual time (traced wall == untraced
 //     reference-path wall);
 //   * --trace=off is bit-identical to a plain run (wall and counters);
-//   * the Chrome tracing export is well-formed JSON.
+//   * the Chrome tracing export is well-formed JSON, and names every tid
+//     its events carry exactly once (on numa16 too).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -52,13 +56,14 @@ TEST(TraceKernelsTest, StacksSumExactlyToWallAcrossMatrix) {
       ASSERT_GT(t.wall_cycles, 0.0)
           << npb::benchmark_name(bench) << " @ " << cfg->name;
       int active = 0;
-      for (const trace::ContextStack& c : t.contexts) {
+      for (std::size_t i = 0; i < t.contexts.size(); ++i) {
+        const trace::ContextStack& c = t.contexts[i];
         if (!c.active) continue;
         ++active;
         // Bitwise equality is the contract, not a tolerance.
         EXPECT_EQ(c.stack.sum(), t.wall_cycles)
             << npb::benchmark_name(bench) << " @ " << cfg->name << " cpu"
-            << static_cast<int>(c.cpu.flat());
+            << i;
       }
       EXPECT_EQ(active, cfg->threads)
           << npb::benchmark_name(bench) << " @ " << cfg->name;
@@ -112,20 +117,50 @@ TEST(TraceKernelsTest, TraceOffIsBitIdentical) {
   }
 }
 
+/// Traces CG on @p cfg and checks the Chrome export: well-formed JSON that
+/// names every tid its events carry exactly once.
+void expect_chrome_export_well_formed(const harness::RunOptions& opt,
+                                      const harness::StudyConfig& cfg) {
+  sim::Machine machine(opt.machine_params());
+  const harness::TraceResult tr = harness::run_traced(
+      machine, npb::Benchmark::kCG, cfg, opt, opt.trial_seed(0));
+  std::ostringstream os;
+  trace::write_chrome_trace(os, tr.trace);
+  std::string error;
+  report::JsonValue parsed;
+  ASSERT_TRUE(report::parse_json_value(os.str(), &parsed, &error))
+      << cfg.name << ": " << error;
+  const report::JsonValue* events = parsed.find("traceEvents");
+  ASSERT_NE(events, nullptr) << cfg.name;
+  std::map<std::string, int> names;  // tid -> thread_name records
+  std::set<std::string> used;        // tids the events carry
+  for (const report::JsonValue& ev : events->items) {
+    const report::JsonValue* tid = ev.find("tid");
+    if (tid == nullptr) continue;  // the process_name record
+    if (ev.string_or("ph", "") == "M") {
+      ++names[tid->raw_number];
+    } else {
+      used.insert(tid->raw_number);
+    }
+  }
+  EXPECT_EQ(used.size(), static_cast<std::size_t>(cfg.threads)) << cfg.name;
+  for (const std::string& t : used) {
+    EXPECT_EQ(names[t], 1) << cfg.name << ": tid " << t;
+  }
+}
+
 TEST(TraceKernelsTest, ChromeExportIsWellFormedJson) {
   harness::RunOptions opt = small_options();
   opt.trace_mode = sim::TraceMode::kFull;
   for (const harness::StudyConfig* cfg : matrix_configs()) {
-    sim::Machine machine(opt.machine_params());
-    const harness::TraceResult tr = harness::run_traced(
-        machine, npb::Benchmark::kCG, *cfg, opt, opt.trial_seed(0));
-    std::ostringstream os;
-    trace::write_chrome_trace(os, tr.trace);
-    std::string error;
-    report::JsonValue parsed;
-    EXPECT_TRUE(report::parse_json_value(os.str(), &parsed, &error))
-        << cfg->name << ": " << error;
+    expect_chrome_export_well_formed(opt, *cfg);
   }
+  // numa16's widest row (HT off -16-4): 4 cores per chip, where a
+  // Paxville-shaped numbering would give distinct contexts the same tid.
+  opt.topology =
+      std::make_shared<const sim::Topology>(sim::Topology::numa16());
+  expect_chrome_export_well_formed(opt,
+                                   harness::configs_for(*opt.topology).back());
 }
 
 TEST(TraceKernelsTest, ChromeExportValidForEmptyReport) {

@@ -27,26 +27,31 @@ const harness::StudyConfig& config(const char* name) {
   return *cfg;
 }
 
+/// The model's placement of Table-1 row @p name on the paper's machine.
+Placement placement(const char* name) {
+  return harness::placement_for(config(name), sim::Topology::paxville());
+}
+
 TEST(PlacementTest, TableOneRowsMapToExpectedShapes) {
-  const Placement serial = harness::placement_for(config("Serial"));
+  const Placement serial = placement("Serial");
   EXPECT_EQ(serial.threads, 1);
   EXPECT_EQ(serial.cores_used, 1);
   EXPECT_EQ(serial.chips_used, 1);
   EXPECT_EQ(serial.contexts_per_core, 1);
 
-  const Placement off4 = harness::placement_for(config("HT off -4-2"));
+  const Placement off4 = placement("HT off -4-2");
   EXPECT_EQ(off4.threads, 4);
   EXPECT_EQ(off4.cores_used, 4);
   EXPECT_EQ(off4.chips_used, 2);
   EXPECT_EQ(off4.contexts_per_core, 1);
 
-  const Placement on8 = harness::placement_for(config("HT on -8-2"));
+  const Placement on8 = placement("HT on -8-2");
   EXPECT_EQ(on8.threads, 8);
   EXPECT_EQ(on8.cores_used, 4);
   EXPECT_EQ(on8.chips_used, 2);
   EXPECT_EQ(on8.contexts_per_core, 2);
 
-  const Placement on2 = harness::placement_for(config("HT on -2-1"));
+  const Placement on2 = placement("HT on -2-1");
   EXPECT_EQ(on2.threads, 2);
   EXPECT_EQ(on2.cores_used, 1);
   EXPECT_EQ(on2.chips_used, 1);
@@ -138,7 +143,7 @@ TEST(PredictTest, UnanchoredProfileStillPredicts) {
   KernelProfile p = *engine.profile(npb::Benchmark::kEP, opt, seed);
   p.anchor = KernelProfile::Anchor{};  // wipe: unanchored evaluation
 
-  const Placement place = harness::placement_for(config("HT off -4-2"));
+  const Placement place = placement("HT off -4-2");
   const Prediction pred = predict(p, opt.machine_params(), place);
   EXPECT_GT(pred.wall_cycles, 0.0);
   EXPECT_GT(pred.speedup, 1.0);  // EP scales on any reasonable model

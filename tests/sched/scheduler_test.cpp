@@ -12,18 +12,14 @@
 namespace paxsim::sched {
 namespace {
 
+const sim::Topology& paxville() {
+  static const sim::Topology t = sim::Topology::paxville();
+  return t;
+}
+
+/// Every context of the paper's machine, in flat order (HT on -8-2).
 std::vector<sim::LogicalCpu> full_machine() {
-  std::vector<sim::LogicalCpu> v;
-  for (int chip = 0; chip < 2; ++chip) {
-    for (int core = 0; core < 2; ++core) {
-      for (int ctx = 0; ctx < 2; ++ctx) {
-        v.push_back({static_cast<std::uint8_t>(chip),
-                     static_cast<std::uint8_t>(core),
-                     static_cast<std::uint8_t>(ctx)});
-      }
-    }
-  }
-  return v;
+  return harness::find_config("HT on -8-2")->cpus;
 }
 
 void expect_valid_placement(
@@ -32,12 +28,13 @@ void expect_valid_placement(
   ASSERT_EQ(placement.size(), tpp.size());
   std::set<int> used;
   std::set<int> allowed_flat;
-  for (const auto c : allowed) allowed_flat.insert(c.flat());
+  for (const auto c : allowed) allowed_flat.insert(paxville().flat(c));
   for (std::size_t p = 0; p < placement.size(); ++p) {
     EXPECT_EQ(placement[p].size(), static_cast<std::size_t>(tpp[p]));
     for (const auto c : placement[p]) {
-      EXPECT_TRUE(allowed_flat.count(c.flat())) << "context outside config";
-      EXPECT_TRUE(used.insert(c.flat()).second) << "context double-booked";
+      const int flat = paxville().flat(c);
+      EXPECT_TRUE(allowed_flat.count(flat)) << "context outside config";
+      EXPECT_TRUE(used.insert(flat).second) << "context double-booked";
     }
   }
 }
@@ -73,10 +70,10 @@ TEST(SchedulerTest, PinnedSpreadDealsEvenOdd) {
   const auto allowed = full_machine();
   const auto p = s->place({4, 4}, allowed);
   // Program 0 gets positions 0,2,4,6; program 1 gets 1,3,5,7.
-  EXPECT_EQ(p[0][0].flat(), 0);
-  EXPECT_EQ(p[1][0].flat(), 1);
-  EXPECT_EQ(p[0][1].flat(), 2);
-  EXPECT_EQ(p[1][3].flat(), 7);
+  EXPECT_EQ(paxville().flat(p[0][0]), 0);
+  EXPECT_EQ(paxville().flat(p[1][0]), 1);
+  EXPECT_EQ(paxville().flat(p[0][1]), 2);
+  EXPECT_EQ(paxville().flat(p[1][3]), 7);
 }
 
 TEST(SchedulerTest, HtAwareUsesCoresBeforeSiblings) {
@@ -86,7 +83,7 @@ TEST(SchedulerTest, HtAwareUsesCoresBeforeSiblings) {
   std::set<int> cores;
   for (const auto c : p[0]) {
     EXPECT_EQ(c.context, 0);
-    cores.insert(c.chip * 2 + c.core);
+    cores.insert(paxville().core_id(c.chip, c.core));
   }
   EXPECT_EQ(cores.size(), 4u);
 }
@@ -95,8 +92,8 @@ TEST(SchedulerTest, NaivePackSharesCoresFirst) {
   auto s = make_naive_pack();
   const auto p = s->place({2}, full_machine());
   // Two threads land on the two contexts of core 0 — the bad placement.
-  EXPECT_EQ(p[0][0].flat(), 0);
-  EXPECT_EQ(p[0][1].flat(), 1);
+  EXPECT_EQ(paxville().flat(p[0][0]), 0);
+  EXPECT_EQ(paxville().flat(p[0][1]), 1);
   EXPECT_EQ(p[0][0].core, p[0][1].core);
 }
 

@@ -25,16 +25,10 @@ TEST_P(CoherenceFuzzTest, InvariantsHoldUnderRandomTraffic) {
   perf::CounterSet counters;
 
   std::vector<HwContext*> ctxs;
-  for (int chip = 0; chip < 2; ++chip) {
-    for (int core = 0; core < 2; ++core) {
-      for (int hw = 0; hw < 2; ++hw) {
-        HwContext& c = machine.context({static_cast<std::uint8_t>(chip),
-                                        static_cast<std::uint8_t>(core),
-                                        static_cast<std::uint8_t>(hw)});
-        c.bind(&counters, space.code_base());
-        ctxs.push_back(&c);
-      }
-    }
+  for (int i = 0; i < machine.topology().total_contexts(); ++i) {
+    HwContext& c = machine.context(machine.topology().unflat(i));
+    c.bind(&counters, space.code_base());
+    ctxs.push_back(&c);
   }
 
   // Shared heap of 64 lines so contexts constantly collide.

@@ -14,16 +14,16 @@ using perf::Event;
 
 TEST(MachineTest, TopologyShape) {
   Machine m{MachineParams{}};
-  EXPECT_EQ(m.params().total_contexts(), 8);
-  EXPECT_EQ(m.params().total_cores(), 4);
+  EXPECT_EQ(m.topology().total_contexts(), 8);
+  EXPECT_EQ(m.topology().total_cores(), 4);
   // Distinct contexts are distinct objects.
   EXPECT_NE(&m.context({0, 0, 0}), &m.context({0, 0, 1}));
   EXPECT_NE(&m.context({0, 0, 0}), &m.context({1, 0, 0}));
   // Flat ids follow the paper's Figure-1 labelling order.
-  EXPECT_EQ((LogicalCpu{0, 0, 0}).flat(), 0);
-  EXPECT_EQ((LogicalCpu{0, 1, 1}).flat(), 3);
-  EXPECT_EQ((LogicalCpu{1, 0, 0}).flat(), 4);
-  EXPECT_EQ((LogicalCpu{1, 1, 1}).flat(), 7);
+  EXPECT_EQ(m.topology().flat({0, 0, 0}), 0);
+  EXPECT_EQ(m.topology().flat({0, 1, 1}), 3);
+  EXPECT_EQ(m.topology().flat({1, 0, 0}), 4);
+  EXPECT_EQ(m.topology().flat({1, 1, 1}), 7);
 }
 
 struct CoherenceRig {

@@ -163,7 +163,7 @@ TEST(TeamTest, SerialRunsOnMaster) {
   Rig rig;
   Team team = rig.team(4);
   team.serial([&](sim::HwContext& ctx) {
-    EXPECT_EQ(ctx.id().flat(), 0);
+    EXPECT_EQ(ctx.id(), (sim::LogicalCpu{0, 0, 0}));
     ctx.alu(100);
   });
   EXPECT_GT(team.context_of(0).now(), 0.0);
