@@ -1,14 +1,15 @@
 // bench/bench_common.hpp
 //
-// Shared scaffolding for the paper-artifact benches: command-line options
-// (problem class, trials, CSV emission) and the benchmark list of the
-// paper's single-program study.
+// Shared scaffolding for the paper-artifact benches: the one flag path
+// (make_bench_flags + parse_args), the host-provenance line, and the
+// benchmark list of the paper's single-program study.
 #pragma once
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <filesystem>
+#include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,7 +33,6 @@ struct BenchOptions {
   harness::RunOptions run;
   int jobs = 1;           ///< host worker threads for independent cells
   bool csv = false;       ///< additionally emit CSV rows after each table
-  std::string plot_dir;   ///< when set, also write gnuplot .dat/.gp files
   /// --store=DIR: persistent result store every engine the bench builds
   /// attaches (attach_store below); previously answered cells skip
   /// simulation.  Empty / --store=off runs detached, bit-identical to the
@@ -40,70 +40,62 @@ struct BenchOptions {
   std::string store_dir;
 };
 
-/// The bench flag table: the exact run/engine tables the `paxsim` CLI
-/// registers (cli/flags.hpp) plus the bench-only output flags, so every
-/// artifact accepts the same spellings with the same validation as the CLI
-/// by construction.
+/// The flags every bench shares: the run/engine tables the `paxsim` CLI
+/// registers (cli/flags.hpp) plus --csv, so every artifact accepts the same
+/// spellings with the same validation as the CLI by construction.  A bench
+/// adds the flags only it reads (--plot, --out, ...) to the returned set.
 inline cli::FlagSet make_bench_flags(BenchOptions& opt) {
   cli::FlagSet fs;
   cli::register_run_flags(fs, &opt.run);
   cli::register_engine_flags(fs, &opt.jobs, &opt.store_dir);
   fs.add_flag("csv", &opt.csv, "additionally emit CSV rows after each table");
-  fs.add_string("plot", &opt.plot_dir, "DIR",
-                "also write gnuplot .dat/.gp files under DIR");
   return fs;
 }
 
-/// Parses every flag in the shared run/engine tables (--class, --trials,
-/// --seed, --jobs, --grain, --sched, --chunk, --scale, --machine, --check,
-/// --trace, --no-verify, --store) plus --csv and --plot=DIR.  Returns false
-/// (after printing usage or the error) on an unknown or invalid flag.
-inline bool parse_args(int argc, char** argv, BenchOptions& opt) {
-  const cli::FlagSet fs = make_bench_flags(opt);
+/// Registers --plot=DIR on the benches that draw a gnuplot chart (fig3 and
+/// fig5).  DIR must already exist: the chart is written after the whole
+/// study has run, so a bad path is refused up front instead.
+inline void add_plot_flag(cli::FlagSet& fs, std::string* dir) {
+  cli::FlagSpec s;
+  s.name = "plot";
+  s.value_hint = "DIR";
+  s.help = "also write gnuplot .dat/.gp files under DIR";
+  s.apply = [dir](const std::string& v) -> std::string {
+    if (!std::filesystem::is_directory(v)) {
+      return "bad --plot '" + v + "' (need an existing directory)";
+    }
+    *dir = v;
+    return {};
+  };
+  fs.add(std::move(s));
+}
+
+/// Parses argv through the bench's flag table @p fs.  Returns the exit code
+/// when the bench should stop (0 after --help, 2 after an error line for an
+/// unknown or invalid flag), or nullopt to run.
+inline std::optional<int> parse_args(int argc, char** argv,
+                                     const cli::FlagSet& fs) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--help" || a == "-h") {
       std::printf("usage: %s [flags]\n%s", argv[0], fs.help_text(2).c_str());
-      return false;
+      return 0;
     }
     std::string error;
     if (fs.parse_flag(a, &error) != cli::FlagSet::Outcome::kOk) {
-      std::fprintf(stderr, "%s (try --help)\n", error.c_str());
-      return false;
+      std::fprintf(stderr, "error: %s (try --help)\n", error.c_str());
+      return 2;
     }
   }
-  return true;
+  return std::nullopt;
 }
 
-/// Host/build provenance as a JSON object fragment, e.g.
+/// Host/build provenance, emitted as `"host":{...}` into the currently open
+/// object of @p j, e.g.
 ///   "host":{"hardware_concurrency":16,"jobs":2,"compiler":"13.2.0",
 ///           "build_type":"Release","native":false}
-/// Embedded in every bench JSON envelope so throughput trajectories from
-/// different machines, thread budgets and build flavours are never compared
-/// as if they were the same experiment.
-inline std::string host_provenance_json(const BenchOptions& opt) {
-  char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "\"host\":{\"hardware_concurrency\":%u,\"jobs\":%d,"
-                "\"compiler\":\"%s\",\"build_type\":\"%s\",\"native\":%s}",
-                std::thread::hardware_concurrency(), opt.jobs, __VERSION__,
-                PAXSIM_BUILD_TYPE, PAXSIM_BUILD_NATIVE ? "true" : "false");
-  return std::string(buf);
-}
-
-/// Emits a one-line provenance envelope for artifacts whose per-row JSON
-/// lines predate the "host" field: downstream collectors join it on the
-/// artifact name.  New artifacts should inline host_provenance_json() into
-/// their rows instead.
-inline void print_host_provenance(const char* artifact,
-                                  const BenchOptions& opt) {
-  std::printf("{\"artifact\":\"%s\",\"kind\":\"host_provenance\",%s}\n",
-              artifact, host_provenance_json(opt).c_str());
-}
-
-/// Same provenance block for the file-writing artifacts that stream a
-/// schema'd document through report::Json: emits `"host":{...}` into the
-/// currently open object.
+/// so throughput numbers from different machines, thread budgets and build
+/// flavours are never compared as if they were the same experiment.
 inline void write_host_provenance(report::Json& j, const BenchOptions& opt) {
   j.key("host").object();
   j.field("hardware_concurrency",
@@ -113,6 +105,19 @@ inline void write_host_provenance(report::Json& j, const BenchOptions& opt) {
   j.field("build_type", PAXSIM_BUILD_TYPE);
   j.field("native", PAXSIM_BUILD_NATIVE != 0);
   j.end();
+}
+
+/// Prints the one-line provenance envelope every bench emits after its
+/// header; downstream collectors join it to the bench's rows on the
+/// artifact name.
+inline void print_host_provenance(const char* artifact,
+                                  const BenchOptions& opt) {
+  report::Json j(std::cout);
+  j.object();
+  j.field("artifact", artifact);
+  j.field("kind", "host_provenance");
+  write_host_provenance(j, opt);
+  j.finish();
 }
 
 /// Attaches the --store directory (when given) to a freshly built engine.

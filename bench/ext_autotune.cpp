@@ -36,18 +36,7 @@ int main(int argc, char** argv) {
   fs.add_int("budget", &budget, 1, "N", "anneal proposal steps");
   fs.add_string("out", &out_path, "FILE",
                 "tuning_report JSON path (\"off\" disables the file)");
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--help" || a == "-h") {
-      std::printf("usage: %s [flags]\n%s", argv[0], fs.help_text(2).c_str());
-      return 1;
-    }
-    std::string error;
-    if (fs.parse_flag(a, &error) != cli::FlagSet::Outcome::kOk) {
-      std::fprintf(stderr, "%s (try --help)\n", error.c_str());
-      return 1;
-    }
-  }
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
 
   const std::string machine_spec =
       opt.run.topology == nullptr ? std::string() : opt.run.topology->name;

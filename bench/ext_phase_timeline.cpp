@@ -13,7 +13,8 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Extension: per-step metric timeline", opt);
   bench::print_host_provenance("ext_phase_timeline", opt);
 

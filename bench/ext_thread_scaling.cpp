@@ -17,7 +17,8 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   const sim::Topology topo = opt.run.resolved_topology();
   bench::print_study_header("Extension: speedup vs thread count (flat order)",
                             opt);

@@ -13,7 +13,8 @@ using namespace paxsim;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Figure 2: architectural metrics, single program",
                             opt);
   bench::print_host_provenance("fig2_arch_metrics", opt);

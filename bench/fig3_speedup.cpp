@@ -12,7 +12,10 @@ using namespace paxsim;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  std::string plot_dir;
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  bench::add_plot_flag(fs, &plot_dir);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Figure 3: speedup of NAS OpenMP applications",
                             opt);
   bench::print_host_provenance("fig3_speedup", opt);
@@ -48,9 +51,9 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   cv.print(std::cout, 4);
   if (opt.csv) table.print_csv(std::cout);
-  if (!opt.plot_dir.empty()) {
+  if (!plot_dir.empty()) {
     const std::string gp =
-        harness::write_bar_chart(opt.plot_dir, "fig3_speedup", chart);
+        harness::write_bar_chart(plot_dir, "fig3_speedup", chart);
     std::printf("wrote %s (render with gnuplot)\n\n", gp.c_str());
   }
 

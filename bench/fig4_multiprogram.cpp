@@ -23,7 +23,8 @@ struct Workload {
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header(
       "Figure 4: multi-program workloads (CG/FT, FT/FT, CG/CG)", opt);
   bench::print_host_provenance("fig4_multiprogram", opt);

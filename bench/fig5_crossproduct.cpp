@@ -18,7 +18,10 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;  // cross-product default
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  std::string plot_dir;
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  bench::add_plot_flag(fs, &plot_dir);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header(
       "Figure 5: multi-programmed speedup of NAS benchmark pairs", opt);
   bench::print_host_provenance("fig5_crossproduct", opt);
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
   for (const auto& [name, box] : boxes) {
     harness::print_box_line(std::cout, name, box, lo, hi);
   }
-  if (!opt.plot_dir.empty()) {
+  if (!plot_dir.empty()) {
     harness::BoxChart chart{"Figure 5 — multi-programmed speedup of NAS pairs",
                             "speedup over serial",
                             {},
@@ -82,7 +85,7 @@ int main(int argc, char** argv) {
       chart.boxes.push_back(box);
     }
     const std::string gp =
-        harness::write_box_chart(opt.plot_dir, "fig5_crossproduct", chart);
+        harness::write_box_chart(plot_dir, "fig5_crossproduct", chart);
     std::printf("\nwrote %s (render with gnuplot)\n", gp.c_str());
   }
   bench::print_engine_stats(engine);

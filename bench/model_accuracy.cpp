@@ -36,7 +36,8 @@ double rel_err(double predicted, double simulated) {
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   const auto rows = harness::configs_for(opt.run.resolved_topology());
   const harness::StudyConfig* configs[] = {
       bench::find_arch(rows, harness::Architecture::kSerial),
@@ -77,7 +78,6 @@ int main(int argc, char** argv) {
 
     std::vector<double> sp_row, cpi_row, l2_row;
     for (const harness::StudyConfig* cfg : configs) {
-      const char* cname = cfg->name.c_str();
       const bool is_serial = cfg->is_serial();
       const harness::RunResult sim =
           is_serial ? serial : engine.single(b, *cfg, opt.run, seed);
@@ -109,21 +109,27 @@ int main(int argc, char** argv) {
           std::fprintf(stderr,
                        "BAND BREACH: %s on '%s' (speedup %+.3f, cpi %+.3f, "
                        "l2 hit %+.3f)\n",
-                       bn.c_str(), cname, e_sp, e_cpi, e_l2);
+                       bn.c_str(), cfg->name.c_str(), e_sp, e_cpi, e_l2);
         }
       }
 
-      std::printf(
-          "{\"artifact\":\"model_accuracy\",\"bench\":\"%s\","
-          "\"config\":\"%s\",\"sim_speedup\":%.6f,\"pred_speedup\":%.6f,"
-          "\"sim_cpi\":%.6f,\"pred_cpi\":%.6f,\"sim_l2_hit\":%.6f,"
-          "\"pred_l2_hit\":%.6f,\"speedup_err\":%.4f,\"cpi_err\":%.4f,"
-          "\"l2_hit_err\":%.4f,\"sim_host_sec\":%.6f,"
-          "\"predict_host_sec\":%.9f}\n",
-          bn.c_str(), cname, sim_speedup, p.speedup, sim.metrics.cpi,
-          p.metrics.cpi, 1.0 - sim.metrics.l2_miss_rate,
-          1.0 - p.metrics.l2_miss_rate, e_sp, e_cpi, e_l2, sim.host_sim_sec,
-          pr.predict_host_sec);
+      report::Json j(std::cout);
+      j.object();
+      j.field("artifact", "model_accuracy");
+      j.field("bench", bn);
+      j.field("config", cfg->name);
+      j.field("sim_speedup", sim_speedup);
+      j.field("pred_speedup", p.speedup);
+      j.field("sim_cpi", sim.metrics.cpi);
+      j.field("pred_cpi", p.metrics.cpi);
+      j.field("sim_l2_hit", 1.0 - sim.metrics.l2_miss_rate);
+      j.field("pred_l2_hit", 1.0 - p.metrics.l2_miss_rate);
+      j.field("speedup_err", e_sp);
+      j.field("cpi_err", e_cpi);
+      j.field("l2_hit_err", e_l2);
+      j.field("sim_host_sec", sim.host_sim_sec);
+      j.field("predict_host_sec", pr.predict_host_sec);
+      j.finish();
     }
     speedup_t.add_row(bn, sp_row);
     cpi_t.add_row(bn, cpi_row);
@@ -148,12 +154,17 @@ int main(int argc, char** argv) {
       "kernel, amortised), %.6fs analytical evaluation — %.0fx faster per "
       "configuration question\n",
       sim_host_sec, profile_host_sec, predict_host_sec, advantage);
-  std::printf(
-      "{\"artifact\":\"model_accuracy_summary\",\"max_speedup_err\":%.4f,"
-      "\"max_cpi_err\":%.4f,\"max_l2_hit_err\":%.4f,\"sim_host_sec\":%.6f,"
-      "\"predict_host_sec\":%.9f,\"advantage\":%.1f,\"band_breaches\":%d}\n",
-      max_speedup_err, max_cpi_err, max_l2_err, sim_host_sec,
-      predict_host_sec, advantage, breaches);
+  report::Json summary(std::cout);
+  summary.object();
+  summary.field("artifact", "model_accuracy_summary");
+  summary.field("max_speedup_err", max_speedup_err);
+  summary.field("max_cpi_err", max_cpi_err);
+  summary.field("max_l2_hit_err", max_l2_err);
+  summary.field("sim_host_sec", sim_host_sec);
+  summary.field("predict_host_sec", predict_host_sec);
+  summary.field("advantage", advantage);
+  summary.field("band_breaches", breaches);
+  summary.finish();
   bench::print_engine_stats(engine);
 
   if (breaches > 0) {

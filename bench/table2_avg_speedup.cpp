@@ -11,7 +11,8 @@ using namespace paxsim;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  if (!bench::parse_args(argc, argv, opt)) return 1;
+  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Table 2: average speedup per architecture", opt);
   bench::print_host_provenance("table2_avg_speedup", opt);
 

@@ -40,6 +40,36 @@ std::vector<std::string> split_csv(const std::string& s) {
 FlagSet make_flag_table(Command* cmd) {
   FlagSet fs;
   register_run_flags(fs, &cmd->options, &cmd->machine);
+  {
+    FlagSpec s;
+    s.name = "check";
+    s.value_hint = "off|race|invariants|full";
+    s.def = "off";
+    s.help = "attach the src/check analysis sink";
+    harness::RunOptions* r = &cmd->options;
+    s.apply = [r](const std::string& v) -> std::string {
+      if (!sim::parse_check_mode(v.c_str(), r->check_mode)) {
+        return "bad --check '" + v + "' (use off, race, invariants or full)";
+      }
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  {
+    FlagSpec s;
+    s.name = "trace";
+    s.value_hint = "off|stacks|events|full";
+    s.def = "off";
+    s.help = "execution-trace recording depth";
+    harness::RunOptions* r = &cmd->options;
+    s.apply = [r](const std::string& v) -> std::string {
+      if (!sim::parse_trace_mode(v.c_str(), r->trace_mode)) {
+        return "bad --trace '" + v + "' (use off, stacks, events or full)";
+      }
+      return {};
+    };
+    fs.add(std::move(s));
+  }
   register_engine_flags(fs, &cmd->jobs, &cmd->store_dir);
   {
     FlagSpec s;
@@ -478,22 +508,6 @@ int do_tune(const Command& cmd, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int do_lmbench(std::ostream& out) {
-  const sim::MachineParams full{};
-  out << "working-set ladder (ns/load):\n";
-  for (const auto& pt : lmb::latency_ladder(
-           full, lmb::default_ladder_sizes(4096, 64 << 20), 6000)) {
-    out << "  " << pt.working_set_bytes / 1024 << " KB: " << pt.ns_per_load
-        << '\n';
-  }
-  const auto one = lmb::stream_bandwidth(full, false);
-  const auto two = lmb::stream_bandwidth(full, true);
-  out << "bandwidth GB/s: one-chip read " << one.read_gbps << " write "
-      << one.write_gbps << "; two-chip read " << two.read_gbps << " write "
-      << two.write_gbps << '\n';
-  return 0;
-}
-
 }  // namespace
 
 std::string usage() {
@@ -522,8 +536,6 @@ std::string usage() {
       "  store get [<digest>] --store=DIR          print one stored entry, by\n"
       "                                            digest or by the cell axes\n"
       "                                            (--bench/--config/--mode...)\n"
-      "  lmbench                                   section-3 characterisation\n"
-      "                                            (calibrated machine only)\n"
       "flags (every subcommand accepts the full table):\n" +
       fs.help_text(2);
 }
@@ -556,8 +568,6 @@ ParseResult parse(const std::vector<std::string>& args) {
     cmd.kind = Command::Kind::kServe;
   } else if (sub == "store") {
     cmd.kind = Command::Kind::kStore;
-  } else if (sub == "lmbench") {
-    cmd.kind = Command::Kind::kLmbench;
   } else if (sub == "help" || sub == "--help" || sub == "-h") {
     cmd.kind = Command::Kind::kHelp;
   } else {
@@ -625,12 +635,6 @@ ParseResult parse(const std::vector<std::string>& args) {
     case Command::Kind::kServe:
       need(!cmd.jobs_file.empty(), "serve needs --jobs-file=<plan.json>");
       break;
-    case Command::Kind::kLmbench:
-      // The stream buffer is sized for the calibrated machine's caches.
-      need(cmd.machine.empty(),
-           "lmbench measures the calibrated machine only; --machine is not "
-           "supported");
-      break;
     case Command::Kind::kStore:
       need(cmd.store_action == "stat" || cmd.store_action == "ls" ||
                cmd.store_action == "gc" || cmd.store_action == "verify" ||
@@ -669,8 +673,6 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return 0;
       case Command::Kind::kList:
         return do_list(cmd, out);
-      case Command::Kind::kLmbench:
-        return do_lmbench(out);
       case Command::Kind::kTune:
         return do_tune(cmd, out, err);
       case Command::Kind::kServe: {

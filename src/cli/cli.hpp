@@ -28,7 +28,6 @@
 //   paxsim store <stat|ls|gc|verify> --store=DIR
 //   paxsim store get <digest> --store=DIR        — or name the cell by its
 //                [--bench=CG --config=... flags]   axes instead of a digest
-//   paxsim lmbench
 #pragma once
 
 #include <cstdint>
@@ -45,7 +44,7 @@ namespace paxsim::cli {
 struct Command {
   enum class Kind {
     kList, kRun, kPair, kSched, kTimeline, kPredict, kTrace, kTune, kServe,
-    kStore, kLmbench, kHelp
+    kStore, kHelp
   };
 
   Kind kind = Kind::kHelp;

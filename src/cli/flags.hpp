@@ -301,7 +301,8 @@ inline const char* sched_name(int sched_kind) {
 /// Registers the simulation knobs every execution tier shares, writing
 /// through to @p run.  One table serves `paxsim <subcommand>` and every
 /// bench driver, so the spellings, defaults and validation can never
-/// diverge between them.
+/// diverge between them.  --check and --trace are not here: only `paxsim`
+/// reports findings or traces, so only its table registers them.
 /// @p machine_spec (optional) also receives the raw --machine spelling, for
 /// error messages and report labels.
 inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
@@ -362,36 +363,6 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
       }
       r->topology = std::make_shared<const sim::Topology>(std::move(topo));
       if (spec != nullptr) *spec = v;
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "check";
-    s.value_hint = "off|race|invariants|full";
-    s.def = "off";
-    s.help = "attach the src/check analysis sink";
-    harness::RunOptions* r = run;
-    s.apply = [r](const std::string& v) -> std::string {
-      if (!sim::parse_check_mode(v.c_str(), r->check_mode)) {
-        return "bad --check '" + v + "' (use off, race, invariants or full)";
-      }
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "trace";
-    s.value_hint = "off|stacks|events|full";
-    s.def = "off";
-    s.help = "execution-trace recording depth";
-    harness::RunOptions* r = run;
-    s.apply = [r](const std::string& v) -> std::string {
-      if (!sim::parse_trace_mode(v.c_str(), r->trace_mode)) {
-        return "bad --trace '" + v + "' (use off, stacks, events or full)";
-      }
       return {};
     };
     fs.add(std::move(s));

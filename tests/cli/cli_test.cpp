@@ -31,14 +31,9 @@ TEST(CliParseTest, HelpVariants) {
 
 TEST(CliParseTest, ListAndLmbench) {
   EXPECT_EQ(P({"list"}).command->kind, Command::Kind::kList);
-  EXPECT_EQ(P({"lmbench"}).command->kind, Command::Kind::kLmbench);
-}
-
-TEST(CliParseTest, LmbenchRefusesAMachine) {
-  // Its stream buffer is sized for the calibrated machine's caches.
-  for (const char* m : {"--machine=numa16", "--machine=paxville"}) {
-    EXPECT_NE(P({"lmbench", m}).error.find("--machine"), std::string::npos);
-  }
+  // Section 3 has one driver, bench/sec3_lmbench; paxsim has no subcommand.
+  EXPECT_NE(P({"lmbench"}).error.find("unknown subcommand 'lmbench'"),
+            std::string::npos);
 }
 
 TEST(CliParseTest, RunParsesEverything) {

@@ -104,10 +104,14 @@ TEST(RunFlagTableTest, RegistersTheSharedSpellings) {
   harness::RunOptions run;
   FlagSet fs;
   register_run_flags(fs, &run);
-  for (const char* name :
-       {"class", "trials", "seed", "grain", "sched", "chunk", "scale",
-        "machine", "check", "trace", "no-verify"}) {
+  for (const char* name : {"class", "trials", "seed", "grain", "sched",
+                           "chunk", "scale", "machine", "no-verify"}) {
     EXPECT_TRUE(fs.has(name)) << name;
+  }
+  // Only the paxsim CLI reports findings or traces, so only it registers
+  // --check and --trace; a bench given either refuses it.
+  for (const char* name : {"check", "trace"}) {
+    EXPECT_FALSE(fs.has(name)) << name;
   }
 }
 

@@ -1,9 +1,10 @@
 // Integration golden tests for paxtrace across the full kernel matrix:
 //
 //   * every active context's CPI stack sums bitwise-exactly to the run's
-//     wall cycles, for all 8 kernels on Serial / HT off -4-2 / HT on -8-2;
+//     wall cycles, for all 8 kernels on Serial / HT off -4-2 / HT on -8-2,
+//     under --trace=stacks and --trace=full;
 //   * tracing never perturbs virtual time (traced wall == untraced
-//     reference-path wall);
+//     reference-path wall) at either depth;
 //   * --trace=off is bit-identical to a plain run (wall and counters);
 //   * the Chrome tracing export is well-formed JSON, and names every tid
 //     its events carry exactly once (on numa16 too).
@@ -44,29 +45,37 @@ harness::RunOptions small_options() {
   return opt;
 }
 
+/// The two recording depths: the accountant alone, and the accountant plus
+/// per-context event recording.
+constexpr sim::TraceMode kTraceModes[] = {sim::TraceMode::kStacks,
+                                          sim::TraceMode::kFull};
+
 TEST(TraceKernelsTest, StacksSumExactlyToWallAcrossMatrix) {
-  harness::RunOptions opt = small_options();
-  opt.trace_mode = sim::TraceMode::kStacks;
-  for (const harness::StudyConfig* cfg : matrix_configs()) {
-    sim::Machine machine(opt.machine_params());
-    for (const npb::Benchmark bench : npb::kAllBenchmarks) {
-      const harness::TraceResult tr = harness::run_traced(
-          machine, bench, *cfg, opt, opt.trial_seed(0));
-      const trace::TraceReport& t = tr.trace;
-      ASSERT_GT(t.wall_cycles, 0.0)
-          << npb::benchmark_name(bench) << " @ " << cfg->name;
-      int active = 0;
-      for (std::size_t i = 0; i < t.contexts.size(); ++i) {
-        const trace::ContextStack& c = t.contexts[i];
-        if (!c.active) continue;
-        ++active;
-        // Bitwise equality is the contract, not a tolerance.
-        EXPECT_EQ(c.stack.sum(), t.wall_cycles)
-            << npb::benchmark_name(bench) << " @ " << cfg->name << " cpu"
-            << i;
+  for (const sim::TraceMode mode : kTraceModes) {
+    harness::RunOptions opt = small_options();
+    opt.trace_mode = mode;
+    const char* m = sim::trace_mode_name(mode);
+    for (const harness::StudyConfig* cfg : matrix_configs()) {
+      sim::Machine machine(opt.machine_params());
+      for (const npb::Benchmark bench : npb::kAllBenchmarks) {
+        const harness::TraceResult tr = harness::run_traced(
+            machine, bench, *cfg, opt, opt.trial_seed(0));
+        const trace::TraceReport& t = tr.trace;
+        ASSERT_GT(t.wall_cycles, 0.0)
+            << m << ": " << npb::benchmark_name(bench) << " @ " << cfg->name;
+        int active = 0;
+        for (std::size_t i = 0; i < t.contexts.size(); ++i) {
+          const trace::ContextStack& c = t.contexts[i];
+          if (!c.active) continue;
+          ++active;
+          // Bitwise equality is the contract, not a tolerance.
+          EXPECT_EQ(c.stack.sum(), t.wall_cycles)
+              << m << ": " << npb::benchmark_name(bench) << " @ "
+              << cfg->name << " cpu" << i;
+        }
+        EXPECT_EQ(active, cfg->threads)
+            << m << ": " << npb::benchmark_name(bench) << " @ " << cfg->name;
       }
-      EXPECT_EQ(active, cfg->threads)
-          << npb::benchmark_name(bench) << " @ " << cfg->name;
     }
   }
 }
@@ -77,19 +86,23 @@ TEST(TraceKernelsTest, TracingDoesNotPerturbVirtualTime) {
   harness::RunOptions ref_opt = small_options();
   sim::MachineParams ref_params = ref_opt.machine_params();
   ref_params.fast_path = false;
-  harness::RunOptions traced_opt = small_options();
-  traced_opt.trace_mode = sim::TraceMode::kStacks;
 
-  for (const harness::StudyConfig* cfg : matrix_configs()) {
-    sim::Machine ref_machine(ref_params);
-    sim::Machine traced_machine(traced_opt.machine_params());
-    for (const npb::Benchmark bench : npb::kAllBenchmarks) {
-      const harness::RunResult ref = harness::run_single(
-          ref_machine, bench, *cfg, ref_opt, ref_opt.trial_seed(0));
-      const harness::TraceResult tr = harness::run_traced(
-          traced_machine, bench, *cfg, traced_opt, traced_opt.trial_seed(0));
-      EXPECT_EQ(tr.run.wall_cycles, ref.wall_cycles)
-          << npb::benchmark_name(bench) << " @ " << cfg->name;
+  for (const sim::TraceMode mode : kTraceModes) {
+    harness::RunOptions traced_opt = small_options();
+    traced_opt.trace_mode = mode;
+    for (const harness::StudyConfig* cfg : matrix_configs()) {
+      sim::Machine ref_machine(ref_params);
+      sim::Machine traced_machine(traced_opt.machine_params());
+      for (const npb::Benchmark bench : npb::kAllBenchmarks) {
+        const harness::RunResult ref = harness::run_single(
+            ref_machine, bench, *cfg, ref_opt, ref_opt.trial_seed(0));
+        const harness::TraceResult tr =
+            harness::run_traced(traced_machine, bench, *cfg, traced_opt,
+                                traced_opt.trial_seed(0));
+        EXPECT_EQ(tr.run.wall_cycles, ref.wall_cycles)
+            << sim::trace_mode_name(mode) << ": "
+            << npb::benchmark_name(bench) << " @ " << cfg->name;
+      }
     }
   }
 }
