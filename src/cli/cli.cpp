@@ -168,7 +168,7 @@ FlagSet make_flag_table(Command* cmd) {
       std::vector<int> kinds;
       for (const std::string& tok : split_csv(v)) {
         int k = -1;
-        if (!parse_sched_name(tok, &k)) {
+        if (!harness::parse_sched_name(tok, &k)) {
           return "bad --schedules '" + v +
                  "' (use default, static, dynamic or guided)";
         }
@@ -280,25 +280,6 @@ std::unique_ptr<sched::Scheduler> make_policy(const std::string& name,
   return nullptr;
 }
 
-/// The one CellSpec every cell-shaped subcommand resolves through: the
-/// parsed Command projected onto the fluent builder, so the CLI constructs
-/// cells exactly the way serve's job expansion and the tuner do.
-harness::CellSpec spec_for(const Command& cmd, npb::Benchmark bench) {
-  harness::CellSpec s = harness::CellSpec::bench(bench);
-  s.machine(cmd.options.topology)
-      .config(cmd.config_name)
-      .problem_class(cmd.options.cls)
-      .scale(cmd.options.machine_scale)
-      .grain(cmd.options.grain)
-      .schedule(cmd.options.sched_kind, cmd.options.sched_chunk)
-      .trials(cmd.options.trials)
-      .seed(cmd.options.base_seed)
-      .verify(cmd.options.verify)
-      .check(cmd.options.check_mode)
-      .trace(cmd.options.trace_mode);
-  return s;
-}
-
 void print_result(std::ostream& out, const std::string& label,
                   const harness::RunResult& r, bool csv) {
   if (csv) {
@@ -367,29 +348,27 @@ void attach_store(harness::ExperimentEngine& engine, const Command& cmd) {
 }
 
 /// `paxsim store get`: print the stored entry for a digest, or for the cell
-/// the axis flags describe (resolved through CellSpec, the same naming path
+/// the axis flags describe (minted by CellKey::from, the same naming path
 /// the engine writes through).
 int do_store_get(const Command& cmd, std::ostream& out, std::ostream& err) {
   serve::ResultStore store(cmd.store_dir);
   std::string digest = cmd.store_digest;
   if (digest.empty()) {
-    harness::CellSpec spec = spec_for(cmd, cmd.benches[0]);
+    auto kind = harness::CellKey::Kind::kSingle;
+    npb::Benchmark b = cmd.benches[0];
     if (cmd.get_mode == "pair") {
       if (cmd.benches.size() != 2) {
         err << "error: store get --mode=pair needs --bench=<A,B>\n";
         return 1;
       }
-      spec.pair_with(cmd.benches[1]).mode(harness::CellSpec::Mode::kPair);
+      kind = harness::CellKey::Kind::kPair;
+      b = cmd.benches[1];
     } else if (cmd.get_mode == "predict") {
-      spec.mode(harness::CellSpec::Mode::kPredict);
+      kind = harness::CellKey::Kind::kPredict;
     }
-    harness::CellSpec::Resolved r;
-    std::string why;
-    if (!spec.resolve(&r, &why)) {
-      err << "error: " << why << '\n';
-      return 1;
-    }
-    digest = r.digest(0);
+    digest = harness::cell_digest(harness::cell_fingerprint(
+        harness::CellKey::from(kind, cmd.benches[0], b, cmd.config,
+                               cmd.options, cmd.options.trial_seed(0))));
   }
   std::string payload;
   if (!store.read_object(digest, &payload)) {
@@ -651,21 +630,35 @@ ParseResult parse(const std::vector<std::string>& args) {
       break;
   }
   if (!res.error.empty()) return res;
-  if (!cmd.config_name.empty() &&
-      harness::find_config_index(
-          harness::configs_for(cmd.options.resolved_topology()),
-          cmd.config_name) < 0) {
-    res.error = "unknown configuration '" + cmd.config_name +
-                "' (see `paxsim list" +
-                (cmd.machine.empty() ? "" : " --machine=" + cmd.machine) +
-                "`)";
-    return res;
+  if (!cmd.config_name.empty()) {
+    const auto table = harness::configs_for(cmd.options.resolved_topology());
+    const int i = harness::find_config_index(table, cmd.config_name);
+    if (i < 0) {
+      res.error = "unknown configuration '" + cmd.config_name +
+                  "' (see `paxsim list" +
+                  (cmd.machine.empty() ? "" : " --machine=" + cmd.machine) +
+                  "`)";
+      return res;
+    }
+    cmd.config = table[static_cast<std::size_t>(i)];
+    // Two programs split the row's contexts between them.
+    const bool two_programs =
+        cmd.kind == Command::Kind::kPair || cmd.kind == Command::Kind::kSched ||
+        (cmd.kind == Command::Kind::kStore && cmd.get_mode == "pair");
+    if (two_programs && cmd.config.cpus.size() < 2) {
+      res.error = "pair/sched need a configuration with at least two contexts";
+      return res;
+    }
   }
   res.command = std::move(cmd);
   return res;
 }
 
 int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
+  // The cell the flags name: parse() validated every axis and looked the
+  // --config row up, so the engine takes them as they are.
+  const harness::RunOptions& opt = cmd.options;
+  const std::uint64_t seed = opt.trial_seed(0);
   try {
     switch (cmd.kind) {
       case Command::Kind::kHelp:
@@ -688,18 +681,15 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
       case Command::Kind::kStore:
         return do_store(cmd, out, err);
       case Command::Kind::kPredict: {
-        const auto cell = spec_for(cmd, cmd.benches[0])
-                              .mode(harness::CellSpec::Mode::kPredict)
-                              .resolve();
+        const npb::Benchmark bench = cmd.benches[0];
         harness::ExperimentEngine engine(cmd.jobs);
         attach_store(engine, cmd);
-        const auto seed = cell.opt.trial_seed(0);
-        const auto pr = engine.predict(cell.a, cell.cfg, cell.opt, seed);
+        const auto pr = engine.predict(bench, cmd.config, opt, seed);
         const std::string label =
-            std::string(npb::benchmark_name(cell.a)) + "@" + cmd.config_name;
+            std::string(npb::benchmark_name(bench)) + "@" + cmd.config_name;
         if (cmd.csv) {
           harness::print_prediction_json(
-              out, std::string(npb::benchmark_name(cell.a)), cmd.config_name,
+              out, std::string(npb::benchmark_name(bench)), cmd.config_name,
               pr.prediction);
         } else {
           harness::print_prediction(out, label, pr.prediction, false);
@@ -709,8 +699,8 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
               << pr.predict_host_sec << "s\n";
         }
         if (cmd.compare) {
-          const auto sim = engine.single(cell.a, cell.cfg, cell.opt, seed);
-          const auto serial = engine.serial(cell.a, cell.opt, seed);
+          const auto sim = engine.single(bench, cmd.config, opt, seed);
+          const auto serial = engine.serial(bench, opt, seed);
           const double sim_speedup = serial.wall_cycles / sim.wall_cycles;
           const auto table = harness::prediction_error_table(
               pr.prediction, sim, sim_speedup);
@@ -729,18 +719,16 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return 0;
       }
       case Command::Kind::kRun: {
-        const auto cell = spec_for(cmd, cmd.benches[0]).resolve();
+        const npb::Benchmark bench = cmd.benches[0];
         if (cmd.profile) {
-          if (!cell.cfg.is_serial()) {
+          if (!cmd.config.is_serial()) {
             err << "error: --profile=on requires --config=\"Serial\" (the "
                    "profile is collected from a serial run)\n";
             return 1;
           }
-          const auto seed = cell.opt.trial_seed(0);
-          const auto prof =
-              harness::run_profiled_serial(cell.a, cell.opt, seed);
+          const auto prof = harness::run_profiled_serial(bench, opt, seed);
           print_result(out,
-                       std::string(npb::benchmark_name(cell.a)) + "@Serial",
+                       std::string(npb::benchmark_name(bench)) + "@Serial",
                        prof.result, cmd.csv);
           const auto& p = prof.profile;
           const double acc = static_cast<double>(p.loads + p.stores);
@@ -769,34 +757,30 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         }
         harness::ExperimentEngine engine(cmd.jobs);
         attach_store(engine, cmd);
-        auto plan = harness::ExperimentPlan(cell.opt, {cell.cfg})
-                        .add_benchmark(cell.a)
+        auto plan = harness::ExperimentPlan(opt, {cmd.config})
+                        .add_benchmark(bench)
                         .with_serial_baselines(cmd.baseline)
                         .trials(1);
         const auto study = engine.run(plan);
-        const auto& r = study.single(cell.a, 0);
+        const auto& r = study.single(bench, 0);
         print_result(out,
-                     std::string(npb::benchmark_name(cell.a)) + "@" +
+                     std::string(npb::benchmark_name(bench)) + "@" +
                          cmd.config_name,
                      r, cmd.csv);
         if (cmd.baseline) {
-          const auto& s = study.serial(cell.a);
+          const auto& s = study.serial(bench);
           print_result(out,
-                       std::string(npb::benchmark_name(cell.a)) + "@Serial",
+                       std::string(npb::benchmark_name(bench)) + "@Serial",
                        s, cmd.csv);
-          out << "speedup," << study.speedup(cell.a, 0) << '\n';
+          out << "speedup," << study.speedup(bench, 0) << '\n';
         }
-        return report_check(out, cell.opt, r.check, cmd.csv);
+        return report_check(out, opt, r.check, cmd.csv);
       }
       case Command::Kind::kPair: {
-        const auto cell = spec_for(cmd, cmd.benches[0])
-                              .pair_with(cmd.benches[1])
-                              .mode(harness::CellSpec::Mode::kPair)
-                              .resolve();
-        const auto seed = cell.opt.trial_seed(0);
         harness::ExperimentEngine engine(cmd.jobs);
         attach_store(engine, cmd);
-        const auto r = engine.pair(cell.a, cell.b, cell.cfg, cell.opt, seed);
+        const auto r = engine.pair(cmd.benches[0], cmd.benches[1], cmd.config,
+                                   opt, seed);
         for (int p = 0; p < 2; ++p) {
           print_result(out,
                        std::string(npb::benchmark_name(cmd.benches[p])) +
@@ -805,14 +789,13 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         }
         // One machine-wide checker covers both programs; the report is
         // shared, so print it once.
-        return report_check(out, cell.opt, r.program[0].check, cmd.csv);
+        return report_check(out, opt, r.program[0].check, cmd.csv);
       }
       case Command::Kind::kTimeline: {
-        const auto cell = spec_for(cmd, cmd.benches[0]).resolve();
-        const auto seed = cell.opt.trial_seed(0);
         harness::ExperimentEngine engine(cmd.jobs);
-        const auto tl = engine.timeline(cell.a, cell.cfg, cell.opt, seed);
-        if (cell.opt.verify && !tl.run.verified) {
+        const auto tl =
+            engine.timeline(cmd.benches[0], cmd.config, opt, seed);
+        if (opt.verify && !tl.run.verified) {
           err << "error: verification failed\n";
           return 1;
         }
@@ -827,22 +810,20 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                 << " prefetch_share=" << m.prefetch_bus_fraction << '\n';
           }
         }
-        return report_check(out, cell.opt, tl.run.check, cmd.csv);
+        return report_check(out, opt, tl.run.check, cmd.csv);
       }
       case Command::Kind::kTrace: {
-        auto spec = spec_for(cmd, cmd.benches[0]);
+        harness::RunOptions traced = opt;
         // The Chrome export needs the event stream; the stack tables need
         // only the accountant.  engine.trace() substitutes kStacks for kOff.
         if (!cmd.trace_out.empty() &&
-            cmd.options.trace_mode != sim::TraceMode::kEvents &&
-            cmd.options.trace_mode != sim::TraceMode::kFull) {
-          spec.trace(sim::TraceMode::kFull);
+            traced.trace_mode != sim::TraceMode::kEvents &&
+            traced.trace_mode != sim::TraceMode::kFull) {
+          traced.trace_mode = sim::TraceMode::kFull;
         }
-        const auto cell = spec.resolve();
-        const auto seed = cell.opt.trial_seed(0);
         harness::ExperimentEngine engine(cmd.jobs);
-        const auto tr = engine.trace(cell.a, cell.cfg, cell.opt, seed);
-        const std::string bench_name(npb::benchmark_name(cell.a));
+        const auto tr = engine.trace(cmd.benches[0], cmd.config, traced, seed);
+        const std::string bench_name(npb::benchmark_name(cmd.benches[0]));
         if (cmd.csv) {
           harness::print_trace_report_json(out, bench_name, cmd.config_name,
                                            tr.trace);
@@ -877,12 +858,10 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return 0;
       }
       case Command::Kind::kSched: {
-        const auto cell = spec_for(cmd, cmd.benches[0]).resolve();
-        const auto seed = cell.opt.trial_seed(0);
         harness::ExperimentEngine engine(cmd.jobs);
         auto policy = make_policy(cmd.policy, seed);
         const auto r =
-            engine.scheduled(cmd.benches, cell.cfg, *policy, cell.opt, seed);
+            engine.scheduled(cmd.benches, cmd.config, *policy, opt, seed);
         for (std::size_t p = 0; p < r.program.size(); ++p) {
           print_result(out,
                        std::string(npb::benchmark_name(cmd.benches[p])) +
@@ -892,7 +871,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         }
         out << "migrations," << r.migrations << '\n';
         // Every program carries the same machine-wide report.
-        return report_check(out, cell.opt, r.program[0].check, cmd.csv);
+        return report_check(out, opt, r.program[0].check, cmd.csv);
       }
     }
   } catch (const std::exception& e) {

@@ -50,6 +50,8 @@ struct Command {
   Kind kind = Kind::kHelp;
   std::vector<npb::Benchmark> benches;  ///< 1 for run/predict, 2 for pair/sched
   std::string config_name;              ///< Table-1 configuration
+  /// The --config row, looked up in the --machine's table by parse().
+  harness::StudyConfig config;
   /// --machine spec: a topology preset name ("paxville", "woodcrest", ...)
   /// or a path to a schema_version'd topology JSON file.  Empty runs the
   /// default machine; the flag table resolves it into options.topology.

@@ -32,8 +32,8 @@
 #include <vector>
 
 #include "harness/runner.hpp"
+#include "npb/kernel.hpp"
 #include "sim/topology.hpp"
-#include "xomp/schedule.hpp"
 
 namespace paxsim::cli {
 
@@ -260,44 +260,6 @@ class FlagSet {
   std::vector<FlagSpec> specs_;
 };
 
-/// Parses one problem-class letter.
-inline bool parse_class_letter(const std::string& s, npb::ProblemClass* out) {
-  if (s.size() != 1) return false;
-  switch (s[0]) {
-    case 'S': *out = npb::ProblemClass::kClassS; return true;
-    case 'W': *out = npb::ProblemClass::kClassW; return true;
-    case 'A': *out = npb::ProblemClass::kClassA; return true;
-    case 'B': *out = npb::ProblemClass::kClassB; return true;
-    default: return false;
-  }
-}
-
-/// Parses a schedule-override name onto RunOptions::sched_kind.
-inline bool parse_sched_name(const std::string& s, int* out) {
-  if (s == "default") {
-    *out = -1;
-  } else if (s == "static") {
-    *out = static_cast<int>(xomp::ScheduleKind::kStatic);
-  } else if (s == "dynamic") {
-    *out = static_cast<int>(xomp::ScheduleKind::kDynamic);
-  } else if (s == "guided") {
-    *out = static_cast<int>(xomp::ScheduleKind::kGuided);
-  } else {
-    return false;
-  }
-  return true;
-}
-
-/// Inverse of parse_sched_name (for reports and labels).
-inline const char* sched_name(int sched_kind) {
-  switch (sched_kind) {
-    case static_cast<int>(xomp::ScheduleKind::kStatic): return "static";
-    case static_cast<int>(xomp::ScheduleKind::kDynamic): return "dynamic";
-    case static_cast<int>(xomp::ScheduleKind::kGuided): return "guided";
-    default: return "default";
-  }
-}
-
 /// Registers the simulation knobs every execution tier shares, writing
 /// through to @p run.  One table serves `paxsim <subcommand>` and every
 /// bench driver, so the spellings, defaults and validation can never
@@ -315,7 +277,7 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
     s.help = "NPB problem class";
     harness::RunOptions* r = run;
     s.apply = [r](const std::string& v) -> std::string {
-      if (!parse_class_letter(v, &r->cls)) {
+      if (!npb::parse_class(v, r->cls)) {
         return "bad --class '" + v + "' (use S, W, A or B)";
       }
       return {};
@@ -334,7 +296,7 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
     s.help = "override every parallel loop's schedule";
     harness::RunOptions* r = run;
     s.apply = [r](const std::string& v) -> std::string {
-      if (!parse_sched_name(v, &r->sched_kind)) {
+      if (!harness::parse_sched_name(v, &r->sched_kind)) {
         return "bad --sched '" + v +
                "' (use default, static, dynamic or guided)";
       }

@@ -90,7 +90,10 @@ CellKey CellKey::from(Kind kind, npb::Benchmark a, npb::Benchmark b,
   k.verify = opt.verify;
   k.grain = opt.grain;
   k.sched_kind = opt.sched_kind;
-  k.sched_chunk = opt.sched_chunk;
+  // The runner reads the chunk only under an override, so a chunk next to
+  // the kernel-default schedule names the same run as no chunk at all:
+  // every front end must mint one key for it.
+  k.sched_chunk = opt.sched_kind < 0 ? 0 : opt.sched_chunk;
   k.check = opt.check_mode;
   k.trace = opt.trace_mode;
   if (opt.topology != nullptr) k.machine = opt.topology->fingerprint();
@@ -326,14 +329,6 @@ TrialStats StudyResult::speedup_stats(npb::Benchmark b,
   return summarize(speedups);
 }
 
-double StudyResult::pair_speedup(std::size_t pair_index, int program,
-                                 std::size_t config_index, int trial) const {
-  const auto& pr = plan_.pairs().at(pair_index);
-  const npb::Benchmark b = program == 0 ? pr.first : pr.second;
-  return serial(b, trial).wall_cycles /
-         pair(pair_index, config_index, trial).program[program].wall_cycles;
-}
-
 // ---------------------------------------------------------------------------
 // ExperimentEngine
 // ---------------------------------------------------------------------------
@@ -351,11 +346,6 @@ MachinePool& ExperimentEngine::pool_for(const sim::MachineParams& params) {
 void ExperimentEngine::set_store(std::shared_ptr<CellStore> store) {
   std::lock_guard<std::mutex> lock(mu_);
   store_ = std::move(store);
-}
-
-bool ExperimentEngine::has_store() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return store_ != nullptr;
 }
 
 bool ExperimentEngine::store_eligible(const CellKey& key) noexcept {
@@ -377,9 +367,8 @@ const CellValue* ExperimentEngine::lookup(const CellKey& key) {
   }
   if (store == nullptr || !store_eligible(key)) return nullptr;
   // Store I/O happens outside mu_ so a slow disk never serializes the
-  // worker pool.  Entries are never erased while workers run (clear_cache
-  // is not concurrent-safe by contract), so the returned pointer stays
-  // valid after the lock drops.
+  // worker pool.  Cache entries are never erased, so the returned pointer
+  // stays valid after the lock drops.
   CellValue v;
   if (!store->load_cell(key, &v)) return nullptr;
   std::lock_guard<std::mutex> lock(mu_);
@@ -608,7 +597,6 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
   PredictionResult out;
   if (store != nullptr && store_eligible(pkey) &&
       store->load_prediction(pkey, &out.prediction)) {
-    out.store_hit = true;
     std::lock_guard<std::mutex> lock(mu_);
     ++store_hits_;
     return out;
@@ -738,13 +726,6 @@ EngineStats ExperimentEngine::stats() const {
     }
   }
   return s;
-}
-
-void ExperimentEngine::clear_cache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  profiles_.clear();
-  profile_host_sec_.clear();
 }
 
 }  // namespace paxsim::harness

@@ -59,9 +59,6 @@ struct EngineStats {
         static_cast<double>(cache_hits) + static_cast<double>(cache_misses);
     return total == 0 ? 0.0 : static_cast<double>(cache_hits) / total;
   }
-  [[nodiscard]] std::uint64_t machines_reused() const noexcept {
-    return machines_acquired - machines_created;
-  }
 };
 
 /// A thread-safe pool of reset-recycled machines of one geometry.
@@ -130,7 +127,8 @@ struct CellKey {
   std::size_t grain = 1;   ///< RunOptions::grain (changes interleaving)
   /// RunOptions::sched_kind / sched_chunk: a loop-schedule override changes
   /// the interleaving exactly like grain does, so overridden cells never
-  /// alias kernel-default ones.  -1 / 0 is the kernel-default identity.
+  /// alias kernel-default ones.  -1 / 0 is the kernel-default identity:
+  /// from() drops a chunk that sits next to kind -1.
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
   /// RunOptions::check_mode: checked cells route through the reference path
@@ -304,10 +302,6 @@ class StudyResult {
   /// Speedup summarised over all plan trials (the Figure-3 cell).
   [[nodiscard]] TrialStats speedup_stats(npb::Benchmark b,
                                          std::size_t config_index) const;
-  /// Per-program pair speedup over that program's own serial baseline.
-  [[nodiscard]] double pair_speedup(std::size_t pair_index, int program,
-                                    std::size_t config_index,
-                                    int trial = 0) const;
 
  private:
   friend class ExperimentEngine;
@@ -334,9 +328,6 @@ struct PredictionResult {
   /// Host seconds of the analytical evaluation itself (microseconds).
   double predict_host_sec = 0;
   bool profile_reused = false;   ///< profile came from the memo cache
-  /// The prediction was answered from the attached persistent store — no
-  /// profiling and no model evaluation happened at all.
-  bool store_hit = false;
 };
 
 /// The engine: machine pool + memoized cell cache + worker dispatch.
@@ -359,7 +350,6 @@ class ExperimentEngine {
   /// findings on reload.  Detached (the default), behaviour is bit-
   /// identical to the pre-store engine.
   void set_store(std::shared_ptr<CellStore> store);
-  [[nodiscard]] bool has_store() const;
 
   /// True when @p key's value survives a store round-trip losslessly (the
   /// eligibility rule set_store documents).
@@ -418,7 +408,6 @@ class ExperimentEngine {
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] EngineStats stats() const;
-  void clear_cache();
 
  private:
   /// One enumerated cell of a plan plus what is needed to simulate it.

@@ -27,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "check/report.hpp"
@@ -100,6 +101,29 @@ struct RunOptions {
     return base_seed + static_cast<std::uint64_t>(trial) * 104729;
   }
 };
+
+/// The schedule-override names, indexed by RunOptions::sched_kind + 1
+/// (xomp::ScheduleKind order after the kernel default).
+inline constexpr std::array<std::string_view, 4> kSchedNames = {
+    "default", "static", "dynamic", "guided"};
+
+/// Parses a schedule-override name onto RunOptions::sched_kind.
+inline bool parse_sched_name(std::string_view s, int* out) {
+  for (std::size_t i = 0; i < kSchedNames.size(); ++i) {
+    if (kSchedNames[i] == s) {
+      *out = static_cast<int>(i) - 1;
+      return true;
+    }
+  }
+  return false;
+}
+
+/// Inverse of parse_sched_name (for reports and labels).
+inline std::string_view sched_name(int sched_kind) {
+  const bool overridden =
+      sched_kind >= 0 && sched_kind + 1 < static_cast<int>(kSchedNames.size());
+  return kSchedNames[overridden ? static_cast<std::size_t>(sched_kind) + 1 : 0];
+}
 
 /// Outcome of one program execution (one trial).
 struct RunResult {

@@ -1,6 +1,7 @@
 #include "npb/kernel.hpp"
 
 #include <cctype>
+#include <initializer_list>
 
 #include "npb/kernels_impl.hpp"
 
@@ -51,6 +52,17 @@ std::string_view class_name(ProblemClass c) noexcept {
     case ProblemClass::kClassB: return "B";
   }
   return "?";
+}
+
+bool parse_class(std::string_view s, ProblemClass& out) noexcept {
+  for (const ProblemClass c : {ProblemClass::kClassS, ProblemClass::kClassW,
+                               ProblemClass::kClassA, ProblemClass::kClassB}) {
+    if (class_name(c) == s) {
+      out = c;
+      return true;
+    }
+  }
+  return false;
 }
 
 std::unique_ptr<Kernel> make_kernel(Benchmark b) {

@@ -54,6 +54,9 @@ enum class ProblemClass { kClassS, kClassW, kClassA, kClassB };
 
 [[nodiscard]] std::string_view class_name(ProblemClass c) noexcept;
 
+/// Parses a class letter ("S", "W", "A" or "B"); returns true on success.
+bool parse_class(std::string_view s, ProblemClass& out) noexcept;
+
 /// Per-run problem configuration.
 struct ProblemConfig {
   ProblemClass cls = ProblemClass::kClassB;

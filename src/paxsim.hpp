@@ -30,7 +30,6 @@
 
 #include "check/checker.hpp"
 #include "check/report.hpp"
-#include "harness/cellspec.hpp"
 #include "harness/config.hpp"
 #include "harness/engine.hpp"
 #include "harness/plot.hpp"

@@ -1,13 +1,13 @@
 // paxsim/serve/jobs.cpp
 #include "serve/jobs.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <unordered_set>
 #include <utility>
 
-#include "harness/cellspec.hpp"
 #include "npb/kernel.hpp"
 #include "report/json.hpp"
 #include "report/parse.hpp"
@@ -16,38 +16,14 @@
 namespace paxsim::serve {
 namespace {
 
-bool parse_class_letter(const std::string& s, npb::ProblemClass* out) {
-  if (s.size() != 1) return false;
-  switch (s[0]) {
-    case 'S': *out = npb::ProblemClass::kClassS; return true;
-    case 'W': *out = npb::ProblemClass::kClassW; return true;
-    case 'A': *out = npb::ProblemClass::kClassA; return true;
-    case 'B': *out = npb::ProblemClass::kClassB; return true;
-    default: return false;
-  }
-}
-
-/// The tunable knobs a job file can set globally ("defaults") and override
-/// per sweep.
-struct Knobs {
-  npb::ProblemClass cls = npb::ProblemClass::kClassB;
-  int trials = 1;
-  std::uint64_t seed = 314159265;
-  bool verify = true;
-  std::size_t grain = 1;
-  double scale = 16.0;
-  std::string sched = "default";  ///< loop schedule; CellSpec owns the names
-  std::size_t sched_chunk = 0;
-};
-
-/// Applies @p obj's knob members on top of @p base.  Unknown members are an
+/// Applies @p obj's knob members on top of @p opt.  Unknown members are an
 /// error (a typo'd knob silently meaning "default" would poison a sweep),
 /// except the structural sweep members the caller owns.
-bool apply_knobs(const report::JsonValue& obj, Knobs* k, bool is_sweep,
-                 std::string* error) {
+bool apply_knobs(const report::JsonValue& obj, harness::RunOptions* opt,
+                 bool is_sweep, std::string* error) {
   for (const auto& [name, v] : obj.members) {
     if (name == "class") {
-      if (!v.is_string() || !parse_class_letter(v.string, &k->cls)) {
+      if (!v.is_string() || !npb::parse_class(v.string, opt->cls)) {
         *error = "bad \"class\" (use \"S\", \"W\", \"A\" or \"B\")";
         return false;
       }
@@ -57,9 +33,9 @@ bool apply_knobs(const report::JsonValue& obj, Knobs* k, bool is_sweep,
         *error = "bad \"trials\" (need an integer in [1, 1000])";
         return false;
       }
-      k->trials = static_cast<int>(t);
+      opt->trials = static_cast<int>(t);
     } else if (name == "seed") {
-      if (!v.as_u64(&k->seed)) {
+      if (!v.as_u64(&opt->base_seed)) {
         *error = "bad \"seed\" (need an unsigned integer)";
         return false;
       }
@@ -68,38 +44,41 @@ bool apply_knobs(const report::JsonValue& obj, Knobs* k, bool is_sweep,
         *error = "bad \"verify\" (need a boolean)";
         return false;
       }
-      k->verify = v.boolean;
+      opt->verify = v.boolean;
     } else if (name == "grain") {
       std::uint64_t g = 0;
       if (!v.as_u64(&g) || g < 1) {
         *error = "bad \"grain\" (need an integer >= 1)";
         return false;
       }
-      k->grain = static_cast<std::size_t>(g);
+      opt->grain = static_cast<std::size_t>(g);
     } else if (name == "scale") {
-      // CellSpec::scale bounds the value when the sweep resolves.
       if (!v.is_number()) {
         *error = "bad \"scale\" (need a number)";
         return false;
       }
-      k->scale = v.number;
+      // A NaN scale would spin MachineParams::scaled forever.
+      if (!std::isfinite(v.number) || v.number < 1.0) {
+        *error = "bad scale " + std::to_string(v.number) +
+                 " (need a finite number >= 1)";
+        return false;
+      }
+      opt->machine_scale = v.number;
     } else if (name == "schedule") {
       if (!v.is_string() ||
-          (v.string != "default" && v.string != "static" &&
-           v.string != "dynamic" && v.string != "guided")) {
+          !harness::parse_sched_name(v.string, &opt->sched_kind)) {
         *error =
             "bad \"schedule\" (use \"default\", \"static\", \"dynamic\" or "
             "\"guided\")";
         return false;
       }
-      k->sched = v.string;
     } else if (name == "chunk") {
       std::uint64_t c = 0;
       if (!v.as_u64(&c)) {
         *error = "bad \"chunk\" (need an unsigned integer)";
         return false;
       }
-      k->sched_chunk = static_cast<std::size_t>(c);
+      opt->sched_chunk = static_cast<std::size_t>(c);
     } else if (is_sweep && (name == "benches" || name == "machines" ||
                             name == "configs" || name == "modes" ||
                             name == "pairs")) {
@@ -210,14 +189,14 @@ bool parse_machines(const report::JsonValue& sweep,
   return true;
 }
 
-enum class Mode { kSingle, kPair, kPredict };
+using Kind = harness::CellKey::Kind;
 
-bool parse_modes(const report::JsonValue& sweep, std::vector<Mode>* out,
+bool parse_modes(const report::JsonValue& sweep, std::vector<Kind>* out,
                  std::string* error) {
   out->clear();
   const report::JsonValue* v = sweep.find("modes");
   if (v == nullptr) {
-    out->push_back(Mode::kSingle);
+    out->push_back(Kind::kSingle);
     return true;
   }
   if (!v->is_array() || v->items.empty()) {
@@ -226,11 +205,11 @@ bool parse_modes(const report::JsonValue& sweep, std::vector<Mode>* out,
   }
   for (const report::JsonValue& item : v->items) {
     if (item.string == "single") {
-      out->push_back(Mode::kSingle);
+      out->push_back(Kind::kSingle);
     } else if (item.string == "pair") {
-      out->push_back(Mode::kPair);
+      out->push_back(Kind::kPair);
     } else if (item.string == "predict") {
-      out->push_back(Mode::kPredict);
+      out->push_back(Kind::kPredict);
     } else {
       *error = "bad mode \"" + item.string +
                "\" (use \"single\", \"pair\" or \"predict\")";
@@ -273,87 +252,68 @@ bool select_configs(const report::JsonValue& sweep, const ResolvedMachine& m,
   return true;
 }
 
-/// Appends one trial of a resolved cell, collapsing duplicates by
-/// fingerprint.
-void emit_cell(const harness::CellSpec::Resolved& cell, int trial,
+/// Appends every trial of one cell, collapsing duplicates by fingerprint.
+void emit_cell(Kind kind, npb::Benchmark a, npb::Benchmark b,
+               const harness::StudyConfig& cfg, const harness::RunOptions& opt,
                const ResolvedMachine& m, JobPlan* plan,
                std::unordered_set<std::string>* seen) {
-  if (!seen->insert(cell.fingerprint(trial)).second) return;
-  JobCell jc;
-  jc.key = cell.key(trial);
-  jc.cfg = cell.cfg;
-  jc.opt = cell.opt;
-  jc.seed = cell.opt.trial_seed(trial);
-  jc.machine = m.spec;
-  plan->cells.push_back(std::move(jc));
+  for (int t = 0; t < opt.trials; ++t) {
+    const std::uint64_t seed = opt.trial_seed(t);
+    harness::CellKey key = harness::CellKey::from(kind, a, b, cfg, opt, seed);
+    if (!seen->insert(harness::cell_fingerprint(key)).second) continue;
+    JobCell jc;
+    jc.key = std::move(key);
+    jc.cfg = cfg;
+    jc.opt = opt;
+    jc.seed = seed;
+    jc.machine = m.spec;
+    plan->cells.push_back(std::move(jc));
+  }
 }
 
-bool expand_sweep(const report::JsonValue& sweep, const Knobs& defaults,
-                  JobPlan* plan, std::unordered_set<std::string>* seen,
-                  std::string* error) {
-  Knobs k = defaults;
-  if (!apply_knobs(sweep, &k, /*is_sweep=*/true, error)) return false;
+bool expand_sweep(const report::JsonValue& sweep,
+                  const harness::RunOptions& defaults, JobPlan* plan,
+                  std::unordered_set<std::string>* seen, std::string* error) {
+  harness::RunOptions opt = defaults;
+  if (!apply_knobs(sweep, &opt, /*is_sweep=*/true, error)) return false;
 
   std::vector<npb::Benchmark> benches;
   std::vector<std::pair<npb::Benchmark, npb::Benchmark>> pairs;
   std::vector<ResolvedMachine> machines;
-  std::vector<Mode> modes;
+  std::vector<Kind> modes;
   if (!parse_benches(sweep, &benches, error) ||
       !parse_pairs(sweep, &pairs, error) ||
       !parse_machines(sweep, &machines, error) ||
       !parse_modes(sweep, &modes, error)) {
     return false;
   }
-  for (const Mode mode : modes) {
-    if (mode == Mode::kPair && pairs.empty()) {
+  for (const Kind mode : modes) {
+    if (mode == Kind::kPair && pairs.empty()) {
       *error = "mode \"pair\" needs a non-empty \"pairs\" array";
       return false;
     }
   }
 
   for (const ResolvedMachine& m : machines) {
-    for (const Mode mode : modes) {
+    opt.topology = m.topology;
+    for (const Kind mode : modes) {
       std::vector<const harness::StudyConfig*> configs;
-      if (!select_configs(sweep, m, mode == Mode::kPair, &configs, error)) {
+      if (!select_configs(sweep, m, mode == Kind::kPair, &configs, error)) {
         return false;
       }
       for (const harness::StudyConfig* cfg : configs) {
-        // One CellSpec per (machine, mode, config, programs): resolve()
-        // validates the cell once, then every trial mints its key from the
-        // same Resolved.
-        std::vector<harness::CellSpec> specs;
-        switch (mode) {
-          case Mode::kSingle:
-            for (const npb::Benchmark b : benches) {
-              specs.push_back(harness::CellSpec::bench(b));
-            }
-            break;
-          case Mode::kPredict:
-            for (const npb::Benchmark b : benches) {
-              specs.push_back(harness::CellSpec::bench(b).mode(
-                  harness::CellSpec::Mode::kPredict));
-            }
-            break;
-          case Mode::kPair:
-            for (const auto& [a, b] : pairs) {
-              specs.push_back(harness::CellSpec::bench(a).pair_with(b));
-            }
-            break;
-        }
-        for (harness::CellSpec& spec : specs) {
-          spec.machine(m.topology)
-              .config(*cfg)
-              .problem_class(k.cls)
-              .scale(k.scale)
-              .grain(k.grain)
-              .schedule(k.sched, k.sched_chunk)
-              .trials(k.trials)
-              .seed(k.seed)
-              .verify(k.verify);
-          harness::CellSpec::Resolved cell;
-          if (!spec.resolve(&cell, error)) return false;
-          for (int t = 0; t < k.trials; ++t) {
-            emit_cell(cell, t, m, plan, seen);
+        if (mode != Kind::kPair) {
+          for (const npb::Benchmark b : benches) {
+            emit_cell(mode, b, b, *cfg, opt, m, plan, seen);
+          }
+        } else if (cfg->cpus.size() < 2) {
+          // Two programs split the row's contexts between them.
+          *error = "mode \"pair\" needs configurations with at least two "
+                   "contexts, not \"" + cfg->name + "\"";
+          return false;
+        } else {
+          for (const auto& [a, b] : pairs) {
+            emit_cell(mode, a, b, *cfg, opt, m, plan, seen);
           }
         }
       }
@@ -390,7 +350,8 @@ bool parse_job_file(std::string_view text, JobPlan* out, std::string* error) {
   }
   out->store_dir = doc.string_or("store", "");
 
-  Knobs defaults;
+  harness::RunOptions defaults;
+  defaults.trials = 1;
   const report::JsonValue* d = doc.find("defaults");
   if (d != nullptr) {
     if (!d->is_object() ||

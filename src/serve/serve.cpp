@@ -19,15 +19,6 @@
 namespace paxsim::serve {
 namespace {
 
-const char* payload_name(harness::CellKey::Kind kind) {
-  switch (kind) {
-    case harness::CellKey::Kind::kSingle: return "single";
-    case harness::CellKey::Kind::kPair: return "pair";
-    case harness::CellKey::Kind::kPredict: return "prediction";
-  }
-  return "single";
-}
-
 /// One NDJSON progress line.  Self-describing (cell index + identity), so
 /// consumers need no ordering guarantees beyond line atomicity.
 void emit_progress(std::ostream& os, const JobCell& cell, std::size_t index,

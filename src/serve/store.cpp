@@ -175,15 +175,6 @@ bool read_prediction(const report::JsonValue& obj, model::Prediction* out) {
   return true;
 }
 
-const char* payload_name(harness::CellKey::Kind kind) {
-  switch (kind) {
-    case harness::CellKey::Kind::kSingle: return "single";
-    case harness::CellKey::Kind::kPair: return "pair";
-    case harness::CellKey::Kind::kPredict: return "prediction";
-  }
-  return "single";
-}
-
 /// Envelope check shared by load and verify: schema/store/fingerprint
 /// versions must all match this binary's.  Returns false on mismatch
 /// (*corrupt stays false) or malformed envelope (*corrupt set).
@@ -217,6 +208,15 @@ bool read_file(const fs::path& p, std::string* out) {
 }
 
 }  // namespace
+
+const char* payload_name(harness::CellKey::Kind kind) {
+  switch (kind) {
+    case harness::CellKey::Kind::kSingle: return "single";
+    case harness::CellKey::Kind::kPair: return "pair";
+    case harness::CellKey::Kind::kPredict: return "prediction";
+  }
+  return "single";
+}
 
 ResultStore::ResultStore(std::string dir) : dir_(std::move(dir)) {
   std::error_code ec;

@@ -67,6 +67,10 @@ struct StoreCounters {
   std::uint64_t quarantines = 0;   ///< corrupt entries set aside
 };
 
+/// The payload an entry of @p kind stores: "single", "pair" or
+/// "prediction" (the `payload` field of entries and serve progress lines).
+[[nodiscard]] const char* payload_name(harness::CellKey::Kind kind);
+
 /// One `paxsim store ls` row.
 struct StoreEntry {
   std::string digest;       ///< 32-hex object name

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "harness/runner.hpp"
+
 namespace paxsim::tune {
 
 std::size_t SearchSpace::axis_size(std::size_t axis) const {
@@ -85,8 +87,7 @@ std::string SearchSpace::describe(const Point& p) const {
   std::string s = "config=\"";
   s += configs[p.config].name;
   s += "\" sched=";
-  s += kind < 0 ? "default"
-                : (kind == 0 ? "static" : (kind == 1 ? "dynamic" : "guided"));
+  s += harness::sched_name(kind);
   if (kind >= 0) {
     s += " chunk=";
     s += std::to_string(chunks[p.chunk]);

@@ -18,9 +18,8 @@ namespace {
 harness::RunOptions options_for(const SearchSpace& space, const Point& p,
                                 const harness::RunOptions& base) {
   harness::RunOptions opt = base;
-  const int kind = space.sched_kinds[p.sched];
-  opt.sched_kind = kind;
-  opt.sched_chunk = kind < 0 ? 0 : space.chunks[p.chunk];
+  opt.sched_kind = space.sched_kinds[p.sched];
+  opt.sched_chunk = space.chunks[p.chunk];
   opt.grain = space.grains[p.grain];
   opt.machine_scale = space.scales[p.scale];
   return opt;

@@ -72,6 +72,23 @@ TEST(CliParseTest, PairRequiresTwoBenches) {
   EXPECT_TRUE(P({"pair", "--bench=CG,FT", "--config=HT off -4-2"}).ok());
 }
 
+TEST(CliParseTest, TwoProgramsRefuseASingleContextConfig) {
+  // Two programs split the row's contexts; Serial has only one.
+  for (const std::string sub : {"pair", "sched"}) {
+    const auto r =
+        parse({sub, "--bench=CG,FT", "--config=Serial", "--class=S"});
+    EXPECT_FALSE(r.ok()) << sub;
+    EXPECT_NE(r.error.find("at least two contexts"), std::string::npos)
+        << r.error;
+  }
+  EXPECT_FALSE(P({"store", "get", "--store=results", "--mode=pair",
+                  "--bench=CG,FT", "--config=Serial"})
+                   .ok());
+  EXPECT_TRUE(
+      P({"store", "get", "--store=results", "--bench=CG", "--config=Serial"})
+          .ok());
+}
+
 TEST(CliParseTest, RejectsUnknownValues) {
   EXPECT_FALSE(P({"frobnicate"}).ok());
   EXPECT_FALSE(P({"run", "--bench=ZZ", "--config=Serial"}).ok());
@@ -549,7 +566,7 @@ TEST(CliExecTest, StoreGetRoundTripsAComputedCell) {
                     run_out),
             0);
 
-  // Name the cell by its axes: the CellSpec digest must hit the store.
+  // Name the cell by its axes: the CellKey::from digest must hit the store.
   std::string got;
   EXPECT_EQ(run_cli({"store", "get", store_flag.c_str(), "--bench=EP",
                      "--config=Serial", "--class=S"},
@@ -557,6 +574,27 @@ TEST(CliExecTest, StoreGetRoundTripsAComputedCell) {
             0);
   EXPECT_NE(got.find("\"kind\":\"stored_cell\""), std::string::npos);
   EXPECT_NE(got.find("\"wall_cycles\""), std::string::npos);
+
+  // A pair cell and a prediction, named the same way.
+  EXPECT_EQ(run_cli({"pair", "--bench=EP,IS", "--config=HT on -2-1",
+                     "--class=S", store_flag.c_str()},
+                    run_out),
+            0);
+  EXPECT_EQ(run_cli({"store", "get", store_flag.c_str(), "--mode=pair",
+                     "--bench=EP,IS", "--config=HT on -2-1", "--class=S"},
+                    got),
+            0);
+  EXPECT_NE(got.find("\"payload\":\"pair\""), std::string::npos) << got;
+  EXPECT_EQ(run_cli({"predict", "--bench=EP", "--config=HT on -2-1",
+                     "--class=S", store_flag.c_str()},
+                    run_out),
+            0);
+  EXPECT_EQ(run_cli({"store", "get", store_flag.c_str(), "--mode=predict",
+                     "--bench=EP", "--config=HT on -2-1", "--class=S"},
+                    got),
+            0);
+  EXPECT_NE(got.find("\"payload\":\"prediction\""), std::string::npos)
+      << got;
 
   // An absent digest is a clean failure, not a crash.
   std::string miss;

@@ -174,17 +174,5 @@ TEST(EngineFlagTableTest, JobsAndStore) {
   EXPECT_EQ(fs.parse_flag("--jobs=0", &error), FlagSet::Outcome::kError);
 }
 
-TEST(SchedNameTest, RoundTrips) {
-  int kind = -2;
-  EXPECT_TRUE(parse_sched_name("default", &kind));
-  EXPECT_EQ(kind, -1);
-  for (const char* name : {"static", "dynamic", "guided"}) {
-    ASSERT_TRUE(parse_sched_name(name, &kind));
-    EXPECT_STREQ(sched_name(kind), name);
-  }
-  EXPECT_FALSE(parse_sched_name("fastest", &kind));
-  EXPECT_STREQ(sched_name(-1), "default");
-}
-
 }  // namespace
 }  // namespace paxsim::cli

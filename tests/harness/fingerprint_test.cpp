@@ -45,6 +45,27 @@ TEST(CellFingerprintTest, GoldenDigest) {
             "0872bad47f5bd520498b319814c4caf1");
 }
 
+TEST(CellFingerprintTest, KernelDefaultScheduleIgnoresTheChunk) {
+  // The runner reads the chunk only under an override, so every front end
+  // must name a chunked kernel-default run by the golden key.
+  RunOptions opt;
+  opt.cls = npb::ProblemClass::kClassS;
+  opt.sched_chunk = 8;
+  const StudyConfig* cfg = find_config("HT on -2-1");
+  EXPECT_EQ(cell_fingerprint(
+                CellKey::from(npb::Benchmark::kCG, *cfg, opt, 314159265)),
+            cell_fingerprint(golden_key()));
+
+  // Under an override the chunk is part of the identity.
+  opt.sched_kind = 1;
+  const CellKey dynamic8 =
+      CellKey::from(npb::Benchmark::kCG, *cfg, opt, 314159265);
+  opt.sched_chunk = 0;
+  EXPECT_NE(cell_fingerprint(dynamic8),
+            cell_fingerprint(
+                CellKey::from(npb::Benchmark::kCG, *cfg, opt, 314159265)));
+}
+
 TEST(CellFingerprintTest, VersionStampLeadsTheSerialization) {
   ASSERT_EQ(kCellFingerprintVersion, 2);
   EXPECT_EQ(cell_fingerprint(golden_key()).rfind("cellkey-v2;", 0), 0u);

@@ -193,5 +193,17 @@ TEST(ReportTest, BoxLineRendersMarkers) {
   EXPECT_NE(s.find("n=10"), std::string::npos);
 }
 
+TEST(SchedNameTest, RoundTrips) {
+  int kind = -2;
+  EXPECT_TRUE(parse_sched_name("default", &kind));
+  EXPECT_EQ(kind, -1);
+  for (const char* name : {"static", "dynamic", "guided"}) {
+    ASSERT_TRUE(parse_sched_name(name, &kind));
+    EXPECT_EQ(sched_name(kind), name);
+  }
+  EXPECT_FALSE(parse_sched_name("fastest", &kind));
+  EXPECT_EQ(sched_name(-1), "default");
+}
+
 }  // namespace
 }  // namespace paxsim::harness

@@ -231,6 +231,15 @@ TEST(JobFileTest, PairModeRequiresPairs) {
   EXPECT_NE(err.find("pair"), std::string::npos) << err;
 }
 
+TEST(JobFileTest, PairModeRefusesASingleContextConfig) {
+  // Two programs split a row's contexts; the Serial row has one.
+  const std::string err = parse_fail(
+      R"({"schema_version":1,"kind":"job_file",
+          "sweeps":[{"configs":["Serial"],"modes":["pair"],
+                     "pairs":[["CG","FT"]]}]})");
+  EXPECT_NE(err.find("at least two contexts"), std::string::npos) << err;
+}
+
 TEST(JobFileTest, RejectsOverflowingScaleAndDuplicateKnobs) {
   const auto with_defaults = [](const std::string& knobs) {
     return R"({"schema_version":1,"kind":"job_file","defaults":{)" + knobs +
@@ -241,12 +250,20 @@ TEST(JobFileTest, RejectsOverflowingScaleAndDuplicateKnobs) {
   EXPECT_NE(parse_fail(with_defaults(R"("trials":1,"trials":2)"))
                 .find("duplicate member \"trials\""),
             std::string::npos);
-  // The job file checks the knob's type; CellSpec owns its bound.
   EXPECT_NE(parse_fail(with_defaults(R"("scale":"big")")).find("\"scale\""),
             std::string::npos);
   EXPECT_NE(parse_fail(with_defaults(R"("scale":0.5)")).find("bad scale"),
             std::string::npos);
   EXPECT_EQ(parse_ok(with_defaults(R"("scale":2)")).cells.size(), 1u);
+  EXPECT_NE(parse_fail(with_defaults(R"("class":"Q")")).find("\"class\""),
+            std::string::npos);
+  EXPECT_NE(parse_fail(with_defaults(R"("grain":0)")).find("\"grain\""),
+            std::string::npos);
+  for (const char* trials : {R"("trials":0)", R"("trials":1001)"}) {
+    EXPECT_NE(parse_fail(with_defaults(trials)).find("\"trials\""),
+              std::string::npos)
+        << trials;
+  }
 }
 
 TEST(JobFileTest, RejectsMalformedJson) {
