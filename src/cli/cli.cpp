@@ -354,21 +354,17 @@ int do_store_get(const Command& cmd, std::ostream& out, std::ostream& err) {
   serve::ResultStore store(cmd.store_dir);
   std::string digest = cmd.store_digest;
   if (digest.empty()) {
+    // parse() checked the bench count against --mode.
     auto kind = harness::CellKey::Kind::kSingle;
-    npb::Benchmark b = cmd.benches[0];
     if (cmd.get_mode == "pair") {
-      if (cmd.benches.size() != 2) {
-        err << "error: store get --mode=pair needs --bench=<A,B>\n";
-        return 1;
-      }
       kind = harness::CellKey::Kind::kPair;
-      b = cmd.benches[1];
     } else if (cmd.get_mode == "predict") {
       kind = harness::CellKey::Kind::kPredict;
     }
     digest = harness::cell_digest(harness::cell_fingerprint(
-        harness::CellKey::from(kind, cmd.benches[0], b, cmd.config,
-                               cmd.options, cmd.options.trial_seed(0))));
+        harness::CellKey::from(kind, cmd.benches.front(), cmd.benches.back(),
+                               cmd.config, cmd.options,
+                               cmd.options.trial_seed(0))));
   }
   std::string payload;
   if (!store.read_object(digest, &payload)) {
@@ -624,6 +620,15 @@ ParseResult parse(const std::vector<std::string>& args) {
         need(!cmd.benches.empty() && !cmd.config_name.empty(),
              "store get needs a <digest>, or --bench + --config naming the "
              "cell");
+        // A pair names two programs, a single or a prediction one.
+        if (cmd.get_mode == "pair") {
+          need(cmd.benches.size() == 2,
+               "store get --mode=pair needs --bench=<A,B>");
+        } else {
+          need(cmd.benches.size() == 1,
+               "store get --mode=single|predict needs --bench=<one "
+               "benchmark>");
+        }
       }
       break;
     default:

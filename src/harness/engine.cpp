@@ -43,10 +43,21 @@ std::string params_pool_key(const sim::MachineParams& p) {
   return s;
 }
 
+/// The seed a cell of programs @p a and @p b simulates at: @p seed when
+/// either program's seed reaches the simulated path, else kDefaultSeed —
+/// every seed simulates such a cell identically, so its trials share one.
+std::uint64_t simulated_seed(npb::Benchmark a, npb::Benchmark b,
+                             std::uint64_t seed) {
+  return npb::seed_reaches_simulator(a) || npb::seed_reaches_simulator(b)
+             ? seed
+             : npb::kDefaultSeed;
+}
+
 /// Memo key for kernel profiles: everything run_profiled_serial's outcome
-/// depends on.  Verification and check mode do not change the profile.
-/// Schedule overrides do not either: the profiling run is single-threaded,
-/// and a one-thread team executes serial_for, which has no schedule.
+/// depends on, @p seed already passed through simulated_seed.  Verification
+/// and check mode do not change the profile.  Schedule overrides do not
+/// either: the profiling run is single-threaded, and a one-thread team
+/// executes serial_for, which has no schedule.
 std::string profile_key(npb::Benchmark b, const RunOptions& opt,
                         std::uint64_t seed) {
   std::string s;
@@ -86,7 +97,9 @@ CellKey CellKey::from(Kind kind, npb::Benchmark a, npb::Benchmark b,
   k.config = config_fingerprint(cfg);
   k.cls = opt.cls;
   k.machine_scale = opt.machine_scale;
-  k.seed = seed;  // per-trial seed; opt.trials/base_seed are plan-level
+  // The per-trial seed (opt.trials/base_seed are plan-level), unless no
+  // program's seed reaches the simulator.
+  k.seed = simulated_seed(a, b, seed);
   k.verify = opt.verify;
   k.grain = opt.grain;
   k.sched_kind = opt.sched_kind;
@@ -560,6 +573,7 @@ model::Placement placement_for(const StudyConfig& cfg,
 
 std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
     npb::Benchmark b, const RunOptions& opt, std::uint64_t seed) {
+  seed = simulated_seed(b, b, seed);
   const std::string key = profile_key(b, opt, seed);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -601,13 +615,13 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
     ++store_hits_;
     return out;
   }
-  const std::string key = profile_key(b, opt, seed);
+  const std::string key = profile_key(b, opt, pkey.seed);
   {
     std::lock_guard<std::mutex> lock(mu_);
     out.profile_reused = profiles_.contains(key);
   }
   const std::shared_ptr<const model::KernelProfile> prof =
-      this->profile(b, opt, seed);
+      this->profile(b, opt, pkey.seed);
   if (!out.profile_reused) {
     std::lock_guard<std::mutex> lock(mu_);
     out.profile_host_sec = profile_host_sec_[key];

@@ -10,9 +10,11 @@
 //                      the engine determinism tests).
 //   * result cache     memoizes every simulated cell, keyed by
 //                      (kind, benchmarks, config fingerprint, problem class,
-//                      machine scale, seed, verify).  Serial baselines and
-//                      repeated cells are simulated exactly once per engine
-//                      lifetime, however many studies request them.
+//                      machine scale, seed, verify).  Serial baselines,
+//                      repeated cells and the trials of a kernel whose seed
+//                      never reaches the simulator are simulated exactly
+//                      once per engine lifetime, however many studies
+//                      request them.
 //   * worker dispatch  independent cells fan out over host threads (--jobs).
 //                      Each worker simulates on its own pooled machine, so
 //                      simulated virtual time stays fully deterministic: the
@@ -122,6 +124,9 @@ struct CellKey {
   std::string config;      ///< config_fingerprint of the configuration
   npb::ProblemClass cls{};
   double machine_scale = 0;
+  /// The seed the cell simulates at: the trial seed, or npb::kDefaultSeed
+  /// when no program's seed reaches the simulated path
+  /// (npb::seed_reaches_simulator), so that all trials share one cell.
   std::uint64_t seed = 0;
   bool verify = true;
   std::size_t grain = 1;   ///< RunOptions::grain (changes interleaving)
@@ -145,7 +150,9 @@ struct CellKey {
 
   /// The one place RunOptions is projected onto a cell identity.  Every
   /// result-relevant RunOptions field must flow through here (trials and
-  /// base_seed are plan-level: the per-trial seed is the @p seed argument);
+  /// base_seed are plan-level: the per-trial seed is the @p seed argument,
+  /// replaced by npb::kDefaultSeed when neither @p a's nor @p b's seed
+  /// reaches the simulator);
   /// a sizeof tripwire in engine.cpp fails the build when RunOptions grows
   /// a field this factory has not been audited against.
   [[nodiscard]] static CellKey from(Kind kind, npb::Benchmark a,
@@ -370,14 +377,17 @@ class ExperimentEngine {
 
   /// Analytical prediction of @p b on @p cfg — the instant tier next to
   /// single().  Profiles @p b once per (class, scale, seed, grain) with
-  /// run_profiled_serial (memoized for the engine's lifetime), then
+  /// run_profiled_serial (memoized for the engine's lifetime; the seed is
+  /// the prediction key's, so a kernel whose seed never reaches the
+  /// simulator profiles once whatever the trial seed), then
   /// evaluates model::predict for the configuration's placement.  Costs one
   /// serial simulation on first touch and microseconds afterwards.
   PredictionResult predict(npb::Benchmark b, const StudyConfig& cfg,
                            const RunOptions& opt, std::uint64_t seed);
 
-  /// The memoized profile predict() uses (profiling on first touch) —
-  /// exposed for drivers that evaluate the model directly.
+  /// The memoized profile predict() uses (profiling on first touch, at the
+  /// seed CellKey::from would give @p b) — exposed for drivers that
+  /// evaluate the model directly.
   std::shared_ptr<const model::KernelProfile> profile(npb::Benchmark b,
                                                       const RunOptions& opt,
                                                       std::uint64_t seed);
@@ -436,7 +446,8 @@ class ExperimentEngine {
   mutable std::mutex mu_;  ///< guards cache_, pools_, hit/miss counters
   std::unordered_map<CellKey, CellValue, CellKeyHash> cache_;
   std::unordered_map<std::string, std::unique_ptr<MachinePool>> pools_;
-  /// Memoized kernel profiles, keyed by (bench, class, scale, seed, grain).
+  /// Memoized kernel profiles, keyed by (bench, class, scale, simulated
+  /// seed, grain).
   /// Guarded by mu_; the shared_ptr values are immutable once inserted.
   std::unordered_map<std::string,
                      std::shared_ptr<const model::KernelProfile>>

@@ -51,7 +51,7 @@ struct RunOptions {
   /// tables are tuned for).
   double machine_scale = 16.0;
   int trials = 3;                    ///< paper used 10; 3 is the quick default
-  std::uint64_t base_seed = 314159265;
+  std::uint64_t base_seed = npb::kDefaultSeed;
   bool verify = true;                ///< run numeric verification per trial
   /// Iteration grain handed to every Team (xomp::kDefaultGrain = 1 is the
   /// full-fidelity setting; larger grains change the interleaving, so

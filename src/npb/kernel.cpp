@@ -23,6 +23,24 @@ std::string_view benchmark_name(Benchmark b) noexcept {
   return "??";
 }
 
+bool seed_reaches_simulator(Benchmark b) noexcept {
+  switch (b) {
+    case Benchmark::kCG:  // the random sparse matrix's column indices
+    case Benchmark::kIS:  // the keys pick the buckets and ranks written
+    case Benchmark::kEP:  // the acceptance test is a simulated branch
+      return true;
+    case Benchmark::kMG:  // places the charges: values only
+    case Benchmark::kFT:  // fills the initial field: values only
+    case Benchmark::kBT:  // fills the initial state: values only
+    case Benchmark::kSP:
+    case Benchmark::kLU:  // fills the right-hand side: values only
+    case Benchmark::kRacyHist:  // no seed read
+    case Benchmark::kRacyFlag:
+      return false;
+  }
+  return true;
+}
+
 bool parse_benchmark(std::string_view s, Benchmark& out) noexcept {
   if (s.size() != 2) return false;
   const char a = static_cast<char>(std::toupper(s[0]));

@@ -20,6 +20,7 @@
 #include <memory>
 #include <string_view>
 
+#include "npb/rng.hpp"
 #include "sim/machine.hpp"
 #include "xomp/team.hpp"
 
@@ -45,6 +46,15 @@ inline constexpr Benchmark kRacyBenchmarks[] = {Benchmark::kRacyHist,
 /// Short uppercase name ("CG", "MG", ...).
 [[nodiscard]] std::string_view benchmark_name(Benchmark b) noexcept;
 
+/// True when @p b's data seed reaches the simulated path: a seed-generated
+/// value becomes an address, a branch or a step count, so two trial seeds
+/// can take different cycles and counters.  False when the seed only fills
+/// array values the simulator never sees, or is not read at all: every
+/// trial of such a kernel simulates identically, and harness::CellKey::from
+/// names them all as one cell at kDefaultSeed.  A new kernel must declare
+/// its side here (the switch has no default, so the compiler asks).
+[[nodiscard]] bool seed_reaches_simulator(Benchmark b) noexcept;
+
 /// Parses "CG"/"cg" etc.; returns true on success.
 bool parse_benchmark(std::string_view s, Benchmark& out) noexcept;
 
@@ -60,7 +70,7 @@ bool parse_class(std::string_view s, ProblemClass& out) noexcept;
 /// Per-run problem configuration.
 struct ProblemConfig {
   ProblemClass cls = ProblemClass::kClassB;
-  std::uint64_t seed = 314159265;  ///< data seed; varied across trials
+  std::uint64_t seed = kDefaultSeed;  ///< data seed; varied across trials
 };
 
 /// A benchmark kernel instance.  Lifecycle:

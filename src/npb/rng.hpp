@@ -11,13 +11,19 @@
 
 namespace paxsim::npb {
 
+/// The suite's one default data seed (NPB's own starting value): the seed
+/// of ProblemConfig, RunOptions::base_seed and NpbRandom, and the seed at
+/// which harness::CellKey::from simulates every trial of a cell whose
+/// programs' seeds never reach the simulator (seed_reaches_simulator).
+inline constexpr std::uint64_t kDefaultSeed = 314159265;
+
 /// NPB randlc generator.
 class NpbRandom {
  public:
   static constexpr std::uint64_t kModMask = (std::uint64_t{1} << 46) - 1;
   static constexpr std::uint64_t kA = 1220703125;  // 5^13
 
-  explicit NpbRandom(std::uint64_t seed = 314159265) noexcept
+  explicit NpbRandom(std::uint64_t seed = kDefaultSeed) noexcept
       : x_(seed & kModMask) {}
 
   /// Next uniform double in (0,1).

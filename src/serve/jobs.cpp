@@ -252,20 +252,21 @@ bool select_configs(const report::JsonValue& sweep, const ResolvedMachine& m,
   return true;
 }
 
-/// Appends every trial of one cell, collapsing duplicates by fingerprint.
+/// Appends every trial of one cell, collapsing duplicates by fingerprint:
+/// all trials of a cell whose seeds never reach the simulator are one.
 void emit_cell(Kind kind, npb::Benchmark a, npb::Benchmark b,
                const harness::StudyConfig& cfg, const harness::RunOptions& opt,
                const ResolvedMachine& m, JobPlan* plan,
                std::unordered_set<std::string>* seen) {
   for (int t = 0; t < opt.trials; ++t) {
-    const std::uint64_t seed = opt.trial_seed(t);
-    harness::CellKey key = harness::CellKey::from(kind, a, b, cfg, opt, seed);
+    harness::CellKey key =
+        harness::CellKey::from(kind, a, b, cfg, opt, opt.trial_seed(t));
     if (!seen->insert(harness::cell_fingerprint(key)).second) continue;
     JobCell jc;
+    jc.seed = key.seed;
     jc.key = std::move(key);
     jc.cfg = cfg;
     jc.opt = opt;
-    jc.seed = seed;
     jc.machine = m.spec;
     plan->cells.push_back(std::move(jc));
   }

@@ -19,11 +19,12 @@
 //
 // Expansion semantics, per sweep: every machine x every named configuration
 // of that machine x every mode x every benchmark (or pair) x every trial
-// seed.  "configs": "all" means the machine's full Table-1 analogue for
-// single/predict and the parallel rows only for pairs (a pair needs threads
-// to split).  Any defaults key may be overridden per sweep.  Duplicate
-// cells across sweeps collapse to their first occurrence, so overlapping
-// sweeps are cheap to write.
+// seed (one cell for all trials when no program's seed reaches the
+// simulator: npb::seed_reaches_simulator).  "configs": "all" means the
+// machine's full Table-1 analogue for single/predict and the parallel rows
+// only for pairs (a pair needs threads to split).  Any defaults key may be
+// overridden per sweep.  Duplicate cells across sweeps collapse to their
+// first occurrence, so overlapping sweeps are cheap to write.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +43,11 @@ struct JobCell {
   harness::CellKey key;      ///< kind selects single / pair / prediction
   harness::StudyConfig cfg;  ///< resolved configuration (owned copy)
   harness::RunOptions opt;   ///< class/scale/verify/grain/topology applied
-  std::uint64_t seed = 0;    ///< the per-trial seed (key.seed, repeated
-                             ///< here for driver convenience)
+  /// The seed the answer runs at (key.seed, repeated here for driver
+  /// convenience): the trial seed, or npb::kDefaultSeed when no program's
+  /// seed reaches the simulator — a job's trials of such a kernel expand
+  /// to this one cell, and the progress line's "seed" is this value.
+  std::uint64_t seed = 0;
   std::string machine;       ///< the sweep's machine spec ("" = default)
 };
 

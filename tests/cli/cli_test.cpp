@@ -551,6 +551,25 @@ TEST(CliParseTest, StoreGetParsesDigestOrCellAxes) {
 
   EXPECT_FALSE(P({"store", "get", "--store=results"}).ok());  // no cell named
   EXPECT_FALSE(P({"store", "get", "0123"}).ok());             // no --store
+
+  // The bench count must match --mode: two for a pair, one otherwise.
+  const auto one_for_pair =
+      P({"store", "get", "--store=results", "--mode=pair", "--bench=CG",
+         "--config=HT on -2-1", "--class=S"});
+  EXPECT_FALSE(one_for_pair.ok());
+  EXPECT_NE(one_for_pair.error.find("--mode=pair"), std::string::npos)
+      << one_for_pair.error;
+  for (const char* mode : {"--mode=single", "--mode=predict"}) {
+    const auto two_for_one =
+        P({"store", "get", "--store=results", mode, "--bench=EP,CG",
+           "--config=HT on -2-1", "--class=S"});
+    EXPECT_FALSE(two_for_one.ok()) << mode;
+    EXPECT_NE(two_for_one.error.find("one benchmark"), std::string::npos)
+        << two_for_one.error;
+  }
+  EXPECT_TRUE(P({"store", "get", "--store=results", "--mode=pair",
+                 "--bench=EP,CG", "--config=HT on -2-1", "--class=S"})
+                  .ok());
 }
 
 TEST(CliExecTest, StoreGetRoundTripsAComputedCell) {

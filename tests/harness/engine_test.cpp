@@ -176,6 +176,58 @@ TEST(ExperimentEngineTest, DistinctSeedsAreDistinctCells) {
   EXPECT_EQ(engine.stats().cache_hits, 0u);
 }
 
+TEST(CellKeyTest, SeedInvariantCellsKeyAtTheDefaultSeed) {
+  const StudyConfig* cfg = find_config("HT on -2-1");
+  const RunOptions opt = quick_options();
+  const std::uint64_t seed = opt.trial_seed(1);
+  EXPECT_EQ(CellKey::from(npb::Benchmark::kCG, *cfg, opt, seed).seed, seed);
+  EXPECT_EQ(CellKey::from(npb::Benchmark::kMG, *cfg, opt, seed).seed,
+            npb::kDefaultSeed);
+  EXPECT_EQ(CellKey::from(CellKey::Kind::kPredict, npb::Benchmark::kSP,
+                          npb::Benchmark::kSP, *cfg, opt, seed)
+                .seed,
+            npb::kDefaultSeed);
+  // A pair keeps its seed when either program's seed reaches the simulator.
+  EXPECT_EQ(CellKey::from(CellKey::Kind::kPair, npb::Benchmark::kFT,
+                          npb::Benchmark::kCG, *cfg, opt, seed)
+                .seed,
+            seed);
+  EXPECT_EQ(CellKey::from(CellKey::Kind::kPair, npb::Benchmark::kFT,
+                          npb::Benchmark::kLU, *cfg, opt, seed)
+                .seed,
+            npb::kDefaultSeed);
+}
+
+TEST(ExperimentEngineTest, SeedInvariantTrialsSimulateOnce) {
+  ExperimentEngine engine(1);
+  RunOptions opt = quick_options();
+  opt.trials = 3;
+  const std::vector<StudyConfig> configs = parallel_configs();
+  ASSERT_EQ(configs.size(), 7u);
+  const StudyResult study =
+      engine.run(ExperimentPlan(opt, configs)
+                     .add_benchmark(npb::Benchmark::kCG)
+                     .add_benchmark(npb::Benchmark::kMG)
+                     .with_serial_baselines());
+  // CG: (7 configs + 1 baseline) x 3 trials; MG: 7 configs + 1 baseline.
+  EXPECT_EQ(engine.stats().cache_misses, 8u * 3 + 8u);
+  for (int t = 1; t < opt.trials; ++t) {
+    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+      EXPECT_TRUE(same_result(study.single(npb::Benchmark::kMG, ci, 0),
+                              study.single(npb::Benchmark::kMG, ci, t)))
+          << "config " << ci << " trial " << t;
+    }
+    EXPECT_TRUE(same_result(study.serial(npb::Benchmark::kMG, 0),
+                            study.serial(npb::Benchmark::kMG, t)));
+  }
+  // The shared answer is what the last trial simulates on its own.
+  sim::Machine machine(opt.machine_params());
+  EXPECT_TRUE(same_result(
+      study.single(npb::Benchmark::kMG, configs.size() - 1, 2),
+      run_single(machine, npb::Benchmark::kMG, configs.back(), opt,
+                 opt.trial_seed(2))));
+}
+
 TEST(ExperimentEngineTest, PlanSharesSerialBaselineAcrossConfigs) {
   // A two-config plan with baselines needs exactly one serial cell per
   // trial, and re-running the same plan is answered fully from the cache.

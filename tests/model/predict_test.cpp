@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "harness/config.hpp"
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
@@ -132,6 +134,37 @@ TEST(PredictTest, ProfileIsMemoizedAcrossConfigurations) {
   EXPECT_EQ(second.profile_host_sec, 0.0);
   // The analytical evaluation itself is the instant tier.
   EXPECT_LT(second.predict_host_sec, first.profile_host_sec);
+}
+
+TEST(PredictTest, SeedInvariantKernelProfilesOnceAcrossTrialSeeds) {
+  // MG's seed never reaches the simulator: every trial seed names the one
+  // profile and the one prediction.
+  harness::ExperimentEngine engine(1);
+  const harness::RunOptions opt = quick_options();
+  const harness::StudyConfig& cfg = config("HT off -4-2");
+  const harness::PredictionResult first =
+      engine.predict(npb::Benchmark::kMG, cfg, opt, opt.trial_seed(0));
+  const harness::PredictionResult second =
+      engine.predict(npb::Benchmark::kMG, cfg, opt, opt.trial_seed(1));
+  EXPECT_FALSE(first.profile_reused);
+  EXPECT_TRUE(second.profile_reused);
+  static_assert(sizeof(Prediction) % sizeof(double) == 0,
+                "Prediction holds doubles only: no padding to compare");
+  EXPECT_EQ(std::memcmp(&first.prediction, &second.prediction,
+                        sizeof(Prediction)),
+            0);
+}
+
+TEST(PredictTest, SeedReachingKernelProfilesPerTrialSeed) {
+  harness::ExperimentEngine engine(1);
+  const harness::RunOptions opt = quick_options();
+  const harness::StudyConfig& cfg = config("HT off -4-2");
+  EXPECT_FALSE(
+      engine.predict(npb::Benchmark::kCG, cfg, opt, opt.trial_seed(0))
+          .profile_reused);
+  EXPECT_FALSE(
+      engine.predict(npb::Benchmark::kCG, cfg, opt, opt.trial_seed(1))
+          .profile_reused);
 }
 
 TEST(PredictTest, UnanchoredProfileStillPredicts) {

@@ -35,7 +35,7 @@ TEST(JobFileTest, ExpandsTheFullCrossProduct) {
   const JobPlan plan = parse_ok(
       R"({"schema_version":1,"kind":"job_file",
           "defaults":{"class":"S","trials":2},
-          "sweeps":[{"benches":["CG","FT"],
+          "sweeps":[{"benches":["CG","IS"],
                      "configs":["Serial","HT on -2-1"],
                      "modes":["single"]}]})");
   // 2 benches x 2 configs x 2 trials.
@@ -44,6 +44,22 @@ TEST(JobFileTest, ExpandsTheFullCrossProduct) {
     EXPECT_EQ(c.key.kind, harness::CellKey::Kind::kSingle);
     EXPECT_EQ(c.key.cls, npb::ProblemClass::kClassS);
     EXPECT_EQ(c.machine, "");
+  }
+}
+
+TEST(JobFileTest, SeedInvariantTrialsExpandToOneCell) {
+  // FT's seed never reaches the simulator: its two trials are one cell per
+  // configuration, run at the default seed whatever the job's base seed.
+  const JobPlan plan = parse_ok(
+      R"({"schema_version":1,"kind":"job_file",
+          "defaults":{"class":"S","trials":2,"seed":7},
+          "sweeps":[{"benches":["FT"],
+                     "configs":["Serial","HT on -2-1"],
+                     "modes":["single"]}]})");
+  ASSERT_EQ(plan.cells.size(), 2u);
+  for (const JobCell& c : plan.cells) {
+    EXPECT_EQ(c.key.seed, npb::kDefaultSeed);
+    EXPECT_EQ(c.seed, c.key.seed);
   }
 }
 
