@@ -105,11 +105,6 @@ class RaceDetector {
     return conflicted_lines_;
   }
 
-  /// Direct clock access for the unit tests.
-  [[nodiscard]] const VectorClock& clock_of(int tid) const noexcept {
-    return clocks_[static_cast<std::size_t>(tid)];
-  }
-
  private:
   /// Per-word FastTrack shadow state.
   struct VarState {

@@ -119,7 +119,6 @@ FlagSet make_flag_table(Command* cmd) {
   fs.add_flag("stacks", &cmd->stacks, "trace: print the per-context table");
   fs.add_string("jobs-file", &cmd->jobs_file, "FILE",
                 "serve: the job file to expand");
-  fs.add_int("procs", &cmd->procs, 1, "N", "serve: worker processes");
   {
     FlagSpec s;
     s.name = "max-cells";
@@ -504,7 +503,7 @@ std::string usage() {
       "                                            space on the model, validate\n"
       "                                            the frontier on the simulator\n"
       "  serve --jobs-file=plan.json [--store=DIR]  batch sweep service: expand\n"
-      "        [--procs=N] [--max-cells=N] [--quiet] the job file, answer stored\n"
+      "        [--jobs=N] [--max-cells=N] [--quiet] the job file, answer stored\n"
       "                                            cells from the store, compute\n"
       "                                            + persist the rest (NDJSON)\n"
       "  store <stat|ls|gc|verify> --store=DIR     result-store maintenance\n"
@@ -678,7 +677,6 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         so.jobs_file = cmd.jobs_file;
         so.store_dir = cmd.store_dir;
         so.jobs = cmd.jobs;
-        so.procs = cmd.procs;
         so.max_cells = cmd.max_cells;
         so.progress = !cmd.quiet;
         return serve::run_serve(so, out, err);

@@ -23,7 +23,7 @@
 //   paxsim tune  [--bench=CG,...] [--strategy=grid|greedy|anneal] [--top-k=N]
 //                [--schedules=...] [--chunks=...] [--grains=...]
 //                [--scales=...] [--out=FILE] — model-driven autotuning
-//   paxsim serve --jobs-file=plan.json [--store=DIR] [--jobs=N] [--procs=N]
+//   paxsim serve --jobs-file=plan.json [--store=DIR] [--jobs=N]
 //                [--max-cells=N] [--quiet]
 //   paxsim store <stat|ls|gc|verify> --store=DIR
 //   paxsim store get <digest> --store=DIR        — or name the cell by its
@@ -74,7 +74,6 @@ struct Command {
   std::string store_action;             ///< store: stat|ls|gc|verify|get
   std::string store_digest;             ///< store get: positional 32-hex digest
   std::string get_mode = "single";      ///< store get: single|pair|predict
-  int procs = 1;                        ///< serve: worker processes
   std::uint64_t max_cells = 0;          ///< serve: compute bound (0 = all)
   bool quiet = false;                   ///< serve: suppress per-cell lines
 

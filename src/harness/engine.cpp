@@ -479,49 +479,13 @@ StudyResult ExperimentEngine::run(const ExperimentPlan& plan) {
     todo.push_back(Work{key, &cfg});
   });
 
-  // 2. Simulate the missing cells across the worker pool; each worker owns
-  //    one pooled machine for its whole batch.
-  if (!todo.empty()) {
-    MachinePool& pool = pool_for(opt.machine_params());
-    std::vector<CellValue> computed(todo.size());
-    const int workers =
-        static_cast<int>(std::min<std::size_t>(
-            static_cast<std::size_t>(jobs_), todo.size()));
-    auto work_loop = [&](std::atomic<std::size_t>& next) {
-      MachinePool::Lease lease = pool.acquire();
-      for (std::size_t i = next.fetch_add(1); i < todo.size();
-           i = next.fetch_add(1)) {
-        computed[i] = compute_cell(*lease, todo[i].key, *todo[i].cfg, opt);
-      }
-    };
-    if (workers <= 1) {
-      std::atomic<std::size_t> next{0};
-      work_loop(next);
-    } else {
-      std::atomic<std::size_t> next{0};
-      std::vector<std::thread> threads;
-      std::mutex err_mu;
-      std::exception_ptr first_error;
-      threads.reserve(static_cast<std::size_t>(workers));
-      for (int w = 0; w < workers; ++w) {
-        threads.emplace_back([&] {
-          try {
-            work_loop(next);
-          } catch (...) {
-            std::lock_guard<std::mutex> lock(err_mu);
-            if (first_error == nullptr) first_error = std::current_exception();
-            // Drain the queue so the other workers stop promptly.
-            next.store(todo.size());
-          }
-        });
-      }
-      for (std::thread& t : threads) t.join();
-      if (first_error != nullptr) std::rethrow_exception(first_error);
-    }
-    for (std::size_t i = 0; i < todo.size(); ++i) {
-      memoize(todo[i].key, std::move(computed[i]));
-    }
-  }
+  // 2. Simulate the missing cells on the worker pool: each cell leases a
+  //    pooled machine and is memoized (and written through) as it finishes.
+  MachinePool& pool = pool_for(opt.machine_params());
+  for_each(todo.size(), [&](std::size_t i) {
+    MachinePool::Lease lease = pool.acquire();
+    memoize(todo[i].key, compute_cell(*lease, todo[i].key, *todo[i].cfg, opt));
+  });
 
   // 3. Assemble the result table from the cache.
   StudyResult result;
@@ -716,6 +680,7 @@ void ExperimentEngine::for_each(std::size_t n,
       } catch (...) {
         std::lock_guard<std::mutex> lock(err_mu);
         if (first_error == nullptr) first_error = std::current_exception();
+        // Drain the queue so the other workers stop promptly.
         next.store(n);
       }
     });

@@ -15,10 +15,11 @@
 //                      never reaches the simulator are simulated exactly
 //                      once per engine lifetime, however many studies
 //                      request them.
-//   * worker dispatch  independent cells fan out over host threads (--jobs).
-//                      Each worker simulates on its own pooled machine, so
-//                      simulated virtual time stays fully deterministic: the
-//                      result table is identical for any job count.
+//   * worker dispatch  for_each() is the one pool of host threads (--jobs);
+//                      run() and the serve driver fan cells out through it.
+//                      Each cell simulates on its own leased pooled machine,
+//                      so simulated virtual time stays fully deterministic:
+//                      the result table is identical for any job count.
 //   * ExperimentPlan   a declarative cross-product (benchmarks and/or pairs,
 //                      over configurations, over trial seeds, with optional
 //                      serial baselines) that ExperimentEngine::run()
@@ -363,8 +364,10 @@ class ExperimentEngine {
   [[nodiscard]] static bool store_eligible(const CellKey& key) noexcept;
 
   /// Evaluates @p plan: dedupes its cells against the cache, simulates the
-  /// missing ones across the worker pool, and assembles the result table.
-  /// Throws if any cell fails numeric verification (when options.verify).
+  /// missing ones through for_each(), and assembles the result table.  Each
+  /// simulated cell is memoized (and written through) as it finishes.
+  /// Throws if any cell fails numeric verification (when options.verify);
+  /// the cells other workers finished first stay memoized.
   StudyResult run(const ExperimentPlan& plan);
 
   /// Memoized single-cell entry points (pooled machine on miss).
@@ -411,10 +414,13 @@ class ExperimentEngine {
   TraceResult trace(npb::Benchmark b, const StudyConfig& cfg,
                     const RunOptions& opt, std::uint64_t seed);
 
-  /// Host-parallel index map over [0, n) on the engine's worker pool — for
-  /// cell shapes the cache cannot key (e.g. scheduler-policy studies).
+  /// The engine's worker pool: a host-parallel index map over [0, n) on up
+  /// to jobs() threads (inline on the caller's thread when jobs() is 1).
+  /// run() dispatches its cells through it; drivers use it directly for
+  /// cell lists of their own (serve jobs, scheduler-policy studies).
   /// @p fn must synchronise any shared mutable state itself; writing to
-  /// distinct pre-sized slots per index is the intended pattern.
+  /// distinct pre-sized slots per index is the intended pattern.  The first
+  /// exception stops the remaining indices and is rethrown after the join.
   void for_each(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] EngineStats stats() const;

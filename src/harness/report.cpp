@@ -309,28 +309,6 @@ Table trace_region_table(const trace::TraceReport& t) {
   return tab;
 }
 
-void print_trace_report(std::ostream& os, const trace::TraceReport& t,
-                        bool csv) {
-  const Table ctx = trace_context_table(t);
-  const Table reg = trace_region_table(t);
-  if (csv) {
-    ctx.print_csv(os);
-    reg.print_csv(os);
-    return;
-  }
-  os << "== trace report (mode=" << sim::trace_mode_name(t.mode)
-     << ") ==\n  wall: " << std::fixed << std::setprecision(0)
-     << t.wall_cycles << " cycles\n";
-  os.unsetf(std::ios::fixed);
-  os << "  phases: " << t.team_forks << " forks, " << t.loop_dispatches
-     << " loop dispatches, " << t.barriers << " barriers, " << t.criticals
-     << " critical sections\n";
-  os << "  events: " << t.events_recorded << " recorded, " << t.events_dropped
-     << " dropped\n\n";
-  ctx.print(os, 0);
-  reg.print(os, 0);
-}
-
 void print_trace_report_json(std::ostream& os, const std::string& bench,
                              const std::string& config,
                              const trace::TraceReport& t) {

@@ -90,11 +90,6 @@ void print_run_json(std::ostream& os, const std::string& bench,
 /// serial bucket) with dispatch counts and the attributed cycle split.
 [[nodiscard]] Table trace_region_table(const trace::TraceReport& t);
 
-/// Renders a traced run: header line with the event tallies, then the
-/// per-context and per-region stack tables (CSV rows when @p csv).
-void print_trace_report(std::ostream& os, const trace::TraceReport& t,
-                        bool csv);
-
 /// One JSON document (single line), kind "trace": tallies, per-context
 /// stacks and per-region stacks (events go through the Chrome exporter).
 void print_trace_report_json(std::ostream& os, const std::string& bench,

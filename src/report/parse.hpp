@@ -36,7 +36,6 @@ class JsonValue {
   std::vector<JsonValue> items;                               ///< arrays
   std::vector<std::pair<std::string, JsonValue>> members;     ///< objects
 
-  [[nodiscard]] bool is_null() const noexcept { return kind == Kind::kNull; }
   [[nodiscard]] bool is_object() const noexcept {
     return kind == Kind::kObject;
   }

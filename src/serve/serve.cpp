@@ -1,14 +1,10 @@
 // paxsim/serve/serve.cpp
 #include "serve/serve.hpp"
 
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <exception>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <utility>
 #include <vector>
 
 #include "harness/engine.hpp"
@@ -41,17 +37,14 @@ void emit_progress(std::ostream& os, const JobCell& cell, std::size_t index,
   j.finish();
 }
 
-void emit_summary(std::ostream& os, const ServeSummary& s, int procs,
-                  int workers_failed) {
+void emit_summary(std::ostream& os, const ServeSummary& s) {
   report::Json j(os);
   j.begin_document("serve_summary")
       .field("total", s.total)
       .field("store_hits", s.store_hits)
       .field("computed", s.computed)
       .field("skipped", s.skipped)
-      .field("failures", s.failures)
-      .field("procs", procs)
-      .field("workers_failed", workers_failed);
+      .field("failures", s.failures);
   j.finish();
 }
 
@@ -71,11 +64,10 @@ void compute_cell(harness::ExperimentEngine& engine, const JobCell& cell) {
   }
 }
 
-/// The per-process workhorse: this process's round-robin shard of the plan
-/// against one store handle.
-ServeSummary run_shard(const JobPlan& plan, const std::string& store_dir,
-                       const ServeOptions& opt, int shard, int nshards,
-                       std::ostream* progress) {
+}  // namespace
+
+ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
+                         const ServeOptions& opt, std::ostream* progress) {
   auto store = std::make_shared<ResultStore>(store_dir);
   harness::ExperimentEngine engine(opt.jobs);
   engine.set_store(store);
@@ -88,10 +80,6 @@ ServeSummary run_shard(const JobPlan& plan, const std::string& store_dir,
   // dropped, so an interrupted plan is visible in the stream).
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-    if (nshards > 1 && static_cast<int>(i % static_cast<std::size_t>(
-                           nshards)) != shard) {
-      continue;
-    }
     const JobCell& cell = plan.cells[i];
     if (store->contains(cell.key)) {
       ++s.store_hits;
@@ -106,10 +94,6 @@ ServeSummary run_shard(const JobPlan& plan, const std::string& store_dir,
     } else {
       pending.push_back(i);
     }
-  }
-  if (nshards > 1) {
-    // This shard's universe is its own cells only.
-    s.total = s.store_hits + s.skipped + pending.size();
   }
 
   // Pass 2 — compute the queue on the engine's worker pool.  Every cell is
@@ -139,14 +123,6 @@ ServeSummary run_shard(const JobPlan& plan, const std::string& store_dir,
   return s;
 }
 
-}  // namespace
-
-ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
-                         const ServeOptions& opt, std::ostream* progress) {
-  return run_shard(plan, store_dir, opt, /*shard=*/0, /*nshards=*/1,
-                   progress);
-}
-
 int run_serve(const ServeOptions& opt, std::ostream& out, std::ostream& err) {
   JobPlan plan;
   std::string error;
@@ -163,75 +139,10 @@ int run_serve(const ServeOptions& opt, std::ostream& out, std::ostream& err) {
   }
 
   try {
-    if (opt.procs <= 1) {
-      const ServeSummary s = serve_cells(plan, store_dir, opt,
-                                         opt.progress ? &out : nullptr);
-      emit_summary(out, s, 1, 0);
-      return s.failures == 0 ? 0 : 1;
-    }
-
-    // Multi-process sharding.  The parent probes the store before and
-    // after, so the summary is exact without any worker IPC: pre-answered
-    // cells are hits, newly present ones were computed, absent ones were
-    // skipped (or failed — the worker exit codes say which happened).
-    ServeSummary s;
-    s.total = plan.cells.size();
-    std::vector<bool> pre(plan.cells.size(), false);
-    {
-      ResultStore probe(store_dir);
-      for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-        pre[i] = probe.contains(plan.cells[i].key);
-        if (pre[i]) {
-          ++s.store_hits;
-          if (opt.progress) {
-            emit_progress(out, plan.cells[i], i, plan.cells.size(), "hit");
-          }
-        }
-      }
-    }
-    out.flush();
-    std::vector<pid_t> workers;
-    for (int w = 0; w < opt.procs; ++w) {
-      const pid_t pid = fork();
-      if (pid < 0) {
-        err << "error: fork failed\n";
-        for (const pid_t running : workers) {
-          int status = 0;
-          waitpid(running, &status, 0);
-        }
-        return 1;
-      }
-      if (pid == 0) {
-        // Worker: silent (the parent owns the progress stream), its shard
-        // only, coordination purely through the store's atomic writes.
-        const ServeSummary ws =
-            run_shard(plan, store_dir, opt, w, opt.procs, nullptr);
-        _exit(ws.failures == 0 ? 0 : 1);
-      }
-      workers.push_back(pid);
-    }
-    int workers_failed = 0;
-    for (const pid_t pid : workers) {
-      int status = 0;
-      waitpid(pid, &status, 0);
-      if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) ++workers_failed;
-    }
-    ResultStore probe(store_dir);
-    for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-      if (pre[i]) continue;
-      const bool now = probe.contains(plan.cells[i].key);
-      if (now) {
-        ++s.computed;
-      } else {
-        ++s.skipped;
-      }
-      if (opt.progress) {
-        emit_progress(out, plan.cells[i], i, plan.cells.size(),
-                      now ? "computed" : "skipped");
-      }
-    }
-    emit_summary(out, s, opt.procs, workers_failed);
-    return workers_failed == 0 ? 0 : 1;
+    const ServeSummary s =
+        serve_cells(plan, store_dir, opt, opt.progress ? &out : nullptr);
+    emit_summary(out, s);
+    return s.failures == 0 ? 0 : 1;
   } catch (const std::exception& e) {
     err << "error: " << e.what() << '\n';
     return 1;

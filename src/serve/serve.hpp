@@ -9,12 +9,10 @@
 // {"kind":"serve_summary"} line whose computed/store_hits counts tooling
 // keys off (a fully warmed store re-run prints "computed":0).
 //
-// Scaling:
-//   --jobs=N   host threads inside one process (the engine's dispatch);
-//   --procs=N  shared-nothing worker processes, cells sharded round-robin
-//              by position.  Workers coordinate exclusively through the
-//              store's atomic writes — no locks, no IPC; racing writers on
-//              a shared cell dedup through rename(2).
+// Scaling: --jobs=N host threads, the engine's one worker pool
+// (ExperimentEngine::for_each).  Separate serve invocations and benches may
+// share one store: every entry commits through tmp+rename(2), so racing
+// writers of a cell dedup without locks or IPC.
 //
 // Interruption and resume need no bookkeeping beyond the store itself:
 // every computed cell is persisted the moment it finishes, so re-running
@@ -37,8 +35,7 @@ struct ServeOptions {
   std::string jobs_file;        ///< path to the job-file JSON (required)
   std::string store_dir;        ///< --store override; "" uses the job
                                 ///< file's "store" member
-  int jobs = 1;                 ///< host threads per worker process
-  int procs = 1;                ///< worker processes (fork-based sharding)
+  int jobs = 1;                 ///< host worker threads
   std::uint64_t max_cells = 0;  ///< stop after computing N cells (0 = all)
   bool progress = true;         ///< stream per-cell NDJSON lines
 };
@@ -53,18 +50,16 @@ struct ServeSummary {
   std::uint64_t failures = 0;    ///< cells that threw (verification, I/O)
 };
 
-/// Runs the expanded @p plan against the store at @p store_dir with
-/// single-process semantics (opt.procs is ignored; sharding is the
-/// process-spawning run_serve()'s business).  NDJSON progress goes to
-/// @p progress when non-null.  The workhorse run_serve() and the tests
-/// drive directly.
+/// Runs the expanded @p plan against the store at @p store_dir, computing
+/// on opt.jobs host threads.  NDJSON progress goes to @p progress when
+/// non-null.  The workhorse run_serve() and the tests drive directly.
 ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
                          const ServeOptions& opt, std::ostream* progress);
 
 /// The `paxsim serve` entry point: loads opt.jobs_file, resolves the store
-/// directory, fans out over opt.procs worker processes, streams NDJSON to
-/// @p out and diagnostics to @p err.  Returns a process exit code (0 even
-/// when --max-cells left cells unanswered; 1 on failures or bad input).
+/// directory, runs serve_cells, streams NDJSON to @p out and diagnostics to
+/// @p err.  Returns a process exit code (0 even when --max-cells left cells
+/// unanswered; 1 on failures or bad input).
 int run_serve(const ServeOptions& opt, std::ostream& out, std::ostream& err);
 
 }  // namespace paxsim::serve

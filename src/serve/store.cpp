@@ -198,6 +198,40 @@ bool envelope_ok(const report::JsonValue& doc, bool* corrupt) {
          fpv == static_cast<std::uint64_t>(harness::kCellFingerprintVersion);
 }
 
+/// The one payload reader, behind load and verify alike: decodes @p doc's
+/// payload of @p kind into @p cell (single and pair entries) or
+/// @p prediction (prediction entries).  False when the payload does not
+/// parse under that shape, or when the output it needs is null.
+bool read_payload(const report::JsonValue& doc, harness::CellKey::Kind kind,
+                  harness::CellValue* cell, model::Prediction* prediction) {
+  switch (kind) {
+    case harness::CellKey::Kind::kSingle: {
+      const report::JsonValue* single = doc.find("single");
+      if (cell == nullptr || single == nullptr) return false;
+      *cell = harness::CellValue{};
+      return read_run_result(*single, &cell->single);
+    }
+    case harness::CellKey::Kind::kPair: {
+      const report::JsonValue* pair = doc.find("pair");
+      const report::JsonValue* programs =
+          pair != nullptr ? pair->find("program") : nullptr;
+      if (cell == nullptr || programs == nullptr || !programs->is_array() ||
+          programs->items.size() != 2) {
+        return false;
+      }
+      *cell = harness::CellValue{};
+      return read_run_result(programs->items[0], &cell->pair.program[0]) &&
+             read_run_result(programs->items[1], &cell->pair.program[1]);
+    }
+    case harness::CellKey::Kind::kPredict: {
+      const report::JsonValue* pred = doc.find("prediction");
+      return prediction != nullptr && pred != nullptr &&
+             read_prediction(*pred, prediction);
+    }
+  }
+  return false;
+}
+
 bool read_file(const fs::path& p, std::string* out) {
   std::ifstream in(p, std::ios::binary);
   if (!in) return false;
@@ -293,8 +327,8 @@ void ResultStore::quarantine(const std::string& path) {
   ++counters_.quarantines;
 }
 
-bool ResultStore::load_validated(const harness::CellKey& key,
-                                 report::JsonValue* doc) {
+bool ResultStore::load(const harness::CellKey& key, harness::CellValue* cell,
+                       model::Prediction* prediction) {
   const std::string fingerprint = harness::cell_fingerprint(key);
   const std::string path = object_path(harness::cell_digest(fingerprint));
   {
@@ -305,11 +339,12 @@ bool ResultStore::load_validated(const harness::CellKey& key,
   if (!fs::exists(path)) return false;
   if (!read_file(path, &text)) return false;
   bool corrupt = false;
-  if (!report::parse_json_value(text, doc)) {
+  report::JsonValue doc;
+  if (!report::parse_json_value(text, &doc)) {
     quarantine(path);
     return false;
   }
-  if (!envelope_ok(*doc, &corrupt)) {
+  if (!envelope_ok(doc, &corrupt)) {
     if (corrupt) {
       quarantine(path);
     } else {
@@ -319,54 +354,26 @@ bool ResultStore::load_validated(const harness::CellKey& key,
     return false;
   }
   // Content addressing is verified, not assumed: the entry must carry the
-  // exact fingerprint its name was derived from.
-  if (doc->string_or("fingerprint", "") != fingerprint ||
-      doc->string_or("payload", "") != payload_name(key.kind)) {
+  // exact fingerprint its name was derived from, and the payload it names.
+  if (doc.string_or("fingerprint", "") != fingerprint ||
+      doc.string_or("payload", "") != payload_name(key.kind) ||
+      !read_payload(doc, key.kind, cell, prediction)) {
     quarantine(path);
     return false;
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++counters_.load_hits;
   return true;
 }
 
 bool ResultStore::load_cell(const harness::CellKey& key,
                             harness::CellValue* out) {
-  report::JsonValue doc;
-  if (!load_validated(key, &doc)) return false;
-  *out = harness::CellValue{};
-  bool ok = false;
-  if (key.kind == harness::CellKey::Kind::kSingle) {
-    const report::JsonValue* single = doc.find("single");
-    ok = single != nullptr && read_run_result(*single, &out->single);
-  } else if (key.kind == harness::CellKey::Kind::kPair) {
-    const report::JsonValue* pair = doc.find("pair");
-    const report::JsonValue* programs =
-        pair != nullptr ? pair->find("program") : nullptr;
-    ok = programs != nullptr && programs->is_array() &&
-         programs->items.size() == 2 &&
-         read_run_result(programs->items[0], &out->pair.program[0]) &&
-         read_run_result(programs->items[1], &out->pair.program[1]);
-  }
-  if (!ok) {
-    quarantine(object_path(harness::cell_digest(harness::cell_fingerprint(key))));
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.load_hits;
-  return true;
+  return load(key, out, nullptr);
 }
 
 bool ResultStore::load_prediction(const harness::CellKey& key,
                                   model::Prediction* out) {
-  report::JsonValue doc;
-  if (!load_validated(key, &doc)) return false;
-  const report::JsonValue* pred = doc.find("prediction");
-  if (pred == nullptr || !read_prediction(*pred, out)) {
-    quarantine(object_path(harness::cell_digest(harness::cell_fingerprint(key))));
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++counters_.load_hits;
-  return true;
+  return load(key, nullptr, out);
 }
 
 void ResultStore::commit(const harness::CellKey& key,
@@ -574,24 +581,15 @@ VerifyResult ResultStore::verify() {
     }
     // The payload must parse under its own declared shape.
     const std::string payload = doc.string_or("payload", "");
+    harness::CellValue cell;
+    model::Prediction prediction;
     bool ok = false;
-    if (payload == "single") {
-      harness::RunResult rr;
-      const report::JsonValue* single = doc.find("single");
-      ok = single != nullptr && read_run_result(*single, &rr);
-    } else if (payload == "pair") {
-      harness::RunResult rr;
-      const report::JsonValue* pair = doc.find("pair");
-      const report::JsonValue* programs =
-          pair != nullptr ? pair->find("program") : nullptr;
-      ok = programs != nullptr && programs->is_array() &&
-           programs->items.size() == 2 &&
-           read_run_result(programs->items[0], &rr) &&
-           read_run_result(programs->items[1], &rr);
-    } else if (payload == "prediction") {
-      model::Prediction pred;
-      const report::JsonValue* pr = doc.find("prediction");
-      ok = pr != nullptr && read_prediction(*pr, &pred);
+    for (const auto kind :
+         {harness::CellKey::Kind::kSingle, harness::CellKey::Kind::kPair,
+          harness::CellKey::Kind::kPredict}) {
+      if (payload == payload_name(kind)) {
+        ok = read_payload(doc, kind, &cell, &prediction);
+      }
     }
     if (!ok) {
       quarantine(p);

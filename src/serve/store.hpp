@@ -140,10 +140,12 @@ class ResultStore final : public harness::CellStore {
   /// Serializes + atomically commits one entry; dedups against an existing
   /// object.
   void commit(const harness::CellKey& key, const std::string& body);
-  /// Loads + validates the entry for @p key into a parsed document.
-  /// Returns false (and bumps the right counter) on absence, version
-  /// mismatch or corruption (the latter quarantines the file).
-  bool load_validated(const harness::CellKey& key, report::JsonValue* doc);
+  /// Loads + validates the entry for @p key and decodes its payload into
+  /// @p cell or @p prediction (read_payload).  Returns false (and bumps the
+  /// right counter) on absence, version mismatch or corruption (the latter
+  /// quarantines the file).
+  bool load(const harness::CellKey& key, harness::CellValue* cell,
+            model::Prediction* prediction);
   void quarantine(const std::string& path);
 
   std::string dir_;

@@ -48,8 +48,6 @@ class BranchPredictor {
   /// Resets the table to weakly-not-taken and clears nothing else.
   void reset() noexcept;
 
-  [[nodiscard]] std::size_t table_size() const noexcept { return pht_.size(); }
-
  private:
   std::vector<std::uint8_t> pht_;  // 2-bit counters
   std::uint32_t mask_;

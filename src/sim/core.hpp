@@ -312,7 +312,6 @@ class Core {
     refresh_issue_cost();
     clear_fast_entries();
   }
-  [[nodiscard]] int active_contexts() const noexcept { return active_contexts_; }
 
   /// Issue cost of one uop on one context under the current SMT activity.
   [[nodiscard]] double issue_cycles_per_uop() const noexcept {

@@ -71,9 +71,6 @@ class AddressSpace {
   }
 
   [[nodiscard]] Addr data_base() const noexcept { return base_; }
-  [[nodiscard]] std::size_t bytes_allocated() const noexcept {
-    return static_cast<std::size_t>(next_ - base_);
-  }
 
  private:
   static Addr window_base(int program_index) {

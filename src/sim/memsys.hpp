@@ -40,7 +40,6 @@ namespace paxsim::sim {
 class UtilizationWindow {
  public:
   void account(double at, double occ) noexcept {
-    busy_ += occ;
     if (at - win_start_ >= kWindow) {
       prev_density_ = win_busy_ / std::max(at - win_start_, 1.0);
       win_start_ = at;
@@ -57,15 +56,10 @@ class UtilizationWindow {
     return std::min(1.0, blended / kWindow);
   }
 
-  [[nodiscard]] double total_busy() const noexcept { return busy_; }
-
-  void reset() noexcept {
-    busy_ = win_start_ = win_busy_ = prev_density_ = 0;
-  }
+  void reset() noexcept { win_start_ = win_busy_ = prev_density_ = 0; }
 
  private:
   static constexpr double kWindow = 65536.0;
-  double busy_ = 0;
   double win_start_ = 0;
   double win_busy_ = 0;
   double prev_density_ = 0;

@@ -27,15 +27,6 @@ const char* interconnect_name(Interconnect i) noexcept {
   return "?";
 }
 
-int Topology::home_node_of(int package) const noexcept {
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    for (const int p : nodes[n].home_packages) {
-      if (p == package) return static_cast<int>(n);
-    }
-  }
-  return 0;
-}
-
 bool Topology::has_chip_shared_cache() const noexcept {
   for (const TopoCacheLevel& lv : levels) {
     if (lv.scope == SharingScope::kPerChip) return true;

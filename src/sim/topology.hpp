@@ -113,9 +113,6 @@ struct Topology {
                       static_cast<std::uint8_t>(core),
                       static_cast<std::uint8_t>(ctx)};
   }
-  /// The memory node a package is local to (first node listing it as home;
-  /// validate() guarantees exactly one).
-  [[nodiscard]] int home_node_of(int package) const noexcept;
 
   /// True when the topology has a level shared between the cores of a chip
   /// (a per-chip data cache).

@@ -85,12 +85,6 @@ struct TraceReport {
   [[nodiscard]] bool traced() const noexcept {
     return mode != sim::TraceMode::kOff;
   }
-  [[nodiscard]] bool has_stacks() const noexcept {
-    return mode == sim::TraceMode::kStacks || mode == sim::TraceMode::kFull;
-  }
-  [[nodiscard]] bool has_events() const noexcept {
-    return mode == sim::TraceMode::kEvents || mode == sim::TraceMode::kFull;
-  }
 };
 
 }  // namespace paxsim::trace

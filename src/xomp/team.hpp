@@ -77,10 +77,6 @@ class Team {
     sched_override_ = sched;
     has_sched_override_ = true;
   }
-  void clear_schedule_override() noexcept { has_sched_override_ = false; }
-  [[nodiscard]] bool has_schedule_override() const noexcept {
-    return has_sched_override_;
-  }
 
   [[nodiscard]] sim::Machine& machine() noexcept { return *machine_; }
   [[nodiscard]] sim::HwContext& context_of(int rank) noexcept { return *ctxs_[rank]; }

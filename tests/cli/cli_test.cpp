@@ -380,13 +380,12 @@ TEST(CliExecTest, HelpPrintsUsage) {
 
 TEST(CliParseTest, ServeParsesItsFlags) {
   const auto r = P({"serve", "--jobs-file=plan.json", "--store=results",
-                    "--procs=3", "--max-cells=10", "--jobs=2", "--quiet"});
+                    "--max-cells=10", "--jobs=2", "--quiet"});
   ASSERT_TRUE(r.ok()) << r.error;
   const Command& c = *r.command;
   EXPECT_EQ(c.kind, Command::Kind::kServe);
   EXPECT_EQ(c.jobs_file, "plan.json");
   EXPECT_EQ(c.store_dir, "results");
-  EXPECT_EQ(c.procs, 3);
   EXPECT_EQ(c.max_cells, 10u);
   EXPECT_EQ(c.jobs, 2);
   EXPECT_TRUE(c.quiet);
@@ -399,7 +398,10 @@ TEST(CliParseTest, ServeRequiresAJobsFile) {
 }
 
 TEST(CliParseTest, ServeRejectsBadScalingFlags) {
-  EXPECT_FALSE(P({"serve", "--jobs-file=p.json", "--procs=0"}).ok());
+  const auto procs = P({"serve", "--jobs-file=p.json", "--procs=2"});
+  EXPECT_FALSE(procs.ok());
+  EXPECT_NE(procs.error.find("unknown flag '--procs'"), std::string::npos)
+      << procs.error;
   EXPECT_FALSE(P({"serve", "--jobs-file=p.json", "--max-cells=0"}).ok());
 }
 

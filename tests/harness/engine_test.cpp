@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "harness/runner.hpp"
 #include "sched/scheduler.hpp"
+#include "serve/store.hpp"
 #include "sim/topology.hpp"
 #include "xomp/schedule.hpp"
 
@@ -260,10 +262,26 @@ TEST(ExperimentEngineTest, ParallelDispatchMatchesSerialDispatch) {
                         .add_pair(npb::Benchmark::kCG, npb::Benchmark::kFT)
                         .with_serial_baselines();
 
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "paxsim_engine_parallel";
+  std::filesystem::remove_all(dir);
+  auto store = std::make_shared<serve::ResultStore>(dir.string());
+
   ExperimentEngine serial_engine(1);
   ExperimentEngine parallel_engine(4);
+  parallel_engine.set_store(store);
   const StudyResult s1 = serial_engine.run(plan);
   const StudyResult s4 = parallel_engine.run(plan);
+
+  // The workers write every simulated cell through to the store, once.
+  EXPECT_EQ(store->scan().entries, parallel_engine.stats().cache_misses);
+  EXPECT_EQ(parallel_engine.stats().store_writes,
+            parallel_engine.stats().cache_misses);
+  ExperimentEngine reader(1);
+  reader.set_store(std::make_shared<serve::ResultStore>(dir.string()));
+  (void)reader.run(plan);
+  EXPECT_EQ(reader.stats().cache_misses, 0u)
+      << "the store must answer every cell the workers simulated";
 
   for (int t = 0; t < opt.trials; ++t) {
     for (std::size_t ci = 0; ci < configs.size(); ++ci) {

@@ -103,39 +103,48 @@ TEST(ServeCellsTest, ProgressStreamIsValidNdjson) {
 }
 
 TEST(ServeCellsTest, MaxCellsInterruptsAndResumeFinishesTheJob) {
-  const fs::path dir = fresh_dir("resume");
   const JobPlan plan = small_plan();
-  const std::string store = (dir / "store").string();
-  ServeOptions opt;
-  opt.max_cells = 3;
+  // The bound holds on one thread and on the worker pool alike.
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    const fs::path dir = fresh_dir("resume");
+    const std::string store = (dir / "store").string();
+    ServeOptions opt;
+    opt.jobs = jobs;
+    opt.max_cells = 3;
 
-  const ServeSummary first = serve_cells(plan, store, opt, nullptr);
-  EXPECT_EQ(first.computed, 3u);
-  EXPECT_EQ(first.skipped, 1u);
-  EXPECT_EQ(first.store_hits, 0u);
+    const ServeSummary first = serve_cells(plan, store, opt, nullptr);
+    EXPECT_EQ(first.computed, 3u);
+    EXPECT_EQ(first.skipped, 1u);
+    EXPECT_EQ(first.store_hits, 0u);
 
-  // The "interrupted" run left its finished cells behind; the re-run picks
-  // up exactly where it stopped — nothing recomputed.
-  const ServeSummary second = serve_cells(plan, store, opt, nullptr);
-  EXPECT_EQ(second.store_hits, 3u);
-  EXPECT_EQ(second.computed, 1u);
-  EXPECT_EQ(second.skipped, 0u);
+    // The "interrupted" run left its finished cells behind; the re-run
+    // picks up exactly where it stopped — nothing recomputed.
+    const ServeSummary second = serve_cells(plan, store, opt, nullptr);
+    EXPECT_EQ(second.store_hits, 3u);
+    EXPECT_EQ(second.computed, 1u);
+    EXPECT_EQ(second.skipped, 0u);
 
-  const ServeSummary third = serve_cells(plan, store, opt, nullptr);
-  EXPECT_EQ(third.store_hits, plan.cells.size());
-  EXPECT_EQ(third.computed, 0u);
+    const ServeSummary third = serve_cells(plan, store, opt, nullptr);
+    EXPECT_EQ(third.store_hits, plan.cells.size());
+    EXPECT_EQ(third.computed, 0u);
+  }
 }
 
 TEST(ServeCellsTest, SummaryInvariantHolds) {
-  const fs::path dir = fresh_dir("invariant");
   const JobPlan plan = small_plan();
-  ServeOptions opt;
-  opt.max_cells = 2;
-  for (int pass = 0; pass < 3; ++pass) {
-    const ServeSummary s =
-        serve_cells(plan, (dir / "store").string(), opt, nullptr);
-    EXPECT_EQ(s.total, s.store_hits + s.computed + s.skipped + s.failures)
-        << "pass " << pass;
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    const fs::path dir = fresh_dir("invariant");
+    ServeOptions opt;
+    opt.jobs = jobs;
+    opt.max_cells = 2;
+    for (int pass = 0; pass < 3; ++pass) {
+      const ServeSummary s =
+          serve_cells(plan, (dir / "store").string(), opt, nullptr);
+      EXPECT_EQ(s.total, s.store_hits + s.computed + s.skipped + s.failures)
+          << "pass " << pass;
+    }
   }
 }
 
