@@ -28,7 +28,8 @@
 
 namespace paxsim::bench {
 
-/// Options common to every artifact bench.
+/// Options common to every artifact bench.  Each field is set only by the
+/// benches that register its flag; the rest run at the default.
 struct BenchOptions {
   harness::RunOptions run;
   int jobs = 1;           ///< host worker threads for independent cells
@@ -40,16 +41,22 @@ struct BenchOptions {
   std::string store_dir;
 };
 
-/// The flags every bench shares: the run/engine tables the `paxsim` CLI
-/// registers (cli/flags.hpp) plus --csv, so every artifact accepts the same
-/// spellings with the same validation as the CLI by construction.  A bench
-/// adds the flags only it reads (--plot, --out, ...) to the returned set.
+/// The flags every artifact reads: the cell flags the `paxsim` CLI
+/// registers too (cli/flags.hpp), so every artifact accepts the same
+/// spellings with the same validation as the CLI by construction, plus
+/// --csv.  A bench adds the flags only it reads — --trials (add_trials_flag),
+/// --jobs and --store (cli::register_jobs_flag, cli::register_store_flag),
+/// --plot, --out, ... — to the returned set, so any other is refused.
 inline cli::FlagSet make_bench_flags(BenchOptions& opt) {
   cli::FlagSet fs;
-  cli::register_run_flags(fs, &opt.run);
-  cli::register_engine_flags(fs, &opt.jobs, &opt.store_dir);
+  cli::register_cell_flags(fs, &opt.run);
   fs.add_flag("csv", &opt.csv, "additionally emit CSV rows after each table");
   return fs;
+}
+
+/// Registers --trials on the benches that average or repeat over trials.
+inline void add_trials_flag(cli::FlagSet& fs, BenchOptions& opt) {
+  fs.add_int("trials", &opt.run.trials, 1, "N", "trials per cell");
 }
 
 /// Registers --plot=DIR on the benches that draw a gnuplot chart (fig3 and
@@ -120,9 +127,9 @@ inline void print_host_provenance(const char* artifact,
   j.finish();
 }
 
-/// Attaches the --store directory (when given) to a freshly built engine.
-/// Every artifact that constructs an ExperimentEngine calls this right
-/// after construction, so `--store=` works uniformly across bench/.
+/// Attaches the --store directory (when given) to a freshly built engine:
+/// every artifact that registers --store calls this right after building
+/// its engine.
 inline void attach_store(harness::ExperimentEngine& engine,
                          const BenchOptions& opt) {
   if (!opt.store_dir.empty()) {

@@ -21,19 +21,19 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassS;
-  std::string strategy = "greedy";
-  int top_k = 2;
-  int budget = 48;
+  tune::TuneOptions topt;
   std::string out_path = "autotune_report.json";
 
-  // The shared run/engine table plus the tuner's own knobs — one FlagSet,
-  // so --help and validation cover both uniformly.
+  // The cell flags plus the tuner's own knobs — one FlagSet, so --help and
+  // validation cover both uniformly.  Every search axis but the
+  // configuration is the single point the cell flags name.
   cli::FlagSet fs = bench::make_bench_flags(opt);
-  fs.add_string("strategy", &strategy, "NAME",
+  cli::register_store_flag(fs, &opt.store_dir);
+  fs.add_string("strategy", &topt.strategy, "NAME",
                 "search strategy: grid, greedy or anneal");
-  fs.add_int("top-k", &top_k, 1, "N",
+  fs.add_int("top-k", &topt.top_k, 1, "N",
              "simulator validations per kernel (non-exhaustive strategies)");
-  fs.add_int("budget", &budget, 1, "N", "anneal proposal steps");
+  fs.add_int("budget", &topt.anneal_budget, 1, "N", "anneal proposal steps");
   fs.add_string("out", &out_path, "FILE",
                 "tuning_report JSON path (\"off\" disables the file)");
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
@@ -43,18 +43,11 @@ int main(int argc, char** argv) {
   bench::print_study_header("Extension: model-driven autotuning", opt);
   bench::print_host_provenance("ext_autotune", opt);
 
-  harness::ExperimentEngine engine(opt.jobs);
+  harness::ExperimentEngine engine;
   bench::attach_store(engine, opt);
 
   const std::vector<npb::Benchmark> benches(std::begin(npb::kAllBenchmarks),
                                             std::end(npb::kAllBenchmarks));
-  tune::TuneOptions topt;
-  topt.strategy = strategy;
-  topt.top_k = top_k;
-  topt.anneal_budget = budget;
-  topt.grains = {opt.run.grain};
-  topt.scales = {opt.run.machine_scale};
-
   tune::TuneReport rep;
   try {
     rep = tune::tune(engine, benches, opt.run, machine_spec, topt);

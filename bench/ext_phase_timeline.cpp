@@ -13,7 +13,8 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Extension: per-step metric timeline", opt);
   bench::print_host_provenance("ext_phase_timeline", opt);
@@ -25,7 +26,6 @@ int main(int argc, char** argv) {
   // Sampled runs fan out over the engine workers (one pooled machine each);
   // printing happens afterwards, in benchmark order.
   harness::ExperimentEngine engine(opt.jobs);
-  attach_store(engine, opt);
   std::vector<harness::TimelineResult> timelines(benches.size());
   engine.for_each(benches.size(), [&](std::size_t i) {
     timelines[i] =

@@ -23,7 +23,8 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header(
       "Extension: OS-scheduler policy study (paper section 5 future work)",
@@ -64,7 +65,6 @@ int main(int argc, char** argv) {
   };
 
   harness::ExperimentEngine engine(opt.jobs);
-  attach_store(engine, opt);
   const std::size_t n_cells = std::size(configs) * kWorkloads * kPolicies;
   std::vector<harness::ScheduledResult> results(n_cells);
   engine.for_each(n_cells, [&](std::size_t i) {

@@ -17,7 +17,9 @@ using namespace paxsim;
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
   opt.run.cls = npb::ProblemClass::kClassA;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   const sim::Topology topo = opt.run.resolved_topology();
   bench::print_study_header("Extension: speedup vs thread count (flat order)",

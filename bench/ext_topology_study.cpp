@@ -145,6 +145,9 @@ int main(int argc, char** argv) {
   opt.run.cls = npb::ProblemClass::kClassS;  // 3+ machines; keep runs short
   std::string out_path;
   cli::FlagSet fs = bench::make_bench_flags(opt);
+  bench::add_trials_flag(fs, opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   fs.add_string("out", &out_path, "FILE",
                 "write the topology_study JSON to FILE (default: stdout)");
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;

@@ -13,7 +13,9 @@ using namespace paxsim;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Figure 2: architectural metrics, single program",
                             opt);

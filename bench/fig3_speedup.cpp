@@ -14,6 +14,9 @@ int main(int argc, char** argv) {
   bench::BenchOptions opt;
   std::string plot_dir;
   cli::FlagSet fs = bench::make_bench_flags(opt);
+  bench::add_trials_flag(fs, opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   bench::add_plot_flag(fs, &plot_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Figure 3: speedup of NAS OpenMP applications",

@@ -23,7 +23,9 @@ struct Workload {
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header(
       "Figure 4: multi-program workloads (CG/FT, FT/FT, CG/CG)", opt);

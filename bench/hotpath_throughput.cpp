@@ -108,7 +108,10 @@ int main(int argc, char** argv) {
   opt.run.cls = npb::ProblemClass::kClassS;  // inner-loop cost, not the model
   opt.run.verify = false;
   std::optional<npb::Benchmark> only;
-  cli::FlagSet fs = bench::make_bench_flags(opt);
+  // The cell flags without --csv: every row is already one JSON line.
+  cli::FlagSet fs;
+  cli::register_cell_flags(fs, &opt.run);
+  bench::add_trials_flag(fs, opt);
   {
     cli::FlagSpec s;
     s.name = "bench";

@@ -36,7 +36,8 @@ double rel_err(double predicted, double simulated) {
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::register_store_flag(fs, &opt.store_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   const auto rows = harness::configs_for(opt.run.resolved_topology());
   const harness::StudyConfig* configs[] = {
@@ -60,7 +61,7 @@ int main(int argc, char** argv) {
   const std::vector<std::string> cols = {"sim off", "pred off", "err off",
                                          "sim on",  "pred on",  "err on"};
 
-  harness::ExperimentEngine engine(opt.jobs);
+  harness::ExperimentEngine engine;
   attach_store(engine, opt);
   harness::Table speedup_t("speedup — simulated vs predicted", cols);
   harness::Table cpi_t("CPI — simulated vs predicted", cols);

@@ -11,7 +11,10 @@ using namespace paxsim;
 
 int main(int argc, char** argv) {
   bench::BenchOptions opt;
-  const cli::FlagSet fs = bench::make_bench_flags(opt);
+  cli::FlagSet fs = bench::make_bench_flags(opt);
+  bench::add_trials_flag(fs, opt);
+  cli::register_jobs_flag(fs, &opt.jobs);
+  cli::register_store_flag(fs, &opt.store_dir);
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
   bench::print_study_header("Table 2: average speedup per architecture", opt);
   bench::print_host_provenance("table2_avg_speedup", opt);

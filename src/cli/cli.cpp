@@ -1,8 +1,10 @@
 #include "cli/cli.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -34,13 +36,143 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
-/// Registers every `paxsim` flag onto @p cmd.  One table serves all
-/// subcommands (as the hand-rolled parser did) and usage() renders its help
-/// from the same rows.
-FlagSet make_flag_table(Command* cmd) {
-  FlagSet fs;
-  register_run_flags(fs, &cmd->options, &cmd->machine);
+/// Registers `paxsim tune`'s own flags: the search knobs and axes,
+/// written through to cmd->tune, and the report file.
+void add_tune_flags(FlagSet& fs, Command* cmd) {
+  tune::TuneOptions* t = &cmd->tune;
   {
+    FlagSpec s;
+    s.name = "strategy";
+    s.value_hint = "grid|greedy|anneal";
+    s.def = "greedy";
+    s.help = "search strategy over the configuration space";
+    s.apply = [t](const std::string& v) -> std::string {
+      if (v != "grid" && v != "greedy" && v != "anneal") {
+        return "bad --strategy '" + v + "' (use grid, greedy or anneal)";
+      }
+      t->strategy = v;
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  fs.add_int("top-k", &t->top_k, 1, "N",
+             "simulator validations per kernel (grid validates all)");
+  fs.add_int("budget", &t->anneal_budget, 1, "N",
+             "proposal steps for --strategy=anneal");
+  {
+    FlagSpec s;
+    s.name = "schedules";
+    s.value_hint = "K1,K2,...";
+    s.help = "schedule-override axis: default, static, dynamic, guided "
+             "(unset: --sched)";
+    s.apply = [t](const std::string& v) -> std::string {
+      std::vector<int> kinds;
+      for (const std::string& tok : split_csv(v)) {
+        int k = -1;
+        if (!harness::parse_sched_name(tok, &k)) {
+          return "bad --schedules '" + v +
+                 "' (use default, static, dynamic or guided)";
+        }
+        kinds.push_back(k);
+      }
+      if (kinds.empty()) return "bad --schedules (need at least one kind)";
+      t->sched_kinds = std::move(kinds);
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  {
+    FlagSpec s;
+    s.name = "chunks";
+    s.value_hint = "N1,N2,...";
+    s.help = "chunk axis for overridden schedules, 0 = default (unset: "
+             "--chunk)";
+    s.apply = [t](const std::string& v) -> std::string {
+      std::vector<std::size_t> xs;
+      for (const std::string& tok : split_csv(v)) {
+        char* end = nullptr;
+        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
+        if (tok.empty() || end == nullptr || *end != '\0') {
+          return "bad --chunks '" + v + "' (need comma-separated integers)";
+        }
+        xs.push_back(static_cast<std::size_t>(x));
+      }
+      if (xs.empty()) return "bad --chunks (need at least one value)";
+      t->chunks = std::move(xs);
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  {
+    FlagSpec s;
+    s.name = "grains";
+    s.value_hint = "N1,N2,...";
+    s.help = "iteration-grain axis (unset: --grain)";
+    s.apply = [t](const std::string& v) -> std::string {
+      std::vector<std::size_t> xs;
+      for (const std::string& tok : split_csv(v)) {
+        char* end = nullptr;
+        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
+        if (tok.empty() || end == nullptr || *end != '\0' || x < 1) {
+          return "bad --grains '" + v +
+                 "' (need comma-separated integers >= 1)";
+        }
+        xs.push_back(static_cast<std::size_t>(x));
+      }
+      if (xs.empty()) return "bad --grains (need at least one value)";
+      t->grains = std::move(xs);
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  {
+    FlagSpec s;
+    s.name = "scales";
+    s.value_hint = "F1,F2,...";
+    s.help = "machine capacity-scale axis (unset: --scale)";
+    s.apply = [t](const std::string& v) -> std::string {
+      std::vector<double> xs;
+      for (const std::string& tok : split_csv(v)) {
+        char* end = nullptr;
+        const double x = std::strtod(tok.c_str(), &end);
+        if (tok.empty() || end == nullptr || *end != '\0' ||
+            !std::isfinite(x) || x < 1.0) {
+          return "bad --scales '" + v +
+                 "' (need comma-separated finite numbers >= 1)";
+        }
+        xs.push_back(x);
+      }
+      if (xs.empty()) return "bad --scales (need at least one value)";
+      t->scales = std::move(xs);
+      return {};
+    };
+    fs.add(std::move(s));
+  }
+  fs.add_string("out", &cmd->tune_out, "FILE",
+                "also write the tuning_report JSON document to FILE");
+}
+
+/// Registers the flags @p cmd's command word reads, and only those, onto
+/// @p cmd: its kind picks the table, and for `store` its positional action
+/// does (`store get` names a cell; the other actions need only the store).
+/// parse() and usage() both build their tables here, so a flag the word
+/// would ignore is refused, and its help lists exactly what it accepts.
+FlagSet make_flag_table(Command* cmd) {
+  using Kind = Command::Kind;
+  const Kind k = cmd->kind;
+  const auto among = [k](std::initializer_list<Kind> kinds) {
+    return std::find(kinds.begin(), kinds.end(), k) != kinds.end();
+  };
+  FlagSet fs;
+  if (k == Kind::kHelp) return fs;
+  if (k == Kind::kList) {
+    register_machine_flag(fs, &cmd->options, &cmd->machine);
+    return fs;
+  }
+  const bool store_get = k == Kind::kStore && cmd->store_action == "get";
+  const bool names_cell = k != Kind::kServe && (k != Kind::kStore || store_get);
+  if (names_cell) register_cell_flags(fs, &cmd->options, &cmd->machine);
+  if (among({Kind::kRun, Kind::kPair, Kind::kSched, Kind::kTimeline})) {
     FlagSpec s;
     s.name = "check";
     s.value_hint = "off|race|invariants|full";
@@ -55,23 +187,15 @@ FlagSet make_flag_table(Command* cmd) {
     };
     fs.add(std::move(s));
   }
-  {
-    FlagSpec s;
-    s.name = "trace";
-    s.value_hint = "off|stacks|events|full";
-    s.def = "off";
-    s.help = "execution-trace recording depth";
-    harness::RunOptions* r = &cmd->options;
-    s.apply = [r](const std::string& v) -> std::string {
-      if (!sim::parse_trace_mode(v.c_str(), r->trace_mode)) {
-        return "bad --trace '" + v + "' (use off, stacks, events or full)";
-      }
-      return {};
-    };
-    fs.add(std::move(s));
+  // Of the words that run cells, only run (its cell plus the serial
+  // baseline) and serve fan them out over workers, and sched, timeline and
+  // trace never memoize theirs, so they take no --store.
+  if (among({Kind::kRun, Kind::kServe})) register_jobs_flag(fs, &cmd->jobs);
+  if (among({Kind::kRun, Kind::kPair, Kind::kPredict, Kind::kTune, Kind::kServe,
+             Kind::kStore})) {
+    register_store_flag(fs, &cmd->store_dir);
   }
-  register_engine_flags(fs, &cmd->jobs, &cmd->store_dir);
-  {
+  if (names_cell) {
     FlagSpec s;
     s.name = "bench";
     s.value_hint = "A[,B...]";
@@ -83,188 +207,110 @@ FlagSet make_flag_table(Command* cmd) {
     };
     fs.add(std::move(s));
   }
-  fs.add_string("config", &cmd->config_name, "NAME",
-                "Table-1 configuration (see `paxsim list`)");
-  fs.add_string("policy", &cmd->policy, "NAME",
-                "sched: pinned-spread, naive-pack, random-migrating, "
-                "ht-aware or symbiotic");
-  fs.add_flag("csv", &cmd->csv, "machine-readable output (CSV or JSON)");
-  fs.add_flag("baseline", &cmd->baseline,
-              "run: also run and report the serial baseline");
-  fs.add_flag("compare", &cmd->compare,
-              "predict: also simulate the cell and print relative errors");
-  {
-    FlagSpec s;
-    s.name = "profile";
-    s.value_hint = "on|off";
-    s.def = "off";
-    s.help = "run (Serial config): collect + print the paxmodel profile";
-    s.bare_ok = true;
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      if (v.empty() || v == "on") {
-        c->profile = true;
-      } else if (v == "off") {
-        c->profile = false;
-      } else {
-        return "bad --profile '" + v + "' (use on or off)";
-      }
-      return {};
-    };
-    fs.add(std::move(s));
+  if (names_cell && k != Kind::kTune) {
+    fs.add_string("config", &cmd->config_name, "NAME",
+                  "Table-1 configuration (see `paxsim list`)");
   }
-  fs.add_string("trace-out", &cmd->trace_out, "FILE",
-                "trace: write a Chrome-tracing/Perfetto JSON timeline");
-  fs.add_flag("regions", &cmd->regions, "trace: print the per-region table");
-  fs.add_flag("stacks", &cmd->stacks, "trace: print the per-context table");
-  fs.add_string("jobs-file", &cmd->jobs_file, "FILE",
-                "serve: the job file to expand");
-  {
-    FlagSpec s;
-    s.name = "max-cells";
-    s.value_hint = "N";
-    s.help = "serve: stop after computing N cells";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || x == 0) {
-        return "bad --max-cells (need an integer >= 1)";
-      }
-      c->max_cells = x;
-      return {};
-    };
-    fs.add(std::move(s));
+  if (names_cell && !store_get) {
+    fs.add_flag("csv", &cmd->csv, "machine-readable output (CSV or JSON)");
   }
-  fs.add_flag("quiet", &cmd->quiet, "serve: suppress per-cell progress lines");
-  {
-    FlagSpec s;
-    s.name = "strategy";
-    s.value_hint = "grid|greedy|anneal";
-    s.def = "greedy";
-    s.help = "tune: search strategy over the configuration space";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      if (v != "grid" && v != "greedy" && v != "anneal") {
-        return "bad --strategy '" + v + "' (use grid, greedy or anneal)";
-      }
-      c->strategy = v;
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  fs.add_int("top-k", &cmd->top_k, 1, "N",
-             "tune: simulator validations per kernel (grid validates all)");
-  fs.add_int("budget", &cmd->anneal_budget, 1, "N",
-             "tune: proposal steps for --strategy=anneal");
-  {
-    FlagSpec s;
-    s.name = "schedules";
-    s.value_hint = "K1,K2,...";
-    s.help = "tune: schedule-override axis (default, static, dynamic, guided)";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      std::vector<int> kinds;
-      for (const std::string& tok : split_csv(v)) {
-        int k = -1;
-        if (!harness::parse_sched_name(tok, &k)) {
-          return "bad --schedules '" + v +
-                 "' (use default, static, dynamic or guided)";
+  switch (k) {
+    case Kind::kRun: {
+      fs.add_flag("baseline", &cmd->baseline,
+                  "also run and report the serial baseline");
+      FlagSpec s;
+      s.name = "profile";
+      s.value_hint = "on|off";
+      s.def = "off";
+      s.help = "(Serial config) collect + print the paxmodel profile";
+      s.bare_ok = true;
+      Command* c = cmd;
+      s.apply = [c](const std::string& v) -> std::string {
+        if (v.empty() || v == "on") {
+          c->profile = true;
+        } else if (v == "off") {
+          c->profile = false;
+        } else {
+          return "bad --profile '" + v + "' (use on or off)";
         }
-        kinds.push_back(k);
-      }
-      if (kinds.empty()) return "bad --schedules (need at least one kind)";
-      c->sched_kinds = std::move(kinds);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "chunks";
-    s.value_hint = "N1,N2,...";
-    s.help = "tune: chunk axis for overridden schedules (0 = default)";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      std::vector<std::size_t> xs;
-      for (const std::string& tok : split_csv(v)) {
+        return {};
+      };
+      fs.add(std::move(s));
+      break;
+    }
+    case Kind::kSched:
+      fs.add_string("policy", &cmd->policy, "NAME",
+                    "pinned-spread, naive-pack, random-migrating, ht-aware "
+                    "or symbiotic");
+      break;
+    case Kind::kPredict:
+      fs.add_flag("compare", &cmd->compare,
+                  "also simulate the cell and print relative errors");
+      break;
+    case Kind::kTrace: {
+      FlagSpec s;
+      s.name = "trace";
+      s.value_hint = "off|stacks|events|full";
+      s.def = "off";
+      s.help = "execution-trace recording depth";
+      harness::RunOptions* r = &cmd->options;
+      s.apply = [r](const std::string& v) -> std::string {
+        if (!sim::parse_trace_mode(v.c_str(), r->trace_mode)) {
+          return "bad --trace '" + v + "' (use off, stacks, events or full)";
+        }
+        return {};
+      };
+      fs.add(std::move(s));
+      fs.add_string("trace-out", &cmd->trace_out, "FILE",
+                    "write a Chrome-tracing/Perfetto JSON timeline");
+      fs.add_flag("regions", &cmd->regions, "print the per-region table");
+      fs.add_flag("stacks", &cmd->stacks, "print the per-context table");
+      break;
+    }
+    case Kind::kServe: {
+      fs.add_string("jobs-file", &cmd->jobs_file, "FILE",
+                    "the job file to expand");
+      FlagSpec s;
+      s.name = "max-cells";
+      s.value_hint = "N";
+      s.help = "stop after computing N cells";
+      Command* c = cmd;
+      s.apply = [c](const std::string& v) -> std::string {
         char* end = nullptr;
-        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0') {
-          return "bad --chunks '" + v + "' (need comma-separated integers)";
+        const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
+        if (v.empty() || end == nullptr || *end != '\0' || x == 0) {
+          return "bad --max-cells (need an integer >= 1)";
         }
-        xs.push_back(static_cast<std::size_t>(x));
+        c->max_cells = x;
+        return {};
+      };
+      fs.add(std::move(s));
+      fs.add_flag("quiet", &cmd->quiet, "suppress per-cell progress lines");
+      break;
+    }
+    case Kind::kTune:
+      add_tune_flags(fs, cmd);
+      break;
+    case Kind::kStore:
+      if (store_get) {
+        FlagSpec s;
+        s.name = "mode";
+        s.value_hint = "single|pair|predict";
+        s.def = "single";
+        s.help = "which cell kind the axis flags name";
+        Command* c = cmd;
+        s.apply = [c](const std::string& v) -> std::string {
+          if (v != "single" && v != "pair" && v != "predict") {
+            return "bad --mode '" + v + "' (use single, pair or predict)";
+          }
+          c->get_mode = v;
+          return {};
+        };
+        fs.add(std::move(s));
       }
-      if (xs.empty()) return "bad --chunks (need at least one value)";
-      c->chunks = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "grains";
-    s.value_hint = "N1,N2,...";
-    s.help = "tune: iteration-grain axis";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      std::vector<std::size_t> xs;
-      for (const std::string& tok : split_csv(v)) {
-        char* end = nullptr;
-        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0' || x < 1) {
-          return "bad --grains '" + v +
-                 "' (need comma-separated integers >= 1)";
-        }
-        xs.push_back(static_cast<std::size_t>(x));
-      }
-      if (xs.empty()) return "bad --grains (need at least one value)";
-      c->grains = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "scales";
-    s.value_hint = "F1,F2,...";
-    s.help = "tune: machine capacity-scale axis";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      std::vector<double> xs;
-      for (const std::string& tok : split_csv(v)) {
-        char* end = nullptr;
-        const double x = std::strtod(tok.c_str(), &end);
-        if (tok.empty() || end == nullptr || *end != '\0' ||
-            !std::isfinite(x) || x < 1.0) {
-          return "bad --scales '" + v +
-                 "' (need comma-separated finite numbers >= 1)";
-        }
-        xs.push_back(x);
-      }
-      if (xs.empty()) return "bad --scales (need at least one value)";
-      c->scales = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  fs.add_string("out", &cmd->tune_out, "FILE",
-                "tune: also write the tuning_report JSON document to FILE");
-  {
-    FlagSpec s;
-    s.name = "mode";
-    s.value_hint = "single|pair|predict";
-    s.def = "single";
-    s.help = "store get: which cell kind the axis flags name";
-    Command* c = cmd;
-    s.apply = [c](const std::string& v) -> std::string {
-      if (v != "single" && v != "pair" && v != "predict") {
-        return "bad --mode '" + v + "' (use single, pair or predict)";
-      }
-      c->get_mode = v;
-      return {};
-    };
-    fs.add(std::move(s));
+      break;
+    default:
+      break;
   }
   return fs;
 }
@@ -424,27 +470,15 @@ int do_store(const Command& cmd, std::ostream& out, std::ostream& err) {
 }
 
 int do_tune(const Command& cmd, std::ostream& out, std::ostream& err) {
-  harness::ExperimentEngine engine(cmd.jobs);
+  harness::ExperimentEngine engine;
   attach_store(engine, cmd);
   std::vector<npb::Benchmark> benches = cmd.benches;
   if (benches.empty()) {
     benches.assign(std::begin(npb::kAllBenchmarks),
                    std::end(npb::kAllBenchmarks));
   }
-  tune::TuneOptions topt;
-  topt.strategy = cmd.strategy;
-  topt.top_k = cmd.top_k;
-  topt.anneal_budget = cmd.anneal_budget;
-  if (!cmd.sched_kinds.empty()) topt.sched_kinds = cmd.sched_kinds;
-  topt.chunks = cmd.chunks.empty() ? std::vector<std::size_t>{0} : cmd.chunks;
-  topt.grains = cmd.grains.empty()
-                    ? std::vector<std::size_t>{cmd.options.grain}
-                    : cmd.grains;
-  topt.scales = cmd.scales.empty()
-                    ? std::vector<double>{cmd.options.machine_scale}
-                    : cmd.scales;
   const tune::TuneReport rep =
-      tune::tune(engine, benches, cmd.options, cmd.machine, topt);
+      tune::tune(engine, benches, cmd.options, cmd.machine, cmd.tune);
   if (cmd.csv) {
     tune::write_tuning_report(out, rep);
   } else {
@@ -482,12 +516,30 @@ int do_tune(const Command& cmd, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// The command words, in usage order.  `store` has two flag tables: one
+/// for `store get`, one for its other actions.
+struct Word {
+  const char* name;
+  Command::Kind kind;
+};
+constexpr Word kWords[] = {
+    {"help", Command::Kind::kHelp},
+    {"list", Command::Kind::kList},
+    {"run", Command::Kind::kRun},
+    {"pair", Command::Kind::kPair},
+    {"sched", Command::Kind::kSched},
+    {"timeline", Command::Kind::kTimeline},
+    {"predict", Command::Kind::kPredict},
+    {"trace", Command::Kind::kTrace},
+    {"tune", Command::Kind::kTune},
+    {"serve", Command::Kind::kServe},
+    {"store", Command::Kind::kStore},
+};
+
 }  // namespace
 
 std::string usage() {
-  Command dummy;
-  const FlagSet fs = make_flag_table(&dummy);
-  return
+  std::string text =
       "usage: paxsim <subcommand> [flags]\n"
       "  list                                      enumerate benchmarks/configs\n"
       "  run   --bench=CG --config=\"HT on -4-1\"    single-program run\n"
@@ -510,8 +562,32 @@ std::string usage() {
       "  store get [<digest>] --store=DIR          print one stored entry, by\n"
       "                                            digest or by the cell axes\n"
       "                                            (--bench/--config/--mode...)\n"
-      "flags (every subcommand accepts the full table):\n" +
-      fs.help_text(2);
+      "each subcommand accepts only the flags listed for it below.\n";
+  Command cell_owner;
+  FlagSet cell;
+  register_cell_flags(cell, &cell_owner.options);
+  text += "cell flags (every subcommand that names a cell):\n" +
+          cell.help_text(2);
+  const auto section = [&](const std::string& title, Command c) {
+    const FlagSet fs = make_flag_table(&c);
+    const bool names_cell = fs.has("class");
+    const std::string rows = fs.help_text(2, names_cell ? &cell : nullptr);
+    text += title + (names_cell ? ": the cell flags and\n" : ":\n") +
+            (rows.empty() ? "  (no flags)\n" : rows);
+  };
+  for (const Word& w : kWords) {
+    Command c;
+    c.kind = w.kind;
+    if (w.kind != Command::Kind::kStore) {
+      section(w.name, c);
+      continue;
+    }
+    c.store_action = "stat";
+    section("store stat|ls|gc|verify", c);
+    c.store_action = "get";
+    section("store get", c);
+  }
+  return text;
 }
 
 ParseResult parse(const std::vector<std::string>& args) {
@@ -522,54 +598,42 @@ ParseResult parse(const std::vector<std::string>& args) {
   }
   Command cmd;
   const std::string& sub = args[0];
-  if (sub == "list") {
-    cmd.kind = Command::Kind::kList;
-  } else if (sub == "run") {
-    cmd.kind = Command::Kind::kRun;
-  } else if (sub == "pair") {
-    cmd.kind = Command::Kind::kPair;
-  } else if (sub == "sched") {
-    cmd.kind = Command::Kind::kSched;
-  } else if (sub == "timeline") {
-    cmd.kind = Command::Kind::kTimeline;
-  } else if (sub == "predict") {
-    cmd.kind = Command::Kind::kPredict;
-  } else if (sub == "trace") {
-    cmd.kind = Command::Kind::kTrace;
-  } else if (sub == "tune") {
-    cmd.kind = Command::Kind::kTune;
-  } else if (sub == "serve") {
-    cmd.kind = Command::Kind::kServe;
-  } else if (sub == "store") {
-    cmd.kind = Command::Kind::kStore;
-  } else if (sub == "help" || sub == "--help" || sub == "-h") {
+  const Word* word =
+      std::find_if(std::begin(kWords), std::end(kWords),
+                   [&sub](const Word& w) { return sub == w.name; });
+  if (word != std::end(kWords)) {
+    cmd.kind = word->kind;
+  } else if (sub == "--help" || sub == "-h") {
     cmd.kind = Command::Kind::kHelp;
   } else {
     res.error = "unknown subcommand '" + sub + "'";
     return res;
   }
 
-  const FlagSet fs = make_flag_table(&cmd);
+  // `paxsim store` takes its action — and, for `get`, the digest — as
+  // positional arguments; the action picks the flag table.  No other word
+  // takes one.
+  std::vector<std::string> flags;
+  std::vector<std::string> positional;
   for (std::size_t i = 1; i < args.size(); ++i) {
-    if (args[i].rfind("--", 0) != 0) {
-      // `paxsim store` takes its action — and, for `get`, the digest — as
-      // positional arguments.
-      if (cmd.kind == Command::Kind::kStore && cmd.store_action.empty()) {
-        cmd.store_action = args[i];
-        continue;
-      }
-      if (cmd.kind == Command::Kind::kStore && cmd.store_action == "get" &&
-          cmd.store_digest.empty()) {
-        cmd.store_digest = args[i];
-        continue;
-      }
-      res.error = "unexpected argument '" + args[i] + "'";
-      return res;
-    }
-    if (fs.parse_flag(args[i], &res.error) != FlagSet::Outcome::kOk) {
-      return res;
+    (args[i].rfind("--", 0) == 0 ? flags : positional).push_back(args[i]);
+  }
+  if (cmd.kind == Command::Kind::kStore && !positional.empty()) {
+    cmd.store_action = positional[0];
+    if (cmd.store_action == "get" && positional.size() > 1) {
+      cmd.store_digest = positional[1];
     }
   }
+  const std::size_t taken =
+      cmd.kind != Command::Kind::kStore ? 0
+      : cmd.store_action == "get"       ? 2
+                                        : 1;
+  if (positional.size() > taken) {
+    res.error = "unexpected argument '" + positional[taken] + "'";
+    return res;
+  }
+  const FlagSet fs = make_flag_table(&cmd);
+  if (!fs.parse(flags, &res.error)) return res;
 
   // Per-subcommand requirements.
   const auto need = [&](bool cond, const char* msg) {
@@ -594,8 +658,6 @@ ParseResult parse(const std::vector<std::string>& args) {
     case Command::Kind::kTrace:
       need(cmd.benches.size() == 1, "trace needs --bench=<one benchmark>");
       need(!cmd.config_name.empty(), "trace needs --config=<name>");
-      need(cmd.options.check_mode == sim::CheckMode::kOff,
-           "trace and --check are mutually exclusive (one sink per machine)");
       break;
     case Command::Kind::kPair:
     case Command::Kind::kSched:
@@ -685,7 +747,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return do_store(cmd, out, err);
       case Command::Kind::kPredict: {
         const npb::Benchmark bench = cmd.benches[0];
-        harness::ExperimentEngine engine(cmd.jobs);
+        harness::ExperimentEngine engine;
         attach_store(engine, cmd);
         const auto pr = engine.predict(bench, cmd.config, opt, seed);
         const std::string label =
@@ -695,7 +757,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
               out, std::string(npb::benchmark_name(bench)), cmd.config_name,
               pr.prediction);
         } else {
-          harness::print_prediction(out, label, pr.prediction, false);
+          harness::print_prediction(out, label, pr.prediction);
           out << "  profile: "
               << (pr.profile_reused ? "reused" : "collected") << " ("
               << pr.profile_host_sec << "s), model evaluation "
@@ -780,7 +842,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return report_check(out, opt, r.check, cmd.csv);
       }
       case Command::Kind::kPair: {
-        harness::ExperimentEngine engine(cmd.jobs);
+        harness::ExperimentEngine engine;
         attach_store(engine, cmd);
         const auto r = engine.pair(cmd.benches[0], cmd.benches[1], cmd.config,
                                    opt, seed);
@@ -795,7 +857,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return report_check(out, opt, r.program[0].check, cmd.csv);
       }
       case Command::Kind::kTimeline: {
-        harness::ExperimentEngine engine(cmd.jobs);
+        harness::ExperimentEngine engine;
         const auto tl =
             engine.timeline(cmd.benches[0], cmd.config, opt, seed);
         if (opt.verify && !tl.run.verified) {
@@ -824,7 +886,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
             traced.trace_mode != sim::TraceMode::kFull) {
           traced.trace_mode = sim::TraceMode::kFull;
         }
-        harness::ExperimentEngine engine(cmd.jobs);
+        harness::ExperimentEngine engine;
         const auto tr = engine.trace(cmd.benches[0], cmd.config, traced, seed);
         const std::string bench_name(npb::benchmark_name(cmd.benches[0]));
         if (cmd.csv) {
@@ -861,7 +923,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return 0;
       }
       case Command::Kind::kSched: {
-        harness::ExperimentEngine engine(cmd.jobs);
+        harness::ExperimentEngine engine;
         auto policy = make_policy(cmd.policy, seed);
         const auto r =
             engine.scheduled(cmd.benches, cmd.config, *policy, opt, seed);

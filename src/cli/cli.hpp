@@ -3,17 +3,19 @@
 // The `paxsim` command-line driver, split into a testable library (command
 // parsing + execution against an abstract output stream) and a thin main.
 //
-// Flags are declarative: one cli::FlagSet table (src/cli/flags.hpp) defines
-// every flag's name, hint, default, help line and validation, and the same
-// table both parses argv and renders the flag section of usage() — the help
-// can never drift from what the parser accepts.  The bench drivers consume
-// the same register_run_flags/register_engine_flags tables, so `paxsim` and
-// bench/ agree on spellings and validation by construction.
+// Flags are declarative: each command word builds its own cli::FlagSet
+// (src/cli/flags.hpp) from the rows it reads — for `store`, its positional
+// action picks the table — and the same table both parses argv and renders
+// that word's section of usage(), so the help can never drift from what
+// the parser accepts, and a flag the word would ignore is refused.  The
+// rows shared with bench/ (the cell flags, --jobs, --store) are defined
+// once in flags.hpp, so `paxsim` and the benches agree on spellings and
+// validation by construction.
 //
 // Subcommands:
 //   paxsim list                        — benchmarks, classes, configurations
-//   paxsim run   --bench=CG --config="HT on -4-1" [--class=B] [--trials=N]
-//                [--seed=N] [--csv] [--baseline] [--check=mode]
+//   paxsim run   --bench=CG --config="HT on -4-1" [--class=B] [--seed=N]
+//                [--jobs=N] [--csv] [--baseline] [--check=mode]
 //   paxsim pair  --bench=CG,FT --config="HT off -4-2" [...]
 //   paxsim sched --bench=CG,FT --config="HT on -8-2" --policy=symbiotic
 //   paxsim timeline --bench=CG --config="HT on -8-2"
@@ -58,7 +60,7 @@ struct Command {
   std::string machine;
   std::string policy = "pinned-spread"; ///< sched subcommand policy
   harness::RunOptions options;
-  int jobs = 1;                         ///< host worker threads (--jobs=N)
+  int jobs = 1;                         ///< run/serve: host worker threads
   bool csv = false;
   bool baseline = false;                ///< also run + report serial
   bool compare = false;                 ///< predict: also simulate + errors
@@ -66,9 +68,10 @@ struct Command {
   std::string trace_out;                ///< trace: Chrome-tracing JSON file
   bool regions = false;                 ///< trace: print the region table
   bool stacks = false;                  ///< trace: print the context stacks
-  /// --store=DIR|off: persistent result store for run/pair/predict/serve
-  /// ("off" and empty both mean detached — bit-identical to the storeless
-  /// engine).  serve may instead take the directory from the job file.
+  /// --store=DIR|off: persistent result store for run/pair/predict/tune/
+  /// serve/store ("off" and empty both mean detached — bit-identical to
+  /// the storeless engine).  serve may instead take the directory from the
+  /// job file.
   std::string store_dir;
   std::string jobs_file;                ///< serve: the job-file path
   std::string store_action;             ///< store: stat|ls|gc|verify|get
@@ -78,15 +81,9 @@ struct Command {
   bool quiet = false;                   ///< serve: suppress per-cell lines
 
   // ---- tune -----------------------------------------------------------------
-  std::string strategy = "greedy";      ///< --strategy=grid|greedy|anneal
-  int top_k = 2;                        ///< --top-k: validations per kernel
-  int anneal_budget = 48;               ///< --budget: anneal proposal steps
-  /// Extra search axes (--schedules/--chunks/--grains/--scales CSV lists).
-  /// Empty means single-point: the corresponding RunOptions value.
-  std::vector<int> sched_kinds;
-  std::vector<std::size_t> chunks;
-  std::vector<std::size_t> grains;
-  std::vector<double> scales;
+  /// --strategy/--top-k/--budget and the --schedules/--chunks/--grains/
+  /// --scales axes; an axis left empty is the single point `options` names.
+  tune::TuneOptions tune;
   std::string tune_out;                 ///< --out: tuning_report JSON file
 };
 

@@ -12,12 +12,13 @@
 //                   so `--help` output can never drift from what the
 //                   parser actually accepts.
 //
-// Subcommands and benches register flags instead of re-parsing argv: the
-// register_*_flags helpers below bind the flags every execution tier shares
-// (problem class, trials, seeding, machine spec, schedule override, host
-// parallelism, store attachment) onto a harness::RunOptions, so the CLI and
-// bench/ accept the same spellings with the same validation by
-// construction.
+// Each `paxsim` command word and each bench builds its own table from the
+// rows it reads, so a flag it would ignore is refused instead.  The rows
+// more than one table registers are defined once, below: the cell flags
+// (problem class, seeding, grain, schedule override, machine spec and
+// scale, verification) bound onto a harness::RunOptions, host parallelism
+// and store attachment — so the CLI and bench/ accept the same spellings
+// with the same validation by construction.
 //
 // Header-only on purpose: bench drivers link the harness libraries but not
 // paxsim_cli, and a table of closures needs no translation unit.
@@ -218,26 +219,30 @@ class FlagSet {
   }
 
   /// Renders the table as aligned "--name=HINT  (default D)  help" lines,
-  /// one per flag, in registration order.
-  [[nodiscard]] std::string help_text(int indent = 2) const {
+  /// one per flag, in registration order, leaving out the rows @p skip
+  /// (when given) also has.
+  [[nodiscard]] std::string help_text(int indent = 2,
+                                      const FlagSet* skip = nullptr) const {
+    std::vector<const FlagSpec*> rows;
     std::vector<std::string> heads;
     std::size_t width = 0;
-    heads.reserve(specs_.size());
     for (const FlagSpec& s : specs_) {
+      if (skip != nullptr && skip->has(s.name)) continue;
       std::string h = "--" + s.name;
       if (!s.value_hint.empty()) h += "=" + s.value_hint;
       width = h.size() > width ? h.size() : width;
+      rows.push_back(&s);
       heads.push_back(std::move(h));
     }
     std::string out;
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       out.append(static_cast<std::size_t>(indent), ' ');
       out += heads[i];
       out.append(width - heads[i].size() + 2, ' ');
-      out += specs_[i].help;
-      if (!specs_[i].def.empty()) {
+      out += rows[i]->help;
+      if (!rows[i]->def.empty()) {
         out += " (default ";
-        out += specs_[i].def;
+        out += rows[i]->def;
         out += ')';
       }
       out += '\n';
@@ -252,23 +257,44 @@ class FlagSet {
     return false;
   }
 
-  [[nodiscard]] const std::vector<FlagSpec>& specs() const noexcept {
-    return specs_;
-  }
-
  private:
   std::vector<FlagSpec> specs_;
 };
 
-/// Registers the simulation knobs every execution tier shares, writing
-/// through to @p run.  One table serves `paxsim <subcommand>` and every
-/// bench driver, so the spellings, defaults and validation can never
-/// diverge between them.  --check and --trace are not here: only `paxsim`
-/// reports findings or traces, so only its table registers them.
-/// @p machine_spec (optional) also receives the raw --machine spelling, for
-/// error messages and report labels.
-inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
-                               std::string* machine_spec = nullptr) {
+/// Registers --machine, writing the resolved topology through to @p run.
+/// @p machine_spec (optional) also receives the raw spelling, for error
+/// messages and report labels.
+inline void register_machine_flag(FlagSet& fs, harness::RunOptions* run,
+                                  std::string* machine_spec = nullptr) {
+  FlagSpec s;
+  s.name = "machine";
+  s.value_hint = "PRESET|FILE.json";
+  s.def = "paxville";
+  s.help = "machine to simulate (preset or topology JSON)";
+  harness::RunOptions* r = run;
+  std::string* spec = machine_spec;
+  s.apply = [r, spec](const std::string& v) -> std::string {
+    if (v.empty()) return "bad --machine (need a preset name or a JSON file)";
+    sim::Topology topo;
+    std::string why;
+    if (!sim::Topology::resolve(v, &topo, &why)) {
+      return "bad --machine: " + why;
+    }
+    r->topology = std::make_shared<const sim::Topology>(std::move(topo));
+    if (spec != nullptr) *spec = v;
+    return {};
+  };
+  fs.add(std::move(s));
+}
+
+/// Registers the cell flags — the knobs that name what one simulated cell
+/// is, writing through to @p run — on every `paxsim` command word that
+/// names a cell and on every artifact bench, so the spellings, defaults
+/// and validation can never diverge between them.  --trials is not here
+/// (only the benches that average over trials read it), nor are --check
+/// and --trace (only `paxsim` reports findings or traces).
+inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
+                                std::string* machine_spec = nullptr) {
   {
     FlagSpec s;
     s.name = "class";
@@ -284,7 +310,6 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
     };
     fs.add(std::move(s));
   }
-  fs.add_int("trials", &run->trials, 1, "N", "trials per cell");
   fs.add_u64("seed", &run->base_seed, "N", "base RNG seed");
   fs.add_size("grain", &run->grain, 1, "N",
               "iterations per scheduling turn (N>1 changes the interleaving)");
@@ -308,27 +333,7 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
               "chunk parameter for --sched (0 = schedule's default)");
   fs.add_double("scale", &run->machine_scale, 1.0, "F",
                 "machine capacity scale factor");
-  {
-    FlagSpec s;
-    s.name = "machine";
-    s.value_hint = "PRESET|FILE.json";
-    s.def = "paxville";
-    s.help = "machine to simulate (preset or topology JSON)";
-    harness::RunOptions* r = run;
-    std::string* spec = machine_spec;
-    s.apply = [r, spec](const std::string& v) -> std::string {
-      if (v.empty()) return "bad --machine (need a preset name or a JSON file)";
-      sim::Topology topo;
-      std::string why;
-      if (!sim::Topology::resolve(v, &topo, &why)) {
-        return "bad --machine: " + why;
-      }
-      r->topology = std::make_shared<const sim::Topology>(std::move(topo));
-      if (spec != nullptr) *spec = v;
-      return {};
-    };
-    fs.add(std::move(s));
-  }
+  register_machine_flag(fs, run, machine_spec);
   {
     FlagSpec s;
     s.name = "no-verify";
@@ -343,25 +348,28 @@ inline void register_run_flags(FlagSet& fs, harness::RunOptions* run,
   }
 }
 
-/// Registers the engine-attachment flags (host worker threads and the
-/// persistent result store) shared by the CLI and the bench drivers.
-inline void register_engine_flags(FlagSet& fs, int* jobs,
-                                  std::string* store_dir) {
+/// Registers --jobs, on the tables of the commands and benches that fan
+/// cells out over the engine's host worker threads.
+inline void register_jobs_flag(FlagSet& fs, int* jobs) {
   fs.add_int("jobs", jobs, 1, "N", "host worker threads for independent cells");
-  {
-    FlagSpec s;
-    s.name = "store";
-    s.value_hint = "DIR|off";
-    s.def = "off";
-    s.help = "persistent content-addressed result store";
-    std::string* dir = store_dir;
-    s.apply = [dir](const std::string& v) -> std::string {
-      if (v.empty()) return "bad --store (need a directory, or 'off')";
-      *dir = (v == "off") ? std::string() : v;
-      return {};
-    };
-    fs.add(std::move(s));
-  }
+}
+
+/// Registers --store, on the tables of the commands and benches that
+/// memoize their cells in the persistent result store ("off" normalizes
+/// to detached: empty).
+inline void register_store_flag(FlagSet& fs, std::string* store_dir) {
+  FlagSpec s;
+  s.name = "store";
+  s.value_hint = "DIR|off";
+  s.def = "off";
+  s.help = "persistent content-addressed result store";
+  std::string* dir = store_dir;
+  s.apply = [dir](const std::string& v) -> std::string {
+    if (v.empty()) return "bad --store (need a directory, or 'off')";
+    *dir = (v == "off") ? std::string() : v;
+    return {};
+  };
+  fs.add(std::move(s));
 }
 
 }  // namespace paxsim::cli

@@ -171,16 +171,7 @@ void print_check_report_json(std::ostream& os, const check::CheckReport& r) {
 }
 
 void print_prediction(std::ostream& os, const std::string& label,
-                      const model::Prediction& p, bool csv) {
-  if (csv) {
-    os << label << ",wall_cycles," << p.wall_cycles << '\n';
-    os << label << ",speedup," << p.speedup << '\n';
-    for (int m = 0; m < perf::kMetricCount; ++m) {
-      os << label << ',' << perf::metric_name(m) << ','
-         << perf::metric_value(p.metrics, m) << '\n';
-    }
-    return;
-  }
+                      const model::Prediction& p) {
   os << label << ": " << static_cast<std::uint64_t>(p.wall_cycles)
      << " cycles (predicted), speedup=" << p.speedup << '\n';
   os << "  cpi=" << p.metrics.cpi

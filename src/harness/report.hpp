@@ -62,7 +62,7 @@ void print_check_report_json(std::ostream& os, const check::CheckReport& r);
 /// for a simulated result (wall cycles + the Figure-2 metric bundle), so
 /// `--predict` output lines up column-for-column with `run` output.
 void print_prediction(std::ostream& os, const std::string& label,
-                      const model::Prediction& p, bool csv);
+                      const model::Prediction& p);
 
 /// One JSON object (single line) with the prediction's metrics and backing
 /// event counts — the predict-mode counterpart of print_check_report_json.

@@ -64,6 +64,18 @@ void compute_cell(harness::ExperimentEngine& engine, const JobCell& cell) {
   }
 }
 
+/// True when @p store answers @p key with an entry that parses and
+/// validates — the load the engine reads through, so a corrupt entry is
+/// quarantined and its cell recomputed instead of counted as a hit.
+bool answered(ResultStore& store, const harness::CellKey& key) {
+  if (key.kind == harness::CellKey::Kind::kPredict) {
+    model::Prediction p;
+    return store.load_prediction(key, &p);
+  }
+  harness::CellValue v;
+  return store.load_cell(key, &v);
+}
+
 }  // namespace
 
 ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
@@ -81,7 +93,7 @@ ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < plan.cells.size(); ++i) {
     const JobCell& cell = plan.cells[i];
-    if (store->contains(cell.key)) {
+    if (answered(*store, cell.key)) {
       ++s.store_hits;
       if (progress != nullptr) {
         emit_progress(*progress, cell, i, plan.cells.size(), "hit");

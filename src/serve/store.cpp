@@ -305,11 +305,6 @@ std::string ResultStore::object_path(const std::string& digest) const {
       .string();
 }
 
-bool ResultStore::contains(const harness::CellKey& key) const {
-  return fs::exists(
-      object_path(harness::cell_digest(harness::cell_fingerprint(key))));
-}
-
 bool ResultStore::read_object(const std::string& digest,
                               std::string* payload) const {
   if (digest.size() != 32) return false;

@@ -114,9 +114,6 @@ class ResultStore final : public harness::CellStore {
   void store_prediction(const harness::CellKey& key,
                         const model::Prediction& p) override;
 
-  /// Existence probe by key (no parse, no counters).
-  [[nodiscard]] bool contains(const harness::CellKey& key) const;
-
   /// Raw committed entry text by 32-hex digest — the `paxsim store get`
   /// front-end.  Returns the exact bytes of the entry envelope (one JSON
   /// document); false when the digest is malformed or no entry exists.

@@ -25,6 +25,12 @@ harness::RunOptions options_for(const SearchSpace& space, const Point& p,
   return opt;
 }
 
+/// @p axis, or the single point @p base when the caller left it empty.
+template <typename T>
+std::vector<T> axis_or(const std::vector<T>& axis, T base) {
+  return axis.empty() ? std::vector<T>{base} : axis;
+}
+
 /// Model-tier evaluator over the engine: each distinct point costs one
 /// ExperimentEngine::predict (microseconds after the memoized profiling
 /// run); revisits are answered from a local memo.
@@ -80,10 +86,10 @@ TuneReport tune(harness::ExperimentEngine& engine,
   // that parallel wins; it has to find out).
   SearchSpace space;
   space.configs = harness::configs_for(base_opt.resolved_topology());
-  space.sched_kinds = topt.sched_kinds;
-  space.chunks = topt.chunks;
-  space.grains = topt.grains;
-  space.scales = topt.scales;
+  space.sched_kinds = axis_or(topt.sched_kinds, base_opt.sched_kind);
+  space.chunks = axis_or(topt.chunks, base_opt.sched_chunk);
+  space.grains = axis_or(topt.grains, base_opt.grain);
+  space.scales = axis_or(topt.scales, base_opt.machine_scale);
   space.validate();
 
   TuneReport report;

@@ -39,13 +39,15 @@ struct TuneOptions {
   int top_k = 2;
   int anneal_budget = 48;  ///< proposal steps for --strategy=anneal
 
-  // Axis lists beyond the machine's configuration table.  Defaults keep
-  // every extra axis a single point, so the default space is exactly the
-  // Table-1 row set the paper brute-forced.
-  std::vector<int> sched_kinds{-1};
-  std::vector<std::size_t> chunks{0};
-  std::vector<std::size_t> grains{1};
-  std::vector<double> scales{16.0};
+  // Axis lists beyond the machine's configuration table.  An empty axis is
+  // the single point the base RunOptions name (its sched_kind, sched_chunk,
+  // grain or machine_scale), so the default space is exactly the Table-1
+  // row set the paper brute-forced, at the run's own schedule, grain and
+  // scale.
+  std::vector<int> sched_kinds;
+  std::vector<std::size_t> chunks;
+  std::vector<std::size_t> grains;
+  std::vector<double> scales;
 };
 
 /// One simulator-validated candidate.
@@ -92,8 +94,9 @@ struct TuneReport {
 };
 
 /// Tunes every benchmark in @p benches on @p engine.  @p base_opt supplies
-/// the problem class, seeding, verification policy and the machine
-/// topology (RunOptions::topology; @p machine_spec is its display name).
+/// the problem class, seeding, verification policy, the machine topology
+/// (RunOptions::topology; @p machine_spec is its display name) and the
+/// value of every axis @p topt leaves empty.
 /// Throws std::invalid_argument on an unknown strategy or an invalid
 /// search space.
 [[nodiscard]] TuneReport tune(harness::ExperimentEngine& engine,

@@ -6,6 +6,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
 #include <sstream>
 
 namespace paxsim::cli {
@@ -38,8 +40,8 @@ TEST(CliParseTest, ListAndLmbench) {
 
 TEST(CliParseTest, RunParsesEverything) {
   const auto r = P({"run", "--bench=cg", "--config=HT on -4-1", "--class=W",
-                    "--trials=5", "--seed=99", "--jobs=4", "--csv",
-                    "--baseline", "--no-verify"});
+                    "--seed=99", "--jobs=4", "--csv", "--baseline",
+                    "--no-verify"});
   ASSERT_TRUE(r.ok()) << r.error;
   const Command& c = *r.command;
   EXPECT_EQ(c.kind, Command::Kind::kRun);
@@ -47,12 +49,15 @@ TEST(CliParseTest, RunParsesEverything) {
   EXPECT_EQ(c.benches[0], npb::Benchmark::kCG);
   EXPECT_EQ(c.config_name, "HT on -4-1");
   EXPECT_EQ(c.options.cls, npb::ProblemClass::kClassW);
-  EXPECT_EQ(c.options.trials, 5);
   EXPECT_EQ(c.options.base_seed, 99u);
   EXPECT_EQ(c.jobs, 4);
   EXPECT_TRUE(c.csv);
   EXPECT_TRUE(c.baseline);
   EXPECT_FALSE(c.options.verify);
+  // run simulates one trial, so a trial count is refused, not dropped.
+  const auto trials = P({"run", "--bench=CG", "--config=Serial", "--trials=5"});
+  EXPECT_FALSE(trials.ok());
+  EXPECT_EQ(trials.error, "unknown flag '--trials'");
 }
 
 TEST(CliParseTest, JobsDefaultsToOneAndRejectsBadValues) {
@@ -137,6 +142,122 @@ TEST(CliParseTest, SchedAcceptsEveryShippedPolicy) {
     const auto r = parse(args);
     EXPECT_TRUE(r.ok()) << p << ": " << r.error;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-word flag tables: each command word accepts exactly the flags it
+// reads, and refuses every other flag any word accepts.
+// ---------------------------------------------------------------------------
+
+/// One token per flag the shared table of every word used to hold, valued
+/// so that each word taking the flag accepts it.
+const std::vector<std::string> kFlagUnion = {
+    "--class=S", "--trials=2", "--seed=3", "--grain=2", "--sched=static",
+    "--chunk=4", "--scale=8", "--machine=paxville", "--no-verify",
+    "--check=race", "--trace=stacks", "--jobs=2", "--store=results",
+    "--bench=CG", "--config=Serial", "--policy=naive-pack", "--csv",
+    "--baseline", "--compare", "--profile", "--trace-out=t.json",
+    "--regions", "--stacks", "--jobs-file=plan.json", "--max-cells=1",
+    "--quiet", "--strategy=grid", "--top-k=1", "--budget=4",
+    "--schedules=static", "--chunks=4", "--grains=2", "--scales=8",
+    "--out=report.json", "--mode=single",
+};
+
+std::string flag_name(const std::string& token) {
+  return token.substr(2, token.find('=') - 2);
+}
+
+TEST(CliFlagMatrixTest, EachWordAcceptsExactlyTheFlagsItReads) {
+  const std::string cell =
+      "class seed grain sched chunk scale machine no-verify ";
+  struct WordCase {
+    std::vector<std::string> word;      ///< the word (and store action)
+    std::vector<std::string> required;  ///< flags the word cannot omit
+    std::string accepts;                ///< its table's flag names
+  };
+  const WordCase cases[] = {
+      {{"help"}, {}, ""},
+      {{"list"}, {}, "machine"},
+      {{"run"},
+       {"--bench=CG", "--config=Serial"},
+       cell + "check jobs store bench config csv baseline profile"},
+      {{"pair"},
+       {"--bench=CG,FT", "--config=HT off -4-2"},
+       cell + "check store bench config csv"},
+      {{"sched"},
+       {"--bench=CG,FT", "--config=HT off -4-2"},
+       cell + "check bench config csv policy"},
+      {{"timeline"},
+       {"--bench=CG", "--config=Serial"},
+       cell + "check bench config csv"},
+      {{"predict"},
+       {"--bench=CG", "--config=Serial"},
+       cell + "store bench config csv compare"},
+      {{"trace"},
+       {"--bench=CG", "--config=Serial"},
+       cell + "trace bench config csv trace-out regions stacks"},
+      {{"tune"},
+       {},
+       cell + "store bench csv strategy top-k budget schedules chunks "
+              "grains scales out"},
+      {{"serve"},
+       {"--jobs-file=plan.json"},
+       "jobs-file store jobs max-cells quiet"},
+      {{"store", "stat"}, {"--store=results"}, "store"},
+      {{"store", "ls"}, {"--store=results"}, "store"},
+      {{"store", "gc"}, {"--store=results"}, "store"},
+      {{"store", "verify"}, {"--store=results"}, "store"},
+      {{"store", "get"},
+       {"--store=results", "--bench=CG", "--config=Serial"},
+       cell + "store bench config mode"},
+  };
+  ASSERT_EQ(kFlagUnion.size(), 35u);
+  std::set<std::string> listed;
+  for (const WordCase& w : cases) {
+    std::istringstream names(w.accepts);
+    const std::set<std::string> accepts{
+        std::istream_iterator<std::string>(names),
+        std::istream_iterator<std::string>()};
+    listed.insert(accepts.begin(), accepts.end());
+    // The word and its required flags alone parse.
+    std::vector<std::string> bare = w.word;
+    bare.insert(bare.end(), w.required.begin(), w.required.end());
+    const ParseResult base = parse(bare);
+    ASSERT_TRUE(base.ok()) << w.word.back() << ": " << base.error;
+    for (const std::string& token : kFlagUnion) {
+      // The token goes first, so a required flag it repeats is overridden.
+      std::vector<std::string> args = w.word;
+      args.push_back(token);
+      args.insert(args.end(), w.required.begin(), w.required.end());
+      const ParseResult r = parse(args);
+      const std::string name = flag_name(token);
+      if (accepts.count(name) != 0) {
+        EXPECT_TRUE(r.ok()) << w.word.back() << " " << token << ": "
+                            << r.error;
+      } else {
+        EXPECT_EQ(r.error, "unknown flag '--" + name + "'")
+            << w.word.back() << " " << token;
+      }
+    }
+  }
+  // Every flag is some word's, except --trials: no word runs more than
+  // one trial.
+  for (const std::string& token : kFlagUnion) {
+    EXPECT_EQ(listed.count(flag_name(token)), token == "--trials=2" ? 0u : 1u)
+        << token;
+  }
+}
+
+TEST(CliFlagMatrixTest, UsageRendersEachWordsTable) {
+  const std::string text = usage();
+  EXPECT_EQ(text.find("full table"), std::string::npos);
+  for (const char* section :
+       {"\nlist:\n  --machine=", "\nrun: the cell flags and\n",
+        "\nserve:\n", "\nstore stat|ls|gc|verify:\n  --store=",
+        "\nstore get: the cell flags and\n", "\nhelp:\n  (no flags)\n"}) {
+    EXPECT_NE(text.find(section), std::string::npos) << section;
+  }
+  EXPECT_EQ(text.find("--trials"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -274,13 +395,11 @@ TEST(CliExecTest, PredictReportsPredictionAndProfileCost) {
   EXPECT_NE(out.find("EP@HT off -2-1"), std::string::npos);
   EXPECT_NE(out.find("(predicted), speedup="), std::string::npos);
   EXPECT_NE(out.find("profile: collected"), std::string::npos);
-  // The profile does not depend on the check mode, so a checked request
-  // profiles on an unchecked machine instead of failing.
-  EXPECT_EQ(run_cli({"predict", "--bench=EP", "--config=HT off -2-1",
-                     "--class=S", "--check=full"},
-                    out),
-            0);
-  EXPECT_NE(out.find("profile: collected"), std::string::npos);
+  // A prediction runs no checker, so predict refuses --check.
+  EXPECT_EQ(P({"predict", "--bench=EP", "--config=HT off -2-1", "--class=S",
+               "--check=full"})
+                .error,
+            "unknown flag '--check'");
 }
 
 TEST(CliExecTest, PredictCsvEmitsJson) {
@@ -339,9 +458,10 @@ TEST(CliParseTest, TraceParsesFlagsAndValidates) {
   EXPECT_FALSE(P({"trace", "--bench=CG"}).ok());
   EXPECT_FALSE(P({"trace", "--bench=CG", "--config=Serial",
                   "--trace=bogus"}).ok());
-  // One sink per machine: tracing and checking are mutually exclusive.
-  EXPECT_FALSE(P({"trace", "--bench=CG", "--config=Serial",
-                  "--check=full"}).ok());
+  // trace runs no checker (one sink per machine), so --check is refused.
+  EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial", "--check=full"})
+                .error,
+            "unknown flag '--check'");
 }
 
 TEST(CliExecTest, TraceReportsStacks) {
@@ -494,13 +614,13 @@ TEST(CliParseTest, TuneParsesItsFlags) {
   const Command& c = *r.command;
   EXPECT_EQ(c.kind, Command::Kind::kTune);
   ASSERT_EQ(c.benches.size(), 2u);
-  EXPECT_EQ(c.strategy, "anneal");
-  EXPECT_EQ(c.top_k, 3);
-  EXPECT_EQ(c.anneal_budget, 24);
-  EXPECT_EQ(c.sched_kinds, (std::vector<int>{-1, 1}));
-  EXPECT_EQ(c.chunks, (std::vector<std::size_t>{1, 8}));
-  EXPECT_EQ(c.grains, (std::vector<std::size_t>{1, 2}));
-  EXPECT_EQ(c.scales, (std::vector<double>{8.0, 16.0}));
+  EXPECT_EQ(c.tune.strategy, "anneal");
+  EXPECT_EQ(c.tune.top_k, 3);
+  EXPECT_EQ(c.tune.anneal_budget, 24);
+  EXPECT_EQ(c.tune.sched_kinds, (std::vector<int>{-1, 1}));
+  EXPECT_EQ(c.tune.chunks, (std::vector<std::size_t>{1, 8}));
+  EXPECT_EQ(c.tune.grains, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(c.tune.scales, (std::vector<double>{8.0, 16.0}));
   EXPECT_EQ(c.tune_out, "/tmp/tune.json");
 }
 
@@ -508,8 +628,8 @@ TEST(CliParseTest, TuneDefaultsAndRejections) {
   const auto r = P({"tune"});
   ASSERT_TRUE(r.ok()) << r.error;  // benches default to the whole suite
   EXPECT_TRUE(r.command->benches.empty());
-  EXPECT_EQ(r.command->strategy, "greedy");
-  EXPECT_EQ(r.command->top_k, 2);
+  EXPECT_EQ(r.command->tune.strategy, "greedy");
+  EXPECT_EQ(r.command->tune.top_k, 2);
   EXPECT_FALSE(P({"tune", "--strategy=bogus"}).ok());
   EXPECT_FALSE(P({"tune", "--top-k=0"}).ok());
   EXPECT_FALSE(P({"tune", "--schedules=fastest"}).ok());

@@ -1,7 +1,7 @@
 // Tests for the declarative flag layer (cli/flags.hpp): typed adders
 // accept/reject, parse_flag outcome classification, the generated help
-// goldens, and the shared run/engine tables both the CLI and the bench
-// drivers register.
+// goldens, and the shared cell, --jobs and --store rows both the CLI and
+// the benches register.
 #include "cli/flags.hpp"
 
 #include <gtest/gtest.h>
@@ -100,17 +100,31 @@ TEST(FlagSetTest, HelpTextIsGeneratedFromTheTable) {
   EXPECT_EQ(help.find("--quiet="), std::string::npos);
 }
 
+TEST(FlagSetTest, HelpTextSkipsTheRowsAnotherTableHas) {
+  int n = 3;
+  bool b = false;
+  FlagSet fs, shared;
+  fs.add_int("widgets", &n, 1, "N", "number of widgets");
+  fs.add_flag("quiet", &b, "suppress output");
+  shared.add_flag("quiet", &b, "suppress output");
+  const std::string help = fs.help_text(2, &shared);
+  EXPECT_NE(help.find("--widgets=N"), std::string::npos);
+  EXPECT_EQ(help.find("--quiet"), std::string::npos);
+  EXPECT_EQ(fs.help_text(2, &fs), "");
+}
+
 TEST(RunFlagTableTest, RegistersTheSharedSpellings) {
   harness::RunOptions run;
   FlagSet fs;
-  register_run_flags(fs, &run);
-  for (const char* name : {"class", "trials", "seed", "grain", "sched",
-                           "chunk", "scale", "machine", "no-verify"}) {
+  register_cell_flags(fs, &run);
+  for (const char* name : {"class", "seed", "grain", "sched", "chunk",
+                           "scale", "machine", "no-verify"}) {
     EXPECT_TRUE(fs.has(name)) << name;
   }
-  // Only the paxsim CLI reports findings or traces, so only it registers
-  // --check and --trace; a bench given either refuses it.
-  for (const char* name : {"check", "trace"}) {
+  // Only the benches that average over trials register --trials; only the
+  // paxsim CLI reports findings or traces, so only it registers --check
+  // and --trace.  No cell table carries any of them.
+  for (const char* name : {"trials", "check", "trace"}) {
     EXPECT_FALSE(fs.has(name)) << name;
   }
 }
@@ -119,15 +133,14 @@ TEST(RunFlagTableTest, WritesThroughToRunOptions) {
   harness::RunOptions run;
   std::string machine_spec;
   FlagSet fs;
-  register_run_flags(fs, &run, &machine_spec);
+  register_cell_flags(fs, &run, &machine_spec);
   std::string error;
-  EXPECT_TRUE(fs.parse({"--class=S", "--trials=3", "--seed=42",
-                        "--sched=dynamic", "--chunk=8", "--grain=2",
-                        "--scale=4", "--machine=woodcrest", "--no-verify"},
+  EXPECT_TRUE(fs.parse({"--class=S", "--seed=42", "--sched=dynamic",
+                        "--chunk=8", "--grain=2", "--scale=4",
+                        "--machine=woodcrest", "--no-verify"},
                        &error))
       << error;
   EXPECT_EQ(run.cls, npb::ProblemClass::kClassS);
-  EXPECT_EQ(run.trials, 3);
   EXPECT_EQ(run.base_seed, 42u);
   EXPECT_EQ(run.sched_kind, static_cast<int>(xomp::ScheduleKind::kDynamic));
   EXPECT_EQ(run.sched_chunk, 8u);
@@ -141,7 +154,7 @@ TEST(RunFlagTableTest, WritesThroughToRunOptions) {
 TEST(RunFlagTableTest, RejectsBadValuesWithTheSharedMessages) {
   harness::RunOptions run;
   FlagSet fs;
-  register_run_flags(fs, &run);
+  register_cell_flags(fs, &run);
   std::string error;
   EXPECT_EQ(fs.parse_flag("--class=Q", &error), FlagSet::Outcome::kError);
   EXPECT_NE(error.find("use S, W, A or B"), std::string::npos);
@@ -152,7 +165,8 @@ TEST(RunFlagTableTest, RejectsBadValuesWithTheSharedMessages) {
   EXPECT_EQ(fs.parse_flag("--machine=atlantis", &error),
             FlagSet::Outcome::kError);
   EXPECT_NE(error.find("bad --machine"), std::string::npos);
-  EXPECT_EQ(fs.parse_flag("--trials=0", &error), FlagSet::Outcome::kError);
+  EXPECT_EQ(fs.parse_flag("--trials=2", &error), FlagSet::Outcome::kUnknown);
+  EXPECT_EQ(error, "unknown flag '--trials'");
   for (const char* bad : {"--scale=0.5", "--scale=nan", "--scale=inf"}) {
     EXPECT_EQ(fs.parse_flag(bad, &error), FlagSet::Outcome::kError) << bad;
     EXPECT_NE(error.find("bad --scale"), std::string::npos) << bad;
@@ -163,7 +177,8 @@ TEST(EngineFlagTableTest, JobsAndStore) {
   int jobs = 1;
   std::string store;
   FlagSet fs;
-  register_engine_flags(fs, &jobs, &store);
+  register_jobs_flag(fs, &jobs);
+  register_store_flag(fs, &store);
   std::string error;
   EXPECT_TRUE(fs.parse({"--jobs=4", "--store=/tmp/paxstore"}, &error));
   EXPECT_EQ(jobs, 4);

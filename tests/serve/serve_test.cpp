@@ -7,6 +7,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -68,6 +69,49 @@ TEST(ServeCellsTest, ColdRunComputesEverythingWarmRunComputesNothing) {
       serve_cells(plan, (dir / "store").string(), opt, nullptr);
   EXPECT_EQ(warm.store_hits, plan.cells.size());
   EXPECT_EQ(warm.computed, 0u) << "a warmed store must answer every cell";
+}
+
+TEST(ServeCellsTest, CorruptEntryIsRecomputedNotCountedAsAHit) {
+  const fs::path dir = fresh_dir("corrupt");
+  const JobPlan plan = small_plan();
+  const std::string store = (dir / "store").string();
+  ServeOptions opt;
+  serve_cells(plan, store, opt, nullptr);
+
+  // Overwrite one committed entry of each payload kind, as a torn or
+  // foreign write would.
+  std::vector<fs::path> victims;
+  for (const char* payload : {"\"payload\":\"single\"",
+                              "\"payload\":\"prediction\""}) {
+    for (const auto& e :
+         fs::recursive_directory_iterator(fs::path(store) / "objects")) {
+      if (!e.is_regular_file() || e.path().extension() != ".json") continue;
+      std::ifstream in(e.path());
+      const std::string text{std::istreambuf_iterator<char>(in), {}};
+      if (text.find(payload) != std::string::npos) {
+        victims.push_back(e.path());
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(victims.size(), 2u);
+  for (const fs::path& v : victims) {
+    std::ofstream(v, std::ios::trunc) << "{garbage";
+  }
+
+  // The probe is the engine's validating load: each entry is quarantined
+  // and its cell computed again, not reported as a hit.
+  const ServeSummary warm = serve_cells(plan, store, opt, nullptr);
+  EXPECT_EQ(warm.store_hits, plan.cells.size() - 2);
+  EXPECT_EQ(warm.computed, 2u);
+  EXPECT_EQ(warm.failures, 0u);
+  for (const fs::path& v : victims) {
+    EXPECT_TRUE(fs::exists(v.string() + ".quarantined")) << v;
+  }
+  // The recomputed cells were filed again.
+  const ServeSummary again = serve_cells(plan, store, opt, nullptr);
+  EXPECT_EQ(again.store_hits, plan.cells.size());
+  EXPECT_EQ(again.computed, 0u);
 }
 
 TEST(ServeCellsTest, ProgressStreamIsValidNdjson) {
