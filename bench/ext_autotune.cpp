@@ -29,11 +29,7 @@ int main(int argc, char** argv) {
   // configuration is the single point the cell flags name.
   cli::FlagSet fs = bench::make_bench_flags(opt);
   cli::register_store_flag(fs, &opt.store_dir);
-  fs.add_string("strategy", &topt.strategy, "NAME",
-                "search strategy: grid, greedy or anneal");
-  fs.add_int("top-k", &topt.top_k, 1, "N",
-             "simulator validations per kernel (non-exhaustive strategies)");
-  fs.add_int("budget", &topt.anneal_budget, 1, "N", "anneal proposal steps");
+  cli::register_tune_flags(fs, &topt);
   fs.add_string("out", &out_path, "FILE",
                 "tuning_report JSON path (\"off\" disables the file)");
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;

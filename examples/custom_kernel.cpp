@@ -79,8 +79,8 @@ int main() {
     xomp::Team team(machine, cfg.cpus, &counters, space);
     // Declare SMT co-activity per core (the harness does this for you when
     // you use harness::run_single; shown here explicitly for clarity).
-    for (int chip = 0; chip < params.chips; ++chip) {
-      for (int core = 0; core < params.cores_per_chip; ++core) {
+    for (int chip = 0; chip < params.topology.packages; ++chip) {
+      for (int core = 0; core < params.topology.cores_per_package; ++core) {
         int nctx = 0;
         for (const auto c : cfg.cpus) {
           if (c.chip == chip && c.core == core) ++nctx;

@@ -87,8 +87,8 @@ int main() {
       perf::CounterSet counters;
       ImbalancedSweep sweep(space, 4096);
       xomp::Team team(machine, cfg->cpus, &counters, space);
-      for (int chip = 0; chip < params.chips; ++chip) {
-        for (int core = 0; core < params.cores_per_chip; ++core) {
+      for (int chip = 0; chip < params.topology.packages; ++chip) {
+        for (int core = 0; core < params.topology.cores_per_package; ++core) {
           int nctx = 0;
           for (const auto c : cfg->cpus) {
             if (c.chip == chip && c.core == core) ++nctx;

@@ -1,7 +1,6 @@
 #include "cli/cli.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -36,118 +35,79 @@ std::vector<std::string> split_csv(const std::string& s) {
   return out;
 }
 
+/// `paxsim tune`'s axis lists.  Each spans the knob of one cell flag, whose
+/// register_cell_flags row parses every value of the list.
+struct TuneAxis {
+  const char* cell;  ///< the cell flag, e.g. "sched"
+  const char* axis;  ///< the list flag, e.g. "schedules"
+  const char* hint;
+  const char* help;
+};
+constexpr TuneAxis kTuneAxes[] = {
+    {"sched", "schedules", "K1,K2,...",
+     "schedule-override axis: default, static, dynamic, guided (unset: "
+     "--sched)"},
+    {"chunk", "chunks", "N1,N2,...",
+     "chunk axis for overridden schedules, 0 = default (unset: --chunk)"},
+    {"grain", "grains", "N1,N2,...", "iteration-grain axis (unset: --grain)"},
+    {"scale", "scales", "F1,F2,...",
+     "machine capacity-scale axis (unset: --scale)"},
+};
+
+/// The cell flags' rows, writing through to scratch options: the axis lists
+/// parse each of their values with them.
+struct CellRows {
+  harness::RunOptions run;
+  FlagSet flags;
+  CellRows() { register_cell_flags(flags, &run); }
+  CellRows(const CellRows&) = delete;
+  CellRows& operator=(const CellRows&) = delete;
+};
+
+/// Registers @p a's list flag, filling @p out with the @p knob each value
+/// sets through @p rows.
+template <typename T>
+void add_axis_flag(FlagSet& fs, const TuneAxis& a,
+                   const std::shared_ptr<CellRows>& rows,
+                   T harness::RunOptions::*knob, std::vector<T>* out) {
+  FlagSpec s;
+  s.name = a.axis;
+  s.value_hint = a.hint;
+  s.help = a.help;
+  const std::string cell = std::string("--") + a.cell + "=";
+  const std::string axis = a.axis;
+  s.apply = [rows, cell, axis, knob, out](const std::string& v) -> std::string {
+    std::vector<T> xs;
+    std::string error;  // stays empty while every value parses
+    for (const std::string& tok : split_csv(v)) {
+      if (rows->flags.parse_flag(cell + tok, &error) !=
+          FlagSet::Outcome::kOk) {
+        break;
+      }
+      xs.push_back(rows->run.*knob);
+    }
+    if (!error.empty()) return "bad --" + axis + " '" + v + "': " + error;
+    if (xs.empty()) return "bad --" + axis + " (need at least one value)";
+    *out = std::move(xs);
+    return {};
+  };
+  fs.add(std::move(s));
+}
+
 /// Registers `paxsim tune`'s own flags: the search knobs and axes,
 /// written through to cmd->tune, and the report file.
 void add_tune_flags(FlagSet& fs, Command* cmd) {
   tune::TuneOptions* t = &cmd->tune;
-  {
-    FlagSpec s;
-    s.name = "strategy";
-    s.value_hint = "grid|greedy|anneal";
-    s.def = "greedy";
-    s.help = "search strategy over the configuration space";
-    s.apply = [t](const std::string& v) -> std::string {
-      if (v != "grid" && v != "greedy" && v != "anneal") {
-        return "bad --strategy '" + v + "' (use grid, greedy or anneal)";
-      }
-      t->strategy = v;
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  fs.add_int("top-k", &t->top_k, 1, "N",
-             "simulator validations per kernel (grid validates all)");
-  fs.add_int("budget", &t->anneal_budget, 1, "N",
-             "proposal steps for --strategy=anneal");
-  {
-    FlagSpec s;
-    s.name = "schedules";
-    s.value_hint = "K1,K2,...";
-    s.help = "schedule-override axis: default, static, dynamic, guided "
-             "(unset: --sched)";
-    s.apply = [t](const std::string& v) -> std::string {
-      std::vector<int> kinds;
-      for (const std::string& tok : split_csv(v)) {
-        int k = -1;
-        if (!harness::parse_sched_name(tok, &k)) {
-          return "bad --schedules '" + v +
-                 "' (use default, static, dynamic or guided)";
-        }
-        kinds.push_back(k);
-      }
-      if (kinds.empty()) return "bad --schedules (need at least one kind)";
-      t->sched_kinds = std::move(kinds);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "chunks";
-    s.value_hint = "N1,N2,...";
-    s.help = "chunk axis for overridden schedules, 0 = default (unset: "
-             "--chunk)";
-    s.apply = [t](const std::string& v) -> std::string {
-      std::vector<std::size_t> xs;
-      for (const std::string& tok : split_csv(v)) {
-        char* end = nullptr;
-        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0') {
-          return "bad --chunks '" + v + "' (need comma-separated integers)";
-        }
-        xs.push_back(static_cast<std::size_t>(x));
-      }
-      if (xs.empty()) return "bad --chunks (need at least one value)";
-      t->chunks = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "grains";
-    s.value_hint = "N1,N2,...";
-    s.help = "iteration-grain axis (unset: --grain)";
-    s.apply = [t](const std::string& v) -> std::string {
-      std::vector<std::size_t> xs;
-      for (const std::string& tok : split_csv(v)) {
-        char* end = nullptr;
-        const unsigned long long x = std::strtoull(tok.c_str(), &end, 10);
-        if (tok.empty() || end == nullptr || *end != '\0' || x < 1) {
-          return "bad --grains '" + v +
-                 "' (need comma-separated integers >= 1)";
-        }
-        xs.push_back(static_cast<std::size_t>(x));
-      }
-      if (xs.empty()) return "bad --grains (need at least one value)";
-      t->grains = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
-  {
-    FlagSpec s;
-    s.name = "scales";
-    s.value_hint = "F1,F2,...";
-    s.help = "machine capacity-scale axis (unset: --scale)";
-    s.apply = [t](const std::string& v) -> std::string {
-      std::vector<double> xs;
-      for (const std::string& tok : split_csv(v)) {
-        char* end = nullptr;
-        const double x = std::strtod(tok.c_str(), &end);
-        if (tok.empty() || end == nullptr || *end != '\0' ||
-            !std::isfinite(x) || x < 1.0) {
-          return "bad --scales '" + v +
-                 "' (need comma-separated finite numbers >= 1)";
-        }
-        xs.push_back(x);
-      }
-      if (xs.empty()) return "bad --scales (need at least one value)";
-      t->scales = std::move(xs);
-      return {};
-    };
-    fs.add(std::move(s));
-  }
+  register_tune_flags(fs, t);
+  const auto rows = std::make_shared<CellRows>();
+  add_axis_flag(fs, kTuneAxes[0], rows, &harness::RunOptions::sched_kind,
+                &t->sched_kinds);
+  add_axis_flag(fs, kTuneAxes[1], rows, &harness::RunOptions::sched_chunk,
+                &t->chunks);
+  add_axis_flag(fs, kTuneAxes[2], rows, &harness::RunOptions::grain,
+                &t->grains);
+  add_axis_flag(fs, kTuneAxes[3], rows, &harness::RunOptions::machine_scale,
+                &t->scales);
   fs.add_string("out", &cmd->tune_out, "FILE",
                 "also write the tuning_report JSON document to FILE");
 }
@@ -671,6 +631,24 @@ ParseResult parse(const std::vector<std::string>& args) {
     case Command::Kind::kServe:
       need(!cmd.jobs_file.empty(), "serve needs --jobs-file=<plan.json>");
       break;
+    case Command::Kind::kTune: {
+      // An axis list replaces the knob its cell flag sets, so giving both
+      // would silently drop one of them.
+      const auto given = [&flags](const std::string& name) {
+        return std::any_of(flags.begin(), flags.end(),
+                           [&name](const std::string& f) {
+                             return f == "--" + name ||
+                                    f.rfind("--" + name + "=", 0) == 0;
+                           });
+      };
+      for (const TuneAxis& a : kTuneAxes) {
+        if (res.error.empty() && given(a.cell) && given(a.axis)) {
+          res.error = std::string("--") + a.cell + " and --" + a.axis +
+                      " both set one axis of the search (give one of them)";
+        }
+      }
+      break;
+    }
     case Command::Kind::kStore:
       need(cmd.store_action == "stat" || cmd.store_action == "ls" ||
                cmd.store_action == "gc" || cmd.store_action == "verify" ||

@@ -35,6 +35,7 @@
 #include "harness/runner.hpp"
 #include "npb/kernel.hpp"
 #include "sim/topology.hpp"
+#include "tune/tuner.hpp"
 
 namespace paxsim::cli {
 
@@ -346,6 +347,28 @@ inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
     };
     fs.add(std::move(s));
   }
+}
+
+/// Registers the tuner's search knobs — --strategy, --top-k and --budget —
+/// written through to @p t, on `paxsim tune` and on ext_autotune.
+inline void register_tune_flags(FlagSet& fs, tune::TuneOptions* t) {
+  FlagSpec s;
+  s.name = "strategy";
+  s.value_hint = "grid|greedy|anneal";
+  s.def = t->strategy;
+  s.help = "search strategy over the configuration space";
+  s.apply = [t](const std::string& v) -> std::string {
+    if (v != "grid" && v != "greedy" && v != "anneal") {
+      return "bad --strategy '" + v + "' (use grid, greedy or anneal)";
+    }
+    t->strategy = v;
+    return {};
+  };
+  fs.add(std::move(s));
+  fs.add_int("top-k", &t->top_k, 1, "N",
+             "simulator validations per kernel (grid validates all)");
+  fs.add_int("budget", &t->anneal_budget, 1, "N",
+             "proposal steps for --strategy=anneal");
 }
 
 /// Registers --jobs, on the tables of the commands and benches that fan

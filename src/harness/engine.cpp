@@ -13,8 +13,10 @@
 namespace paxsim::harness {
 namespace {
 
-/// Pool key: the capacity-like fields RunOptions::machine_scale actually
-/// varies.  Machines with equal keys are interchangeable for pooling.
+/// Pool key: the topology (its fingerprint covers every level's scaled
+/// capacity), the other capacity-like fields RunOptions::machine_scale
+/// varies, and how the machine executes.  Machines with equal keys are
+/// interchangeable for pooling.
 std::string params_pool_key(const sim::MachineParams& p) {
   std::string s;
   s.reserve(64);
@@ -22,10 +24,6 @@ std::string params_pool_key(const sim::MachineParams& p) {
     s += std::to_string(v);
     s += ':';
   };
-  app(static_cast<std::uint64_t>(p.chips));
-  app(static_cast<std::uint64_t>(p.cores_per_chip));
-  app(p.l1d.size_bytes);
-  app(p.l2.size_bytes);
   app(p.trace_cache_uops);
   app(p.itlb_entries);
   app(p.dtlb_entries);
@@ -38,8 +36,7 @@ std::string params_pool_key(const sim::MachineParams& p) {
   app(p.profile ? 1u : 0u);
   // And for traced machines (trace::Tracer attachment + region flushes).
   app(static_cast<std::uint64_t>(p.trace_mode));
-  // Machines built from different topologies are never interchangeable.
-  if (p.topology != nullptr) s += p.topology->fingerprint();
+  s += p.topology.fingerprint();
   return s;
 }
 
@@ -594,7 +591,7 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
   const auto t0 = std::chrono::steady_clock::now();
   const sim::MachineParams mp = opt.machine_params();
   out.prediction =
-      model::predict(*prof, mp, placement_for(cfg, mp.resolved_topology()));
+      model::predict(*prof, mp, placement_for(cfg, mp.topology));
   // paxlint: allow(wallclock) -- predict_host_sec provenance timing; the prediction itself is host-time-free
   const auto t1 = std::chrono::steady_clock::now();
   out.predict_host_sec = std::chrono::duration<double>(t1 - t0).count();

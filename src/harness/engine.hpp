@@ -146,7 +146,7 @@ struct CellKey {
   sim::TraceMode trace = sim::TraceMode::kOff;
   /// RunOptions::topology projected through Topology::fingerprint(): cells
   /// simulated on different machines never alias.  Empty for the default
-  /// (null-topology) Paxville machine.
+  /// machine (a null RunOptions::topology).
   std::string machine;
 
   /// The one place RunOptions is projected onto a cell identity.  Every

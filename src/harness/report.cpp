@@ -230,28 +230,6 @@ Table prediction_error_table(const model::Prediction& p, const RunResult& sim,
   return t;
 }
 
-void print_run_json(std::ostream& os, const std::string& bench,
-                    const std::string& config, const RunResult& r) {
-  report::Json j(os);
-  j.begin_document("run")
-      .field("bench", bench)
-      .field("config", config)
-      .field("wall_cycles", r.wall_cycles)
-      .field("verified", r.verified);
-  j.key("metrics").object();
-  for (int m = 0; m < perf::kMetricCount; ++m) {
-    j.field(perf::metric_name(m), perf::metric_value(r.metrics, m));
-  }
-  j.end();
-  j.key("counters").object();
-  for (std::size_t e = 0; e < perf::kEventCount; ++e) {
-    const auto ev = static_cast<perf::Event>(e);
-    j.field(perf::event_name(ev), r.counters.get(ev));
-  }
-  j.end();
-  j.finish();
-}
-
 namespace {
 
 std::vector<std::string> stack_columns(std::vector<std::string> head) {

@@ -77,11 +77,6 @@ void print_prediction_json(std::ostream& os, const std::string& bench,
                                            const RunResult& sim,
                                            double sim_speedup);
 
-/// One JSON document (single line), kind "run": wall time, verification,
-/// the Figure-2 metric bundle and every PMU counter of a simulated run.
-void print_run_json(std::ostream& os, const std::string& bench,
-                    const std::string& config, const RunResult& r);
-
 /// Per-context CPI stack table: one row per active hardware context with
 /// the cycle count of every stack category plus the stack sum (== wall).
 [[nodiscard]] Table trace_context_table(const trace::TraceReport& t);

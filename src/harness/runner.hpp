@@ -76,26 +76,29 @@ struct RunOptions {
   /// trace::Tracer.  Mutually exclusive with check_mode in a traced run:
   /// the machine carries one sink.
   sim::TraceMode trace_mode = sim::TraceMode::kOff;
-  /// The machine to simulate (sim/topology.hpp).  Null means the calibrated
-  /// default Paxville — bit-identical to the pre-topology harness
-  /// (test-enforced).  Set from a preset name or a JSON description via the
-  /// CLI's --machine flag; shared because every cell of a plan runs on it.
+  /// The machine to simulate (sim/topology.hpp), set from a preset name or
+  /// a JSON description via the CLI's --machine flag; shared because every
+  /// cell of a plan runs on it.  Null means the default machine: the
+  /// calibrated Paxville, named "default", bit-identical to `--machine=
+  /// paxville` (test-enforced) but keyed apart from it (CellKey::machine
+  /// stays empty).
   std::shared_ptr<const sim::Topology> topology;
 
+  /// The scaled machine a cell runs on, carrying resolved_topology().
   [[nodiscard]] sim::MachineParams machine_params() const {
     sim::MachineParams base{};
-    if (topology != nullptr) base.set_topology(topology);
+    base.topology = resolved_topology();
     sim::MachineParams p = base.scaled(machine_scale);
     p.check_mode = check_mode;
     p.trace_mode = trace_mode;
     return p;
   }
-  /// The machine's shape, unscaled: MachineParams::resolved_topology(), so
-  /// a null topology means the calibrated default there and only there.
+  /// The machine's shape, unscaled: `*topology`, or the default machine.
   [[nodiscard]] sim::Topology resolved_topology() const {
-    sim::MachineParams p{};
-    p.set_topology(topology);
-    return p.resolved_topology();
+    if (topology != nullptr) return *topology;
+    sim::Topology t = sim::Topology::paxville();
+    t.name = "default";
+    return t;
   }
   [[nodiscard]] std::uint64_t trial_seed(int trial) const noexcept {
     return base_seed + static_cast<std::uint64_t>(trial) * 104729;

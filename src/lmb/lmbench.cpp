@@ -47,7 +47,7 @@ std::vector<LatencyPoint> latency_ladder(const sim::MachineParams& params,
     sim::HwContext& ctx = machine.context({0, 0, 0});
     ctx.bind(&counters, space.code_base());
 
-    const std::size_t line = params.l1d.line_bytes;
+    const std::size_t line = params.topology.levels[0].geometry.line_bytes;
     const std::size_t n_lines = std::max<std::size_t>(1, ws / line);
     const sim::Addr base = space.alloc(n_lines * line, params.page_bytes);
     const std::vector<std::size_t> order = chase_order(n_lines, 42);
@@ -75,7 +75,7 @@ std::vector<LatencyPoint> latency_ladder(const sim::MachineParams& params,
 BandwidthResult stream_bandwidth(const sim::MachineParams& params,
                                  bool both_chips,
                                  std::size_t bytes_per_thread) {
-  const std::size_t line = params.l1d.line_bytes;
+  const std::size_t line = params.topology.levels[0].geometry.line_bytes;
   const std::size_t lines_per_thread = bytes_per_thread / line;
 
   auto run = [&](bool writes) {

@@ -10,8 +10,8 @@ namespace {
 
 // ---- model calibration constants ------------------------------------------
 // These are properties of the *model*, not of the simulated machine (those
-// live in MachineParams); docs/CALIBRATION.md discusses the error bands they
-// produce against the simulator.
+// live in MachineParams and its Topology); docs/CALIBRATION.md discusses the
+// error bands they produce against the simulator.
 
 /// Fraction of detected sequential DRAM candidates the stream prefetcher
 /// converts into L2 hits (detection lag plus bus-threshold throttling keep
@@ -52,35 +52,6 @@ struct Raw {
   double mc_busy = 0;
 };
 
-/// Sharing facts the model needs from the machine's topology, resolved once
-/// per predict() call.  A default-constructed Hierarchy (no attached
-/// topology) reproduces the pre-topology model arithmetic exactly: the L2
-/// contends between SMT siblings and there is no L3 stage.
-struct Hierarchy {
-  bool l2_per_chip = false;  ///< level-1 cache shared by a package's cores
-  bool has_l3 = false;       ///< three-level hierarchy with a shared L3
-  std::size_t l3_sets = 1;
-  std::size_t l3_ways = 1;
-  double l3_latency = 0;
-  bool l3_per_chip = true;
-};
-
-Hierarchy resolve_hierarchy(const sim::MachineParams& m) {
-  Hierarchy h;
-  const sim::Topology t = m.resolved_topology();
-  h.l2_per_chip = t.levels.size() >= 2 &&
-                  t.levels[1].scope == sim::SharingScope::kPerChip;
-  if (t.levels.size() >= 3) {
-    const sim::TopoCacheLevel& l3 = t.levels[2];
-    h.has_l3 = true;
-    h.l3_sets = std::max<std::size_t>(1, l3.geometry.sets());
-    h.l3_ways = std::max<std::size_t>(1, l3.geometry.ways);
-    h.l3_latency = static_cast<double>(l3.latency);
-    h.l3_per_chip = l3.scope == sim::SharingScope::kPerChip;
-  }
-  return h;
-}
-
 double ratio_or(double num, double den, double fallback) {
   if (den <= 1e-9 || num <= 0) return fallback;
   return num / den;
@@ -112,8 +83,17 @@ struct Correction {
 /// @p corr, when present, rescales the capacity estimates to the profiling
 /// run's measured serial counters before derived costs are computed.
 Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
-            const Placement& pl, const Hierarchy& hier, const Raw* serial_base,
+            const Placement& pl, const Raw* serial_base,
             const Correction* corr) {
+  // Every level, link and node figure comes from the machine's topology:
+  // the per-core L1D and the L2 (per-core or chip-shared), the chip-shared
+  // L3 of a three-level hierarchy, and memory node 0.
+  const sim::Topology& topo = m.topology;
+  const sim::TopoCacheLevel& l1 = topo.levels[0];
+  const sim::TopoCacheLevel& l2 = topo.levels[1];
+  const sim::TopoCacheLevel* l3 =
+      topo.levels.size() >= 3 ? &topo.levels[2] : nullptr;
+  const sim::MemNode& node = topo.nodes[0];
   Raw r;
   const std::size_t k = thread_count_index(pl.threads);
   const double T = static_cast<double>(pl.threads);
@@ -122,8 +102,9 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
   // Contexts competing for one instance of the level-1 cache: SMT siblings
   // when it is core-private (Paxville), the package's whole team share when
   // it is chip-shared (Woodcrest).
-  const int l2_share =
-      hier.l2_per_chip ? std::max(1, pl.contexts_per_chip) : share;
+  const int l2_share = l2.scope == sim::SharingScope::kPerChip
+                           ? std::max(1, pl.contexts_per_chip)
+                           : share;
 
   r.accesses = static_cast<double>(p.loads + p.stores);
   const double loads = static_cast<double>(p.loads);
@@ -132,10 +113,12 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
   // ---- capacity integration ------------------------------------------------
   // Competitive sharing under SMT: both contexts hash into the same sets, so
   // each context's stream effectively sees its share of the ways.
-  const std::size_t l1_sets = std::max<std::size_t>(1, m.l1d.sets());
-  const std::size_t l1_ways = std::max<std::size_t>(1, m.l1d.ways / share);
-  const std::size_t l2_sets = std::max<std::size_t>(1, m.l2.sets());
-  const std::size_t l2_ways = std::max<std::size_t>(1, m.l2.ways / l2_share);
+  const std::size_t l1_sets = std::max<std::size_t>(1, l1.geometry.sets());
+  const std::size_t l1_ways =
+      std::max<std::size_t>(1, l1.geometry.ways / share);
+  const std::size_t l2_sets = std::max<std::size_t>(1, l2.geometry.sets());
+  const std::size_t l2_ways =
+      std::max<std::size_t>(1, l2.geometry.ways / l2_share);
   const std::size_t dtlb_sets =
       std::max<std::size_t>(1, m.dtlb_entries / m.dtlb_ways);
   const std::size_t dtlb_ways = std::max<std::size_t>(1, m.dtlb_ways / share);
@@ -176,13 +159,15 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
   // package's whole team competing for its ways.  Lines resident in the L3
   // but not the mid-level L2 are served at the L3 latency instead of DRAM.
   double l3_resident = l2_resident;
-  if (hier.has_l3) {
-    const int l3_share =
-        hier.l3_per_chip ? std::max(1, pl.contexts_per_chip) : share;
+  if (l3 != nullptr) {
+    const int l3_share = l3->scope == sim::SharingScope::kPerChip
+                             ? std::max(1, pl.contexts_per_chip)
+                             : share;
+    const std::size_t l3_sets = std::max<std::size_t>(1, l3->geometry.sets());
     const std::size_t l3_ways =
-        std::max<std::size_t>(1, hier.l3_ways / l3_share);
+        std::max<std::size_t>(1, l3->geometry.ways / l3_share);
     l3_resident =
-        std::max(l2_resident, lineh.expected_hits(hier.l3_sets, l3_ways));
+        std::max(l2_resident, lineh.expected_hits(l3_sets, l3_ways));
     if (corr != nullptr) {
       const double memc =
           std::max(0.0, r.accesses - l3_resident) * corr->l2_miss;
@@ -215,7 +200,7 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
 
   double mem_level = std::max(0.0, r.accesses - l2_resident);
   double l3_level = 0;  // L2 misses the chip-shared L3 absorbs
-  if (hier.has_l3) {
+  if (l3 != nullptr) {
     l3_resident = std::max(l2_resident, l3_resident - r.coherence);
     l3_level = std::max(0.0, l3_resident - l2_resident);
     mem_level = std::max(0.0, mem_level - l3_level);
@@ -357,8 +342,8 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
   const double l2ov = mt ? m.mt_l2_overlap : m.l2_overlap;
   const double memov = mt ? m.mt_mem_overlap : m.mem_overlap;
   const double stov = mt ? m.mt_store_overlap : m.store_overlap;
-  const double l1_lat = static_cast<double>(m.l1_latency);
-  const double l2_lat = static_cast<double>(m.l2_latency);
+  const double l1_lat = static_cast<double>(l1.latency);
+  const double l2_lat = static_cast<double>(l2.latency);
 
   // Memory-controller pressure inflates the effective DRAM latency (the
   // simulator resolves this queueing in virtual time; the model closes the
@@ -373,11 +358,11 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
   r.bus_prefetches = (r.rescued + gather_rescued) * over_issue;
   r.bus_reads = mem_level + rt_cross + gather_miss;
   r.bus_writes = wb;
-  const double mc_busy = (r.bus_reads + r.bus_prefetches) * m.mem_read_occupancy +
-                         wb * m.mem_write_occupancy;
+  const double mc_busy = (r.bus_reads + r.bus_prefetches) * node.read_occupancy +
+                         wb * node.write_occupancy;
   r.mc_busy = mc_busy;
 
-  double mem_lat = static_cast<double>(m.mem_latency);
+  double mem_lat = static_cast<double>(node.latency);
   double gather_wall = 0, gather_stall = 0;
   for (int pass = 0; pass < 2; ++pass) {
     const double l1_loads = l1_hits * (1.0 - store_share_l1);
@@ -392,13 +377,13 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
     stall += l2_loads * (fc * std::max(0.0, l2_lat - issue_per_uop) +
                          (1.0 - fc) * l2_lat * l2ov);
     stall += l2_stores * l2_lat * stov;
-    if (hier.has_l3) {
+    if (l3 != nullptr) {
       // L2 misses the L3 absorbs: exposed like L2 hits, at the L3 latency.
+      const double l3_lat = static_cast<double>(l3->latency);
       const double l3_loads = l3_level * (1.0 - store_share_mem);
-      stall +=
-          l3_loads * (fc * std::max(0.0, hier.l3_latency - issue_per_uop) +
-                      (1.0 - fc) * hier.l3_latency * l2ov);
-      stall += (l3_level - l3_loads) * hier.l3_latency * stov;
+      stall += l3_loads * (fc * std::max(0.0, l3_lat - issue_per_uop) +
+                           (1.0 - fc) * l3_lat * l2ov);
+      stall += (l3_level - l3_loads) * l3_lat * stov;
     }
     stall += mem_loads * (fc * mem_lat + (1.0 - fc) * mem_lat * memov);
     stall += mem_stores * mem_lat * stov;
@@ -438,19 +423,19 @@ Raw analyze(const KernelProfile& p, const sim::MachineParams& m,
       wall_cpu = sf * serial_cycles * serial_mode + gather_wall +
                  (1.0 - sf) * r.cycles / T * imb;
       wall_cpu += static_cast<double>(p.barriers) * kBarrierLatencyFrac *
-                  static_cast<double>(m.mem_latency);
+                  static_cast<double>(node.latency);
     }
     const double chips = std::max(1, pl.chips_used);
     const double bus_busy =
-        ((mem_level + r.bus_prefetches) * m.bus_read_occupancy +
-         wb * m.bus_write_occupancy) /
+        ((mem_level + r.bus_prefetches) * topo.link_read_occupancy +
+         wb * topo.link_write_occupancy) /
         chips;
     r.wall = std::max({wall_cpu, bus_busy, mc_busy});
 
     // Refine the DRAM latency from the controller utilisation seen this
     // pass, then recompute once.
     const double util = mc_busy / std::max(1.0, wall_cpu);
-    mem_lat = static_cast<double>(m.mem_latency) *
+    mem_lat = static_cast<double>(node.latency) *
               (1.0 + kQueueGain * std::min(1.5, util));
   }
   // The replicated gather work is master-context busy time: fold it into
@@ -472,9 +457,8 @@ Prediction predict(const KernelProfile& profile,
   // serial analysis with those corrections so the base reproduces the
   // anchor; the target placement then extrapolates from that calibrated
   // footing, with coherence/runtime traffic added unscaled on top.
-  const Hierarchy hier = resolve_hierarchy(params);
   const Raw base0 =
-      analyze(profile, params, Placement::serial(), hier, nullptr, nullptr);
+      analyze(profile, params, Placement::serial(), nullptr, nullptr);
   Correction c;
   if (a.valid) {
     c.l1_miss = anchor_ratio(a.l1d_misses, base0.l1_misses);
@@ -485,11 +469,10 @@ Prediction predict(const KernelProfile& profile,
     c.itlb = anchor_ratio(a.itlb_misses, base0.itlb_misses);
     c.bus_writes = anchor_ratio(a.bus_writes, base0.bus_writes);
   }
-  const Raw base =
-      analyze(profile, params, Placement::serial(), hier, nullptr, &c);
+  const Raw base = analyze(profile, params, Placement::serial(), nullptr, &c);
   const Raw raw = place.threads <= 1 && place.contexts_per_core <= 1
                       ? base
-                      : analyze(profile, params, place, hier, &base, &c);
+                      : analyze(profile, params, place, &base, &c);
 
   const double r_cyc = a.valid ? anchor_ratio(a.cycles, base.cycles) : 1.0;
   const double r_wall = a.valid ? anchor_ratio(a.wall_cycles, base.wall) : 1.0;

@@ -54,7 +54,7 @@ struct Placement {
   int chips_used = 1;          ///< distinct packages occupied
   int contexts_per_core = 1;   ///< max team contexts sharing one core
   int contexts_per_chip = 1;   ///< max team contexts sharing one package
-  /// Global physical-core index (chip * cores_per_chip + core) of each
+  /// Global physical-core index (Topology::core_id) of each
   /// thread rank; only the first `threads` entries are meaningful.
   std::array<std::uint8_t, kMaxRanks> rank_core{};
 

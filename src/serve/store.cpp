@@ -376,13 +376,6 @@ void ResultStore::commit(const harness::CellKey& key,
   const std::string digest =
       harness::cell_digest(harness::cell_fingerprint(key));
   const std::string final_path = object_path(digest);
-  if (fs::exists(final_path)) {
-    // Another shared-nothing writer (or an earlier run) already answered
-    // this cell with the identical deterministic bytes.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++counters_.dedup_skips;
-    return;
-  }
   std::error_code ec;
   fs::create_directories(fs::path(final_path).parent_path(), ec);
   std::uint64_t seq = 0;
@@ -406,16 +399,13 @@ void ResultStore::commit(const harness::CellKey& key,
                                tmp.string());
     }
   }
+  // rename(2) replaces whatever file holds the name: the same bytes from a
+  // writer racing on this cell, or an entry this binary rejects on load
+  // (another store format), which would otherwise be recomputed forever.
   fs::rename(tmp, final_path, ec);
   if (ec) {
-    // A racing writer may have landed first on a filesystem where rename
-    // onto an existing file errors; that is a successful dedup.
-    if (fs::exists(final_path)) {
-      fs::remove(tmp, ec);
-      std::lock_guard<std::mutex> lock(mu_);
-      ++counters_.dedup_skips;
-      return;
-    }
+    std::error_code ignored;
+    fs::remove(tmp, ignored);
     throw std::runtime_error("paxserve: cannot commit store entry for " +
                              final_path + ": " + ec.message());
   }

@@ -22,10 +22,11 @@
 //   tmp/                              in-flight writes (unique names)
 //
 // Concurrency.  Writers are shared-nothing: an entry is serialized to a
-// unique file under tmp/ and atomically rename(2)d into place.  Two
-// processes racing on the same cell both compute the identical
-// deterministic bytes, so whichever rename lands last is a no-op — the
-// store mediates cross-process dedup without locks.
+// unique file under tmp/ and atomically rename(2)d into place over whatever
+// file holds its name.  Two processes racing on the same cell both compute
+// the identical deterministic bytes, so the last rename wins and changes
+// nothing — the store mediates cross-process dedup without locks.  The same
+// rename replaces an entry of another store format, which load rejects.
 //
 // Values are the versioned JSON report envelope ({"schema_version":N,
 // "kind":"stored_cell"}) written through report::Json; doubles that must
@@ -46,7 +47,8 @@ namespace paxsim::serve {
 
 /// Format version of the store layout + entry envelope.  A store created
 /// with a different version refuses to open; entries stamped with a
-/// different version are rejected on load (treated as absent).
+/// different version are rejected on load (treated as absent, so the cell
+/// is recomputed) and replaced by the recomputed entry's commit.
 inline constexpr int kStoreFormatVersion = 1;
 
 /// What a directory scan found (the `paxsim store stat` payload).
@@ -63,7 +65,6 @@ struct StoreCounters {
   std::uint64_t load_hits = 0;     ///< loads answered
   std::uint64_t load_rejects = 0;  ///< version/fingerprint rejections
   std::uint64_t writes = 0;        ///< entries committed by this handle
-  std::uint64_t dedup_skips = 0;   ///< writes skipped (entry already present)
   std::uint64_t quarantines = 0;   ///< corrupt entries set aside
 };
 
@@ -134,8 +135,8 @@ class ResultStore final : public harness::CellStore {
 
  private:
   [[nodiscard]] std::string object_path(const std::string& digest) const;
-  /// Serializes + atomically commits one entry; dedups against an existing
-  /// object.
+  /// Atomically commits one serialized entry, replacing any file that
+  /// holds its name.
   void commit(const harness::CellKey& key, const std::string& body);
   /// Loads + validates the entry for @p key and decodes its payload into
   /// @p cell or @p prediction (read_payload).  Returns false (and bumps the

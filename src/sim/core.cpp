@@ -110,14 +110,33 @@ void HwContext::reset() noexcept {
 // Core
 // ---------------------------------------------------------------------------
 
-Core::Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx)
+namespace {
+
+/// The core's own L2, or null when the topology's L2 is chip-shared.
+std::unique_ptr<SetAssocCache> private_l2(const Topology& t) {
+  const TopoCacheLevel& l2 = t.levels[1];
+  if (l2.scope == SharingScope::kPerChip) return nullptr;
+  return std::make_unique<SetAssocCache>(l2.geometry);
+}
+
+}  // namespace
+
+Core::Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx,
+           SetAssocCache* chip_cache)
     : params_(&p),
       machine_(machine),
       chip_idx_(chip_idx),
       core_idx_(core_idx),
-      l1d_(p.l1d),
-      l2_own_(std::make_unique<SetAssocCache>(p.l2)),
-      l2_(l2_own_.get()),
+      l1d_(p.topology.levels[0].geometry),
+      l2_own_(private_l2(p.topology)),
+      l2_(l2_own_ != nullptr ? l2_own_.get() : chip_cache),
+      l3_(p.topology.levels.size() == 3 ? chip_cache : nullptr),
+      l1_latency_(static_cast<double>(p.topology.levels[0].latency)),
+      l2_latency_(static_cast<double>(p.topology.levels[1].latency)),
+      l3_latency_(l3_ != nullptr
+                      ? static_cast<double>(p.topology.levels[2].latency)
+                      : 0.0),
+      mem_latency_(static_cast<double>(p.topology.nodes[0].latency)),
       trace_cache_(p.trace_cache_uops, p.trace_uops_per_line, p.trace_cache_ways),
       itlb_(p.itlb_entries, p.itlb_ways, p.page_bytes),
       dtlb_(p.dtlb_entries, p.dtlb_ways, p.page_bytes),
@@ -129,7 +148,7 @@ Core::Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx)
       fast_path_(p.fast_path && p.check_mode == CheckMode::kOff &&
                  !p.profile && p.trace_mode == TraceMode::kOff) {
   refresh_issue_cost();
-  const int smt = std::max(1, p.contexts_per_core);
+  const int smt = std::max(1, p.topology.smt_per_core);
   contexts_.resize(static_cast<std::size_t>(smt));
   for (int i = 0; i < smt; ++i) {
     HwContext& ctx = contexts_[static_cast<std::size_t>(i)];
@@ -137,8 +156,8 @@ Core::Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx)
     ctx.id_ = LogicalCpu{static_cast<std::uint8_t>(chip_idx),
                          static_cast<std::uint8_t>(core_idx),
                          static_cast<std::uint8_t>(i)};
-    ctx.fast_line_mask_ = ~static_cast<Addr>(p.l1d.line_bytes - 1);
-    ctx.fast_line_shift_ = log2_exact(p.l1d.line_bytes);
+    ctx.fast_line_mask_ = ~static_cast<Addr>(l1d_.line_bytes() - 1);
+    ctx.fast_line_shift_ = log2_exact(l1d_.line_bytes());
   }
 }
 
@@ -172,13 +191,13 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
   double queue_wait = 0; // FSB + memory-controller backlog share of latency
   MemLevel level = MemLevel::kL1;
   if (l1.hit) {
-    latency = static_cast<double>(p.l1_latency);
+    latency = l1_latency_;
     if (is_store && l1.state == LineState::kShared) {
       machine_->store_upgrade(global_id(), line, ctx);
       l1d_.upgrade_to_modified(addr);
       l2_->upgrade_to_modified(addr);
       if (l3_ != nullptr) l3_->upgrade_to_modified(addr);
-      latency += static_cast<double>(p.l2_latency);  // snoop round-trip
+      latency += l2_latency_;  // snoop round-trip
     }
   } else {
     c.add(Event::kL1dMisses, 1);
@@ -194,7 +213,7 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
         // a perfectly covered stream would starve its own detector).
         issue_prefetches(ctx, l2_->line_of(addr));
       }
-      latency = static_cast<double>(p.l2_latency);
+      latency = l2_latency_;
       // A hit on an in-flight fill waits for the data to land.  The wait is
       // a hard arrival constraint — charged in full, not scaled by the
       // overlap factor — which is what throttles an eager prefetcher to the
@@ -204,7 +223,7 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
         machine_->store_upgrade(global_id(), line, ctx);
         l2_->upgrade_to_modified(addr);
         if (l3_ != nullptr) l3_->upgrade_to_modified(addr);
-        latency += static_cast<double>(p.l2_latency);
+        latency += l2_latency_;
       }
     } else if (l3_ == nullptr) {
       c.add(Event::kL2Misses, 1);
@@ -316,10 +335,10 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
     // latency can be hidden.
     const bool mt = active_contexts_ > 1;
     const double store_ov = mt ? p.mt_store_overlap : p.store_overlap;
-    if (latency >= static_cast<double>(p.mem_latency)) {
+    if (latency >= mem_latency_) {
       stall += latency * (is_store ? store_ov
                                    : (mt ? p.mt_mem_overlap : p.mem_overlap));
-    } else if (latency > static_cast<double>(p.l1_latency)) {
+    } else if (latency > l1_latency_) {
       stall += latency * (is_store ? store_ov
                                    : (mt ? p.mt_l2_overlap : p.l2_overlap));
     }

@@ -2,11 +2,13 @@
 //
 // One physical core with its SMT hardware contexts (two on the default
 // Paxville machine; the count comes from the topology).  Per-core (shared by
-// the core's contexts): L1D, an L2 that is private by default but may be
-// chip-shared or backed by a chip-shared L3 on other topologies, trace
-// cache, ITLB, DTLB, branch-predictor pattern table, execution units and the
-// stream prefetcher.  Per-context (architectural): the virtual clock, stall
-// accounting, branch history, and the binding to a program's counter set.
+// the core's contexts): L1D, an L2 that is private on Paxville but may be
+// chip-shared or backed by a chip-shared L3 on other topologies (the
+// topology's levels decide, and Machine passes the chip's shared cache in
+// at construction), trace cache, ITLB, DTLB, branch-predictor pattern
+// table, execution units and the stream prefetcher.  Per-context
+// (architectural): the virtual clock, stall accounting, branch history, and
+// the binding to a program's counter set.
 //
 // Timing model
 // ------------
@@ -288,7 +290,12 @@ class HwContext {
 /// One physical core and its shared structures.
 class Core {
  public:
-  Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx);
+  /// Builds core @p core_idx of chip @p chip_idx from @p p's topology: its
+  /// own L1D and, unless the L2 is chip-shared, its own L2.  @p chip_cache
+  /// is the chip's shared outermost level — the L2 of a shared-L2 topology,
+  /// the L3 of a three-level one — or null when every level is per-core.
+  Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx,
+       SetAssocCache* chip_cache);
 
   Core(const Core&) = delete;
   Core& operator=(const Core&) = delete;
@@ -321,7 +328,7 @@ class Core {
   /// Global core id (0..3 on Paxville); Machine maps it to a coherence
   /// domain.
   [[nodiscard]] int global_id() const noexcept {
-    return chip_idx_ * params_->cores_per_chip + core_idx_;
+    return chip_idx_ * params_->topology.cores_per_package + core_idx_;
   }
   [[nodiscard]] int chip_index() const noexcept { return chip_idx_; }
 
@@ -335,18 +342,6 @@ class Core {
   bool downgrade_line(Addr line_addr) noexcept;
 
   // ---- topology wiring (called by Machine during construction) -------------
-  /// Replaces this core's private outer cache with the chip-shared one
-  /// (shared-L2 topologies).  The core no longer owns its L2 storage.
-  void attach_shared_l2(SetAssocCache* shared) noexcept {
-    l2_own_.reset();
-    l2_ = shared;
-  }
-  /// Attaches a chip-shared last-level cache behind the private L2
-  /// (three-level topologies).
-  void attach_l3(SetAssocCache* l3, Cycle latency) noexcept {
-    l3_ = l3;
-    l3_latency_ = static_cast<double>(latency);
-  }
   /// Registers another core of the same coherence domain (it shares this
   /// core's outermost cache).  Empty on private-outer topologies.
   void add_domain_sibling(Core* sib) { domain_siblings_.push_back(sib); }
@@ -423,8 +418,7 @@ class Core {
     issue_cost_ = active_contexts_ > 1
                       ? params_->cycles_per_uop * params_->smt_issue_stretch
                       : params_->cycles_per_uop;
-    chained_l1_stall_ =
-        std::max(0.0, static_cast<double>(params_->l1_latency) - issue_cost_);
+    chained_l1_stall_ = std::max(0.0, l1_latency_ - issue_cost_);
     // Per-uop SMT surcharge over the single-context cost; exactly 0 when
     // this core runs one context, so busy_stretch_ accumulates nothing.
     issue_stretch_extra_ = issue_cost_ - params_->cycles_per_uop;
@@ -439,13 +433,17 @@ class Core {
   int core_idx_;
 
   SetAssocCache l1d_;
-  /// The core's mid/outer cache: owned private storage by default, or the
-  /// chip-shared cache after attach_shared_l2().  On three-level topologies
-  /// this stays the private mid-level and l3_ points at the shared LLC.
+  /// The core's L2: its own storage (l2_own_) when the L2 is per-core, else
+  /// the chip-shared cache passed in at construction.  On three-level
+  /// topologies it is the private mid-level and l3_ is the chip-shared LLC.
   std::unique_ptr<SetAssocCache> l2_own_;
   SetAssocCache* l2_ = nullptr;
   SetAssocCache* l3_ = nullptr;    ///< chip-shared LLC (three-level only)
-  double l3_latency_ = 0;          ///< load-to-use latency of l3_
+  // Load-to-use latencies, cached from the topology's levels and node 0.
+  double l1_latency_ = 0;
+  double l2_latency_ = 0;
+  double l3_latency_ = 0;          ///< 0 without an l3_
+  double mem_latency_ = 0;         ///< uncontended DRAM on node 0
   std::vector<Core*> domain_siblings_;  ///< other cores sharing our outer cache
   TraceCache trace_cache_;
   Tlb itlb_;

@@ -8,71 +8,63 @@ namespace paxsim::sim {
 
 using perf::Event;
 
-Machine::Machine(const MachineParams& p)
-    : params_(p), topo_(p.resolved_topology()) {
+Machine::Machine(const MachineParams& p) : params_(p) {
+  const Topology& topo = params_.topology;
   std::string why;
-  if (!topo_.validate_for_sim(&why)) {
+  if (!topo.validate_for_sim(&why)) {
     throw std::invalid_argument("paxsim: unsupported machine topology (" +
-                                topo_.name + "): " + why);
+                                topo.name + "): " + why);
   }
-  remote_extra_ = static_cast<double>(topo_.remote_node_extra_latency);
+  remote_extra_ = static_cast<double>(topo.remote_node_extra_latency);
 
-  // One memory controller per NUMA node (the default topology's single node
-  // is the calibrated shared north bridge).
-  mcs_.reserve(topo_.nodes.size());
-  for (const MemNode& n : topo_.nodes) {
+  // One memory controller per NUMA node (the Paxville topology's single
+  // node is the calibrated shared north bridge).
+  mcs_.reserve(topo.nodes.size());
+  for (const MemNode& n : topo.nodes) {
     mcs_.emplace_back(n.read_occupancy, n.write_occupancy);
   }
-  home_node_.assign(static_cast<std::size_t>(topo_.packages), 0);
-  for (std::size_t n = 0; n < topo_.nodes.size(); ++n) {
-    for (const int pkg : topo_.nodes[n].home_packages) {
+  home_node_.assign(static_cast<std::size_t>(topo.packages), 0);
+  for (std::size_t n = 0; n < topo.nodes.size(); ++n) {
+    for (const int pkg : topo.nodes[n].home_packages) {
       home_node_[static_cast<std::size_t>(pkg)] = static_cast<int>(n);
     }
   }
 
   // One link per package, bound to its local node for the plain
-  // read()/write() compatibility path.
-  buses_.reserve(static_cast<std::size_t>(p.chips));
-  for (int c = 0; c < p.chips; ++c) {
+  // read()/write() path (the prefetcher's).
+  buses_.reserve(static_cast<std::size_t>(topo.packages));
+  for (int c = 0; c < topo.packages; ++c) {
     const std::size_t node = static_cast<std::size_t>(home_node_[static_cast<std::size_t>(c)]);
-    buses_.emplace_back(topo_.link_read_occupancy, topo_.link_write_occupancy,
+    buses_.emplace_back(topo.link_read_occupancy, topo.link_write_occupancy,
                         &mcs_[node],
-                        static_cast<double>(topo_.nodes[node].latency));
+                        static_cast<double>(topo.nodes[node].latency));
   }
 
   // Chip-shared outermost caches when the outer level's sharing scope is
-  // per-chip; otherwise every core owns its outer level (the default).
-  const TopoCacheLevel& outer_level = topo_.levels.back();
+  // per-chip; otherwise every core owns its outer level (Paxville).
+  const TopoCacheLevel& outer_level = topo.levels.back();
   chip_domains_ = outer_level.scope == SharingScope::kPerChip;
   if (chip_domains_) {
-    chip_caches_.reserve(static_cast<std::size_t>(p.chips));
-    for (int c = 0; c < p.chips; ++c) {
+    chip_caches_.reserve(static_cast<std::size_t>(topo.packages));
+    for (int c = 0; c < topo.packages; ++c) {
       chip_caches_.push_back(
           std::make_unique<SetAssocCache>(outer_level.geometry));
     }
   }
 
-  cores_.reserve(static_cast<std::size_t>(topo_.total_cores()));
-  for (int chip = 0; chip < p.chips; ++chip) {
-    for (int core = 0; core < p.cores_per_chip; ++core) {
-      cores_.push_back(std::make_unique<Core>(params_, this, chip, core));
-    }
-  }
-  if (chip_domains_) {
-    const bool three_level = topo_.levels.size() == 3;
-    for (auto& cp : cores_) {
-      SetAssocCache* shared =
-          chip_caches_[static_cast<std::size_t>(cp->chip_index())].get();
-      if (three_level) {
-        cp->attach_l3(shared, topo_.levels[2].latency);
-      } else {
-        cp->attach_shared_l2(shared);
-      }
+  cores_.reserve(static_cast<std::size_t>(topo.total_cores()));
+  for (int chip = 0; chip < topo.packages; ++chip) {
+    SetAssocCache* shared =
+        chip_domains_ ? chip_caches_[static_cast<std::size_t>(chip)].get()
+                      : nullptr;
+    for (int core = 0; core < topo.cores_per_package; ++core) {
+      cores_.push_back(
+          std::make_unique<Core>(params_, this, chip, core, shared));
     }
   }
 
   // Coherence domains: one per outermost cache instance.
-  domain_count_ = chip_domains_ ? p.chips : topo_.total_cores();
+  domain_count_ = chip_domains_ ? topo.packages : topo.total_cores();
   domain_of_core_.resize(cores_.size());
   domain_cores_.assign(static_cast<std::size_t>(domain_count_), {});
   domain_chip_.assign(static_cast<std::size_t>(domain_count_), 0);

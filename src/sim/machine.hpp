@@ -8,9 +8,10 @@
 // domain* — one per owner of an outermost cache instance: every core on the
 // default private-L2 Paxville machine, every chip when the outermost level
 // is chip-shared (shared-L2 or L3 topologies) — whether its outer cache
-// holds the line.  `MachineParams{}` (no topology
-// attached) builds the calibrated Paxville machine, bit-identical to the
-// pre-topology simulator (test-enforced).
+// holds the line.  The Topology is MachineParams::topology, the calibrated
+// Paxville machine of `MachineParams{}` unless another one is set; every
+// core, link and memory controller is built from its levels, links and
+// nodes.
 //
 // The Machine is constructed from MachineParams and is reusable across
 // trials via reset(): a reset machine is bit-identical, in every observable
@@ -86,12 +87,12 @@ class AddressSpace {
   Addr next_;
 };
 
-/// The simulated SMP, shaped by `MachineParams::resolved_topology()`.
+/// The simulated SMP, shaped by `MachineParams::topology`.
 class Machine {
  public:
-  /// Builds the machine.  Throws std::invalid_argument when the resolved
-  /// topology fails Topology::validate_for_sim (the CLI validates earlier
-  /// and reports the reason; this is the last line of defence).
+  /// Builds the machine.  Throws std::invalid_argument when the topology
+  /// fails Topology::validate_for_sim (the CLI validates earlier and
+  /// reports the reason; this is the last line of defence).
   explicit Machine(const MachineParams& p);
 
   Machine(const Machine&) = delete;
@@ -106,7 +107,7 @@ class Machine {
 
   /// Core @p core_idx of chip @p chip_idx.
   [[nodiscard]] Core& core(int chip_idx, int core_idx) noexcept {
-    return *cores_[topo_.core_id(chip_idx, core_idx)];
+    return *cores_[topology().core_id(chip_idx, core_idx)];
   }
   [[nodiscard]] Core& core_by_id(int global_id) noexcept {
     return *cores_[global_id];
@@ -126,7 +127,9 @@ class Machine {
   }
 
   /// The topology this machine was built from.
-  [[nodiscard]] const Topology& topology() const noexcept { return topo_; }
+  [[nodiscard]] const Topology& topology() const noexcept {
+    return params_.topology;
+  }
 
   // ---- memory path (called by Core) ----------------------------------------
   /// Line read from @p chip_idx at time @p t: link backlog + the home
@@ -149,8 +152,8 @@ class Machine {
   [[nodiscard]] double memory_base_latency(int chip_idx,
                                            Addr line_addr) const noexcept {
     const int node = node_of_line(line_addr);
-    double base =
-        static_cast<double>(topo_.nodes[static_cast<std::size_t>(node)].latency);
+    double base = static_cast<double>(
+        topology().nodes[static_cast<std::size_t>(node)].latency);
     if (home_node_[static_cast<std::size_t>(chip_idx)] != node) {
       base += remote_extra_;
     }
@@ -223,7 +226,6 @@ class Machine {
   void invalidate_remote(int self_d, Addr line_addr, HwContext& ctx) noexcept;
 
   MachineParams params_;
-  Topology topo_;
   std::vector<MemoryController> mcs_;  ///< one per NUMA node
   std::vector<int> home_node_;         ///< package -> local node index
   double remote_extra_ = 0;            ///< Topology::remote_node_extra_latency

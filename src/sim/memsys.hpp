@@ -1,8 +1,10 @@
 // paxsim/sim/memsys.hpp
 //
-// Bandwidth model of the platform's memory path: one front-side bus per
-// package, feeding a shared memory controller (north bridge + dual-channel
-// DDR-2).
+// Bandwidth model of the platform's memory path: one link per package (a
+// front-side bus on the paper's machine) feeding the memory controller of
+// each NUMA node (one shared north bridge + dual-channel DDR-2 on the
+// paper's machine).  Machine builds both from its Topology: the link
+// occupancies, and each node's controller occupancies and DRAM latency.
 //
 // Each resource is a *time-bucketed capacity server*: virtual time is cut
 // into fixed windows, each window can serve `window` occupancy-cycles, and
@@ -20,7 +22,7 @@
 //     FIFO would bill the lagging program for reservations the leading one
 //     made millions of cycles "in the future", a pure simulation artifact.
 //
-// Calibration (paper section 3):
+// Calibration (paper section 3, in Topology::paxville()):
 //   one package streaming:  3.57 GB/s read, 1.77 GB/s write  (FSB-limited)
 //   both packages:          4.43 GB/s read, 2.60 GB/s write  (MC-limited)
 #pragma once
@@ -29,7 +31,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "sim/params.hpp"
 #include "sim/types.hpp"
 
 namespace paxsim::sim {
@@ -94,13 +95,11 @@ class BucketServer {
   std::vector<double> buckets_;  ///< occupancy-cycles used, per window
 };
 
-/// The shared memory controller.  All packages' misses funnel through it;
-/// its occupancy per line sets the two-package aggregate bandwidth ceiling.
+/// The memory controller of one node.  Every package homed there funnels
+/// its misses through it; on a single-node machine its occupancy per line
+/// sets the all-package aggregate bandwidth ceiling.
 class MemoryController {
  public:
-  explicit MemoryController(const MachineParams& p)
-      : read_occ_(p.mem_read_occupancy), write_occ_(p.mem_write_occupancy) {}
-  /// Controller of one explicit memory node (NUMA topologies).
   MemoryController(double read_occupancy, double write_occupancy)
       : read_occ_(read_occupancy), write_occ_(write_occupancy) {}
 
@@ -130,17 +129,11 @@ class MemoryController {
   UtilizationWindow window_;
 };
 
-/// One package's front-side bus.
+/// One package's link to memory (its front-side bus on the paper's machine).
 class FrontSideBus {
  public:
-  FrontSideBus(const MachineParams& p, MemoryController* mc)
-      : read_occ_(p.bus_read_occupancy),
-        write_occ_(p.bus_write_occupancy),
-        mem_latency_(static_cast<double>(p.mem_latency)),
-        mc_(mc) {}
-
-  /// A link with explicit occupancies, bound to the home node's controller
-  /// and uncontended latency (topology-driven construction).
+  /// A link with the given occupancies, bound to the package's home node:
+  /// its controller @p mc and uncontended DRAM latency @p mem_latency.
   FrontSideBus(double read_occupancy, double write_occupancy,
                MemoryController* mc, double mem_latency)
       : read_occ_(read_occupancy),

@@ -1,28 +1,26 @@
 // paxsim/sim/params.hpp
 //
-// Machine parameterisation, calibrated against the paper's Section 3:
-// a Dell PowerEdge 2850 with two dual-core 2.8 GHz Hyper-Threaded Intel Xeon
-// (Paxville) packages, 16 KB L1D + 12k-uop trace cache + TLBs shared by the
-// two contexts of each core, a private 2 MB L2 per core, one front-side bus
-// per package, and dual-channel DDR-2 memory.
-//
-// Calibration anchors (paper values):
-//   L1 latency 1.43 ns  ->  4 cycles @ 2.8 GHz
-//   L2 latency 10.6 ns  -> 30 cycles
-//   memory    136.85 ns -> 383 cycles
-//   read bandwidth  3.57 GB/s (one package) / 4.43 GB/s (both packages)
-//   write bandwidth 1.77 GB/s (one package) / 2.60 GB/s (both packages)
+// Machine parameterisation.  `MachineParams` carries the machine's
+// sim::Topology (sim/topology.hpp) by value: the packages, cores and SMT
+// contexts, every cache level's geometry, sharing scope and latency, the
+// package links and the memory nodes.  The calibrated values of the paper's
+// Section 3 machine — a Dell PowerEdge 2850 with two dual-core 2.8 GHz
+// Hyper-Threaded Intel Xeon (Paxville) packages, a 16 KB L1D and a private
+// 2 MB L2 per core, one front-side bus per package and dual-channel DDR-2
+// memory — are written once, in Topology::paxville(), which is the
+// default.  The fields below describe what the topology does not: the
+// clock, the per-core front end and TLBs (shared by a core's two contexts),
+// the issue and memory-level-parallelism model, the prefetcher, and how
+// the simulator executes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
+#include "sim/topology.hpp"
 #include "sim/types.hpp"
 
 namespace paxsim::sim {
-
-struct Topology;  // sim/topology.hpp
 
 /// Which runtime analyses (src/check/) observe a run.  Any mode other than
 /// kOff routes every memory access through the reference (out-of-line) path
@@ -59,35 +57,20 @@ enum class TraceMode : std::uint8_t {
 /// Parses a trace-mode name; returns true on success.
 bool parse_trace_mode(const char* s, TraceMode& out) noexcept;
 
-/// Geometry of one set-associative structure.
-struct CacheGeometry {
-  std::size_t size_bytes = 0;  ///< total capacity
-  std::size_t line_bytes = 64; ///< line (block) size
-  std::size_t ways = 8;        ///< associativity
-
-  [[nodiscard]] constexpr std::size_t lines() const noexcept {
-    return size_bytes / line_bytes;
-  }
-  [[nodiscard]] constexpr std::size_t sets() const noexcept {
-    return lines() / ways;
-  }
-};
-
 /// Every tunable of the simulated machine.  `MachineParams{}` is the
 /// calibrated Paxville SMP; `scaled()` shrinks capacities together with the
 /// workload classes so that class-B cache-pressure regimes are preserved at
 /// tractable simulation cost (working-set / capacity ratios are invariant).
 struct MachineParams {
-  // ---- topology -----------------------------------------------------------
-  int chips = 2;              ///< physical packages
-  int cores_per_chip = 2;     ///< cores per package
-  int contexts_per_core = 2;  ///< SMT contexts per core (when HT is on)
+  /// The machine's shape and its cache, link and memory calibration: cache
+  /// levels innermost first, each with its geometry, sharing scope and
+  /// load-to-use latency; per-package link occupancies; memory nodes with
+  /// their DRAM latency and controller occupancies.
+  Topology topology = Topology::paxville();
 
   double clock_ghz = 2.8;     ///< core clock
 
-  // ---- per-core structures (shared by that core's SMT contexts) -----------
-  CacheGeometry l1d{16 * 1024, 64, 8};      ///< L1 data cache
-  CacheGeometry l2{2 * 1024 * 1024, 64, 8}; ///< private unified L2
+  // ---- per-core front end and TLBs (shared by that core's SMT contexts) ---
   std::size_t trace_cache_uops = 12 * 1024; ///< trace cache capacity in uops
   std::size_t trace_uops_per_line = 6;      ///< uops per trace line
   std::size_t trace_cache_ways = 8;         ///< trace cache associativity
@@ -99,10 +82,7 @@ struct MachineParams {
   std::size_t dtlb_ways = 16;               ///< DTLB associativity
   std::size_t page_bytes = 4096;            ///< page size
 
-  // ---- latencies (cycles) --------------------------------------------------
-  Cycle l1_latency = 4;        ///< load-to-use, L1 hit
-  Cycle l2_latency = 30;       ///< load-to-use, L2 hit
-  Cycle mem_latency = 383;     ///< load-to-use, DRAM (uncontended)
+  // ---- penalties (cycles) --------------------------------------------------
   Cycle tlb_walk_penalty = 30; ///< page-walk stall per TLB miss
   Cycle mispredict_penalty = 30; ///< pipeline flush (31-stage Prescott pipe)
   Cycle trace_miss_penalty = 10; ///< decode path per missing trace line
@@ -144,23 +124,6 @@ struct MachineParams {
   double mt_l2_overlap = 0.50;
   double mt_mem_overlap = 0.55;
   double mt_store_overlap = 0.18;
-
-  // ---- bus / memory bandwidth ---------------------------------------------
-  /// FSB occupancy per 64-byte line transferred, per package.
-  /// 3.57 GB/s @ 2.8 GHz = 1.275 B/cycle -> 50.2 cycles/line.  A *stored*
-  /// stream moves two lines per line of data (read-for-ownership plus the
-  /// eventual writeback), which is exactly why the paper measures write
-  /// bandwidth at roughly half the read bandwidth (1.77 vs 3.57 GB/s).
-  double bus_read_occupancy = 50.2;
-  /// FSB occupancy per line written back (same wires, same size): 50.2.
-  double bus_write_occupancy = 50.2;
-  /// Shared memory-controller occupancy per line read.
-  /// Aggregate 4.43 GB/s -> 40.4 cycles/line.
-  double mem_read_occupancy = 40.4;
-  /// Shared memory-controller occupancy per line written.  Calibrated so
-  /// the two-package write bandwidth (RFO read + writeback per line:
-  /// 64 B / (40.4 + 28.4) cycles) reproduces the paper's 2.60 GB/s.
-  double mem_write_occupancy = 28.4;
 
   // ---- prefetcher ----------------------------------------------------------
   int prefetch_streams = 16;        ///< stream-table entries per core
@@ -205,28 +168,11 @@ struct MachineParams {
   /// to a build without the tracing subsystem (test-enforced).
   TraceMode trace_mode = TraceMode::kOff;
 
-  /// Optional first-class machine description (sim/topology.hpp).  Null
-  /// means "the calibrated Paxville shape described by the scalar fields
-  /// above" — the seed machine, bit-identical to the pre-topology
-  /// simulator.  When set (via set_topology), the topology is authoritative
-  /// for structure (counts, cache levels, nodes, links) and the mirror
-  /// scalars above are kept in sync so existing readers stay correct.
-  std::shared_ptr<const Topology> topology;
-
-  /// Installs @p topo and syncs the mirror scalars (chips/cores/contexts,
-  /// l1d/l2 geometry + latencies, bus/memory occupancies, mem_latency) from
-  /// it.  Returns *this for chaining.
-  MachineParams& set_topology(std::shared_ptr<const Topology> topo);
-
-  /// The topology this machine is built from: `*topology` when set,
-  /// otherwise the Paxville-shaped description of the scalar fields.
-  [[nodiscard]] Topology resolved_topology() const;
-
   /// Returns a copy with all capacity-like quantities divided by @p factor
-  /// (latencies, bandwidth-per-cycle and issue parameters untouched).
-  /// Associativities are preserved; entry counts are floored at the
-  /// associativity so structures stay well-formed.  An attached topology's
-  /// cache levels scale identically.
+  /// (latencies, bandwidth-per-cycle and issue parameters untouched): each
+  /// of the topology's cache levels, the trace cache and the TLBs.
+  /// Associativities are preserved; capacities and entry counts are floored
+  /// at one line (entry) per way so structures stay well-formed.
   [[nodiscard]] MachineParams scaled(double factor) const;
 };
 

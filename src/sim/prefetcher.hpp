@@ -29,7 +29,8 @@ class StreamPrefetcher {
       : streams_(static_cast<std::size_t>(p.prefetch_streams)),
         depth_(p.prefetch_depth),
         trigger_(p.prefetch_trigger),
-        line_bytes_(static_cast<std::int64_t>(p.l2.line_bytes)) {}
+        line_bytes_(static_cast<std::int64_t>(
+            p.topology.levels[1].geometry.line_bytes)) {}
 
   /// Feeds one L2 demand miss; appends any prefetch requests to @p out.
   void on_demand_miss(Addr line_addr, std::vector<PrefetchRequest>& out);

@@ -407,9 +407,34 @@ bool Topology::parse_json(std::string_view text, Topology* out,
 // Presets.
 
 Topology Topology::paxville() {
-  // The calibrated machine MachineParams{} describes, under a preset name.
-  Topology t = MachineParams{}.resolved_topology();
+  // The paper's machine (Section 3), calibrated against its LMbench anchors
+  // at 2.8 GHz: two dual-core Hyper-Threaded packages, each core with a
+  // 16 KB L1D and a private 2 MB L2, one front-side bus per package into a
+  // single shared memory controller.
+  Topology t;
   t.name = "paxville";
+  t.packages = 2;
+  t.cores_per_package = 2;
+  t.smt_per_core = 2;
+  t.interconnect = Interconnect::kSharedFsb;
+  // FSB occupancy per 64-byte line: one package streams 3.57 GB/s = 1.275
+  // B/cycle -> 50.2 cycles/line.  A stored stream moves two lines per line
+  // of data (read-for-ownership plus the eventual writeback), which is why
+  // the paper measures write bandwidth at about half of read (1.77 GB/s).
+  t.link_read_occupancy = 50.2;
+  t.link_write_occupancy = 50.2;
+  t.remote_node_extra_latency = 0;
+  t.levels = {
+      // L1 load-to-use 1.43 ns -> 4 cycles; L2 10.6 ns -> 30 cycles.
+      {"L1D", CacheGeometry{16 * 1024, 64, 8}, SharingScope::kPerCore, 4},
+      {"L2", CacheGeometry{2 * 1024 * 1024, 64, 8}, SharingScope::kPerCore,
+       30},
+  };
+  // DRAM 136.85 ns -> 383 cycles.  The controller's read occupancy sets the
+  // two-package aggregate read bandwidth (4.43 GB/s -> 40.4 cycles/line);
+  // its write occupancy makes the two-package write bandwidth (RFO read +
+  // writeback per line: 64 B / (40.4 + 28.4) cycles) the paper's 2.60 GB/s.
+  t.nodes = {{383, 40.4, 28.4, {0, 1}}};
   return t;
 }
 

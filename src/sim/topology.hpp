@@ -7,11 +7,11 @@
 // (one shared controller vs. NUMA nodes), and how packages reach memory
 // (a front-side bus per package vs. point-to-point links).
 //
-// `Machine` builds its hierarchy from a Topology instead of a baked-in
-// L1 -> private-L2 -> FSB -> MC chain; `MachineParams{}` without an explicit
-// topology still resolves to the calibrated Paxville instance, bit-identical
-// to the pre-topology simulator (tests/integration/topology_identity_test
-// enforces this).
+// A Topology is also the machine's calibration: every level's load-to-use
+// latency, the link occupancies, each node's DRAM latency and controller
+// occupancies.  sim::MachineParams carries one by value, `paxville()` by
+// default — the one place the paper's calibrated values are written — and
+// `Machine` builds its whole hierarchy from it.
 //
 // Topologies are plain data: constructed from the built-in presets
 // (`paxville`, `paxville-noht`, `woodcrest`, `numa16`), parsed from a
@@ -28,7 +28,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/params.hpp"
 #include "sim/types.hpp"
 
 namespace paxsim::sim {
@@ -63,9 +62,9 @@ struct TopoCacheLevel {
 /// One NUMA memory node: a controller with its own occupancy calibration
 /// and uncontended latency, home to one or more packages.
 struct MemNode {
-  Cycle latency = 383;           ///< load-to-use, DRAM on this node
-  double read_occupancy = 40.4;  ///< controller cycles per line read
-  double write_occupancy = 28.4; ///< additional cycles per line written
+  Cycle latency = 0;             ///< load-to-use, DRAM on this node
+  double read_occupancy = 0;     ///< controller cycles per line read
+  double write_occupancy = 0;    ///< additional cycles per line written
   std::vector<int> home_packages;///< packages local to this node
 };
 
@@ -77,8 +76,8 @@ struct Topology {
   int cores_per_package = 1;
   int smt_per_core = 1;
   Interconnect interconnect = Interconnect::kSharedFsb;
-  double link_read_occupancy = 50.2;   ///< package-link cycles per line read
-  double link_write_occupancy = 50.2;  ///< package-link cycles per line written
+  double link_read_occupancy = 0;      ///< package-link cycles per line read
+  double link_write_occupancy = 0;     ///< package-link cycles per line written
   Cycle remote_node_extra_latency = 0; ///< added when crossing to a remote node
   std::vector<TopoCacheLevel> levels;  ///< data-cache levels, innermost first
   std::vector<MemNode> nodes;          ///< memory nodes (>= 1)

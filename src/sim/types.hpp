@@ -40,6 +40,20 @@ enum class Dep : std::uint8_t {
   return n;
 }
 
+/// Geometry of one set-associative structure.
+struct CacheGeometry {
+  std::size_t size_bytes = 0;  ///< total capacity
+  std::size_t line_bytes = 64; ///< line (block) size
+  std::size_t ways = 8;        ///< associativity
+
+  [[nodiscard]] constexpr std::size_t lines() const noexcept {
+    return size_bytes / line_bytes;
+  }
+  [[nodiscard]] constexpr std::size_t sets() const noexcept {
+    return lines() / ways;
+  }
+};
+
 /// Identifies one hardware context of the machine by its position.  Its
 /// dense number depends on the machine's shape: see sim::Topology::flat().
 struct LogicalCpu {

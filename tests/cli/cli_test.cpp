@@ -638,6 +638,38 @@ TEST(CliParseTest, TuneDefaultsAndRejections) {
   EXPECT_FALSE(P({"tune", "--scales=inf"}).ok());
 }
 
+TEST(CliParseTest, TuneRefusesAnAxisListBesideItsCellFlag) {
+  // An axis list replaces the knob of the cell flag it spans; given both,
+  // one would be dropped silently, so the pair is refused (exit 2).
+  const char* pairs[][2] = {{"--sched=dynamic", "--schedules=static"},
+                            {"--chunk=4", "--chunks=1,8"},
+                            {"--grain=2", "--grains=1,2"},
+                            {"--scale=8", "--scales=8,16"}};
+  for (const auto& pair : pairs) {
+    const std::string cell = pair[0];
+    const std::string axis = pair[1];
+    const std::string want = "--" + cell.substr(2, cell.find('=') - 2) +
+                             " and --" + axis.substr(2, axis.find('=') - 2) +
+                             " both set one axis";
+    for (const auto& args :
+         {std::vector<std::string>{"tune", cell, axis},
+          std::vector<std::string>{"tune", axis, cell}}) {
+      const ParseResult r = parse(args);
+      EXPECT_FALSE(r.ok()) << cell << " " << axis;
+      EXPECT_NE(r.error.find(want), std::string::npos) << r.error;
+    }
+    EXPECT_TRUE(P({"tune", pair[0]}).ok()) << cell;
+    EXPECT_TRUE(P({"tune", pair[1]}).ok()) << axis;
+  }
+  // Each list value goes through its cell flag's own row.
+  const ParseResult bad = P({"tune", "--schedules=static,fastest"});
+  EXPECT_NE(bad.error.find("bad --sched 'fastest'"), std::string::npos)
+      << bad.error;
+  EXPECT_NE(P({"tune", "--chunks=4,x"}).error.find("bad --chunk"),
+            std::string::npos);
+  EXPECT_FALSE(P({"tune", "--schedules="}).ok());
+}
+
 TEST(CliExecTest, TuneFindsTheKnownWinnerForCG) {
   std::string out;
   EXPECT_EQ(run_cli({"tune", "--bench=CG", "--class=S"}, out), 0);

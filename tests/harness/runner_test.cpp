@@ -153,7 +153,8 @@ TEST(RunnerTest, TrialSeedsAreDistinct) {
 TEST(RunnerTest, MachineParamsScaled) {
   RunOptions opt;
   opt.machine_scale = 16.0;
-  EXPECT_EQ(opt.machine_params().l2.size_bytes, 128u * 1024);
+  EXPECT_EQ(opt.machine_params().topology.levels[1].geometry.size_bytes,
+            128u * 1024);
 }
 
 TEST(RunnerTest, RefusesConfigTheMachineCannotHost) {

@@ -178,7 +178,8 @@ TEST(WorkloadSignatureTest, FootprintsScaleWithClass) {
 TEST(WorkloadSignatureTest, ClassBWorkingSetsExceedTheScaledL2) {
   // The study regime: every class-B benchmark except EP must out-size one
   // core's (scaled) L2, or the cache-pressure results would be vacuous.
-  const std::size_t l2 = sim::MachineParams{}.scaled(16).l2.size_bytes;
+  const std::size_t l2 =
+      sim::MachineParams{}.scaled(16).topology.levels[1].geometry.size_bytes;
   for (const Benchmark b : kAllBenchmarks) {
     if (b == Benchmark::kEP) continue;
     sim::AddressSpace space(0);

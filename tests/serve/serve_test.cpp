@@ -114,6 +114,47 @@ TEST(ServeCellsTest, CorruptEntryIsRecomputedNotCountedAsAHit) {
   EXPECT_EQ(again.computed, 0u);
 }
 
+TEST(ServeCellsTest, EntryOfAnotherFormatIsRecomputedAndReplaced) {
+  const fs::path dir = fresh_dir("restamped");
+  const JobPlan plan = small_plan();
+  const std::string store = (dir / "store").string();
+  ServeOptions opt;
+  serve_cells(plan, store, opt, nullptr);
+
+  // Re-stamp one entry as written by another store format: load rejects it
+  // without quarantining it.
+  const std::string needle =
+      "\"store_format\":" + std::to_string(kStoreFormatVersion);
+  fs::path victim;
+  std::string text;
+  for (const auto& e :
+       fs::recursive_directory_iterator(fs::path(store) / "objects")) {
+    if (!e.is_regular_file() || e.path().extension() != ".json") continue;
+    std::ifstream in(e.path());
+    text.assign(std::istreambuf_iterator<char>(in), {});
+    victim = e.path();
+    break;
+  }
+  ASSERT_FALSE(victim.empty());
+  const std::size_t at = text.find(needle);
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, needle.size(), "\"store_format\":999");
+  std::ofstream(victim, std::ios::trunc) << text;
+
+  // The next pass computes that cell and its commit replaces the entry...
+  const ServeSummary next = serve_cells(plan, store, opt, nullptr);
+  EXPECT_EQ(next.store_hits, plan.cells.size() - 1);
+  EXPECT_EQ(next.computed, 1u);
+  EXPECT_EQ(next.failures, 0u);
+  std::ifstream in(victim);
+  const std::string replaced{std::istreambuf_iterator<char>(in), {}};
+  EXPECT_NE(replaced.find(needle), std::string::npos) << replaced;
+  // ...so the pass after that answers it from the store.
+  const ServeSummary after = serve_cells(plan, store, opt, nullptr);
+  EXPECT_EQ(after.store_hits, plan.cells.size());
+  EXPECT_EQ(after.computed, 0u);
+}
+
 TEST(ServeCellsTest, ProgressStreamIsValidNdjson) {
   const fs::path dir = fresh_dir("ndjson");
   const JobPlan plan = small_plan();

@@ -83,11 +83,12 @@ TEST(CoreTest, ChainedLoadExposesFullLatency) {
   const Addr a = r.space.alloc(64);
   c.load(a, Dep::kChained);  // cold: TLB walk + DRAM
   const double cold = c.now();
-  EXPECT_GT(cold, static_cast<double>(r.p.mem_latency));
+  EXPECT_GT(cold, static_cast<double>(r.p.topology.nodes[0].latency));
   // Warm chained load: L1 hit at the L1 load-to-use latency.
   const double before = c.now();
   c.load(a, Dep::kChained);
-  EXPECT_NEAR(c.now() - before, static_cast<double>(r.p.l1_latency), 0.01);
+  EXPECT_NEAR(c.now() - before,
+              static_cast<double>(r.p.topology.levels[0].latency), 0.01);
 }
 
 TEST(CoreTest, IndependentL1HitIsPipelined) {
@@ -109,8 +110,9 @@ TEST(CoreTest, IndependentMissExposesOverlapFraction) {
   const Addr a = r.space.alloc(1 << 20, 4096);
   c.load(a, Dep::kIndependent);  // cold miss
   const double cold = c.now();
-  EXPECT_GT(cold, r.p.mem_latency * r.p.mem_overlap);
-  EXPECT_LT(cold, r.p.mem_latency * 1.2)
+  const double mem = static_cast<double>(r.p.topology.nodes[0].latency);
+  EXPECT_GT(cold, mem * r.p.mem_overlap);
+  EXPECT_LT(cold, mem * 1.2)
       << "independent miss must cost well below the full latency plus walk";
 }
 
@@ -239,7 +241,7 @@ TEST(CoreTest, L2EvictionWritesBack) {
   Rig r;
   HwContext& c = r.ctx();
   // Dirty a large region, then stream far past it to force L2 evictions.
-  const std::size_t l2_bytes = r.p.l2.size_bytes;
+  const std::size_t l2_bytes = r.p.topology.levels[1].geometry.size_bytes;
   const Addr w = r.space.alloc(l2_bytes * 2);
   for (Addr off = 0; off < l2_bytes * 2; off += 64) c.store(w + off);
   EXPECT_GT(r.counters.get(Event::kBusWrites), 0u);

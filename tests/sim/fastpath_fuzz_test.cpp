@@ -30,8 +30,7 @@ class FastPathFuzzTest : public ::testing::TestWithParam<std::uint64_t> {
 
 void FastPathFuzzTest::run_lockstep(const char* preset) const {
   MachineParams base;
-  base.set_topology(
-      std::make_shared<const Topology>(*Topology::from_preset(preset)));
+  base.topology = *Topology::from_preset(preset);
   MachineParams fast_params = base.scaled(64);  // tiny: churn
   fast_params.fast_path = true;
   MachineParams ref_params = fast_params;

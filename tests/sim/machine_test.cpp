@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "harness/runner.hpp"
 
 namespace paxsim::sim {
 namespace {
@@ -24,6 +30,71 @@ TEST(MachineTest, TopologyShape) {
   EXPECT_EQ(m.topology().flat({0, 1, 1}), 3);
   EXPECT_EQ(m.topology().flat({1, 0, 0}), 4);
   EXPECT_EQ(m.topology().flat({1, 1, 1}), 7);
+}
+
+/// Expects cache @p c to have geometry @p g.
+void expect_geometry(const SetAssocCache& c, const CacheGeometry& g,
+                     const std::string& what) {
+  EXPECT_EQ(c.sets() * c.ways() * c.line_bytes(), g.size_bytes) << what;
+  EXPECT_EQ(c.ways(), g.ways) << what;
+  EXPECT_EQ(c.line_bytes(), g.line_bytes) << what;
+}
+
+TEST(MachineTest, CachesAreBuiltFromTheScaledLevels) {
+  // The default machine and every preset, at full size and at the study
+  // scale: each core's L1D and L2 and each chip's shared L2 or L3 have the
+  // geometry of the matching topology level divided by the scale, and a
+  // core owns an L2 exactly when the L2 is per-core.
+  std::vector<std::string> specs = {"default"};
+  for (const std::string& name : Topology::preset_names()) specs.push_back(name);
+  for (const std::string& spec : specs) {
+    for (const double scale : {1.0, 16.0}) {
+      harness::RunOptions opt;
+      opt.machine_scale = scale;
+      if (spec != "default") {
+        Topology preset;
+        ASSERT_TRUE(Topology::resolve(spec, &preset)) << spec;
+        opt.topology = std::make_shared<const Topology>(std::move(preset));
+      }
+      const Topology full = opt.resolved_topology();
+      const auto level = [&](std::size_t i) {
+        CacheGeometry g = full.levels[i].geometry;
+        g.size_bytes = static_cast<std::size_t>(
+            static_cast<double>(g.size_bytes) / scale);
+        return g;
+      };
+      const std::string tag = spec + " at 1/" + std::to_string(scale);
+      const bool shared_l2 = full.levels[1].scope == SharingScope::kPerChip;
+      const bool has_l3 = full.levels.size() == 3;
+
+      Machine m(opt.machine_params());
+      EXPECT_EQ(m.topology().name, spec);
+      EXPECT_EQ(m.chip_domains(), shared_l2 || has_l3) << tag;
+      for (int chip = 0; chip < full.packages; ++chip) {
+        for (int core = 0; core < full.cores_per_package; ++core) {
+          const Core& c = m.core(chip, core);
+          const std::string where = tag + " core " + std::to_string(chip) +
+                                    "." + std::to_string(core);
+          expect_geometry(c.l1d(), level(0), where + " L1D");
+          expect_geometry(c.l2(), level(1), where + " L2");
+          EXPECT_EQ(c.owns_l2(), !shared_l2) << where;
+          if (shared_l2) {
+            EXPECT_EQ(&c.l2(), &m.domain_outer_cache(chip)) << where;
+          }
+          EXPECT_EQ(c.l3(), has_l3 ? &m.domain_outer_cache(chip) : nullptr)
+              << where;
+        }
+        if (m.chip_domains()) {
+          expect_geometry(m.domain_outer_cache(chip),
+                          level(full.levels.size() - 1),
+                          tag + " chip " + std::to_string(chip));
+        }
+      }
+      if (spec == "woodcrest") {
+        EXPECT_FALSE(m.core(0, 0).owns_l2()) << "woodcrest's L2 is the chip's";
+      }
+    }
+  }
 }
 
 struct CoherenceRig {
@@ -102,7 +173,7 @@ TEST(MachineTest, EvictionClearsDirectory) {
   r.ctx(0, 0).load(a);
   ASSERT_EQ(r.m.holders_of(a), 0b0001u);
   // Stream far past the L2 to evict `a`.
-  const std::size_t l2 = r.p.l2.size_bytes;
+  const std::size_t l2 = r.p.topology.levels[1].geometry.size_bytes;
   const Addr big = r.space.alloc(l2 * 2);
   for (Addr off = 0; off < l2 * 2; off += 64) r.ctx(0, 0).load(big + off);
   EXPECT_EQ(r.m.holders_of(a), 0u) << "evicted line leaves the directory";

@@ -225,8 +225,7 @@ TEST(TeamTest, CountersAccumulatePerProgram) {
 
 TEST(TeamTest, RefusesContextsOutsideTheMachine) {
   sim::MachineParams p = sim::MachineParams{}.scaled(16);
-  p.set_topology(
-      std::make_shared<const sim::Topology>(sim::Topology::woodcrest()));
+  p.topology = sim::Topology::woodcrest();
   sim::Machine machine(p);
   sim::AddressSpace space(0);
   perf::CounterSet counters;
