@@ -1,13 +1,16 @@
 // bench/hotpath_throughput.cpp — simulator-engineering artifact: the host
 // cost of each way the simulator can run a kernel.  Each NPB kernel runs on
-// the Serial configuration on five machines:
+// the Serial configuration along five paths:
 //
 //   fast      — MachineParams::fast_path = true (the default build)
 //   reference — fast_path = false, every access through the slow path
-//   checked   — check_mode = full: the reference path plus the src/check
-//               analysis sink (race detection + invariant audits)
+//   checked   — check_mode = full: the src/check analysis sink (race
+//               detection + invariant audits) on the fast machine
 //   stacks    — trace_mode = stacks: paxtrace's CPI stall accountant
 //   full      — trace_mode = full: the accountant plus ring-buffered events
+//
+// The checked and traced paths run on the fast path's machine: attaching
+// their sink is what sends it down the reference path.
 //
 // timing the simulation loop proper (RunResult::host_sim_sec: setup and
 // verification are excluded) cold (first run) and warm (best of the
@@ -18,7 +21,7 @@
 // counters the fast path services: instructions plus L1D, DTLB and
 // trace-cache references.
 //
-// It doubles as a differential test, exiting non-zero when any machine's
+// It doubles as a differential test, exiting non-zero when any path's
 // counters or virtual wall time diverge from the reference path's (the
 // analyses and the tracer are pure observers), when a kernel is not clean
 // under --check=full, or when an active context's CPI stack does not sum
@@ -46,34 +49,23 @@ std::uint64_t event_count(const perf::CounterSet& c) {
          c.get(Event::kDtlbReferences) + c.get(Event::kTraceCacheReferences);
 }
 
-/// One way of running a kernel: the options and the machine built from them.
-struct Path {
-  harness::RunOptions run;
-  sim::Machine machine;
-
-  Path(const harness::RunOptions& r, const sim::MachineParams& params)
-      : run(r), machine(params) {}
-  explicit Path(const harness::RunOptions& r) : Path(r, r.machine_params()) {}
-};
-
 struct Timing {
   double cold_sec = 0;
   double warm_sec = 0;  // best repeat after the first (cold when trials == 1)
   harness::TraceResult first;  // the cold run; trace empty when untraced
 };
 
-Timing time_runs(Path& path, npb::Benchmark bench, int repeats) {
+Timing time_runs(sim::Machine& machine, const harness::RunOptions& opt,
+                 npb::Benchmark bench, int repeats) {
   const harness::StudyConfig& cfg = harness::serial_config();
-  const harness::RunOptions& opt = path.run;
   Timing t;
   for (int r = 0; r < repeats; ++r) {
     harness::TraceResult res;
     if (opt.trace_mode == sim::TraceMode::kOff) {
-      res.run = harness::run_single(path.machine, bench, cfg, opt,
-                                    opt.trial_seed(0));
+      res.run =
+          harness::run_single(machine, bench, cfg, opt, opt.trial_seed(0));
     } else {
-      res = harness::run_traced(path.machine, bench, cfg, opt,
-                                opt.trial_seed(0));
+      res = harness::run_traced(machine, bench, cfg, opt, opt.trial_seed(0));
     }
     const double sec = res.run.host_sim_sec;
     if (r == 0) {
@@ -141,11 +133,8 @@ int main(int argc, char** argv) {
   stacks_run.trace_mode = sim::TraceMode::kStacks;
   harness::RunOptions full_run = opt.run;
   full_run.trace_mode = sim::TraceMode::kFull;
-  Path fast_path(opt.run, fast_params);
-  Path ref_path(opt.run, ref_params);
-  Path check_path(check_run);
-  Path stacks_path(stacks_run);
-  Path full_path(full_run);
+  sim::Machine fast_machine(fast_params);
+  sim::Machine ref_machine(ref_params);
 
   const std::string cls = std::string(npb::class_name(opt.run.cls));
   std::printf("%-4s %12s %10s %10s %10s %10s %10s %10s %8s %8s %8s %8s\n", "",
@@ -159,15 +148,15 @@ int main(int argc, char** argv) {
   bool failed = false;
   for (const npb::Benchmark bench : benches) {
     const std::string name = std::string(npb::benchmark_name(bench));
-    const Timing fast = time_runs(fast_path, bench, repeats);
-    const Timing ref = time_runs(ref_path, bench, repeats);
-    const Timing chk = time_runs(check_path, bench, repeats);
-    const Timing stk = time_runs(stacks_path, bench, repeats);
-    const Timing ful = time_runs(full_path, bench, repeats);
+    const Timing fast = time_runs(fast_machine, opt.run, bench, repeats);
+    const Timing ref = time_runs(ref_machine, opt.run, bench, repeats);
+    const Timing chk = time_runs(fast_machine, check_run, bench, repeats);
+    const Timing stk = time_runs(fast_machine, stacks_run, bench, repeats);
+    const Timing ful = time_runs(fast_machine, full_run, bench, repeats);
 
     // The analyses and the tracer are pure observers on the reference
-    // path, so every machine must agree on every counter and on virtual
-    // wall time.
+    // path, so every path must agree on every counter and on virtual wall
+    // time.
     const harness::RunResult& want = ref.first.run;
     bool diverged = false;
     for (const Timing* t : {&fast, &chk, &stk, &ful}) {

@@ -5,16 +5,19 @@
 // according to the CheckMode, and renders a CheckReport at the end of the
 // run.
 //
-// Usage (the harness runner does exactly this):
+// Usage (the harness runner does exactly this when RunOptions::check_mode
+// is set):
 //
 //   machine.reset();
-//   check::Checker checker(machine, machine.params().check_mode);  // attaches
+//   check::Checker checker(machine, opt.check_mode);  // attaches
 //   ... run the program ...
-//   check::CheckReport report = checker.finish();                  // detaches
+//   check::CheckReport report = checker.finish();     // detaches
 //
-// Attachment is RAII: the destructor detaches the sink if finish() was
-// never called, so an exception cannot leave a dangling sink on a pooled
-// machine.
+// The machine takes the reference path exactly while the checker is
+// attached, so the analyses see every access, and checked runs stay
+// bit-identical to unchecked ones.  Attachment is RAII: the destructor
+// detaches the sink if finish() was never called, so an exception cannot
+// leave a dangling sink (or a machine stuck off its fast path) in a pool.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <sstream>
@@ -236,9 +237,9 @@ FlagSet make_flag_table(Command* cmd) {
       s.help = "stop after computing N cells";
       Command* c = cmd;
       s.apply = [c](const std::string& v) -> std::string {
-        char* end = nullptr;
-        const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-        if (v.empty() || end == nullptr || *end != '\0' || x == 0) {
+        std::uint64_t x = 0;
+        if (!parse_decimal(v, std::numeric_limits<std::uint64_t>::max(), &x) ||
+            x == 0) {
           return "bad --max-cells (need an integer >= 1)";
         }
         c->max_cells = x;
@@ -769,7 +770,9 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                    "profile is collected from a serial run)\n";
             return 1;
           }
-          const auto prof = harness::run_profiled_serial(bench, opt, seed);
+          sim::Machine machine(opt.machine_params());
+          const auto prof =
+              harness::run_profiled_serial(machine, bench, opt, seed);
           print_result(out,
                        std::string(npb::benchmark_name(bench)) + "@Serial",
                        prof.result, cmd.csv);

@@ -25,11 +25,14 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -38,6 +41,23 @@
 #include "tune/tuner.hpp"
 
 namespace paxsim::cli {
+
+/// Parses @p v as a plain decimal integer no greater than @p max: digits
+/// only — no sign, no spaces — and refused rather than wrapped or clamped
+/// when out of range, the rule JsonValue::as_u64 applies to job files.
+inline bool parse_decimal(const std::string& v, std::uint64_t max,
+                          std::uint64_t* out) {
+  if (v.empty()) return false;
+  std::uint64_t x = 0;
+  for (const char c : v) {
+    if (c < '0' || c > '9') return false;
+    const auto d = static_cast<std::uint64_t>(c - '0');
+    if (x > (max - d) / 10) return false;
+    x = x * 10 + d;
+  }
+  *out = x;
+  return true;
+}
 
 /// One declarative flag: everything the parser and the help renderer need.
 struct FlagSpec {
@@ -74,9 +94,11 @@ class FlagSet {
     return add(std::move(s));
   }
 
-  /// Integer flag with an inclusive lower bound.
-  FlagSet& add_int(std::string name, int* out, int min, std::string hint,
-                   std::string help) {
+  /// Integer flag of @p out's type: a plain decimal (parse_decimal) from
+  /// @p min (>= 0) to the largest value the type holds.
+  template <typename T>
+  FlagSet& add_int(std::string name, T* out, std::type_identity_t<T> min,
+                   std::string hint, std::string help) {
     FlagSpec s;
     s.name = std::move(name);
     s.value_hint = std::move(hint);
@@ -84,56 +106,14 @@ class FlagSet {
     s.help = std::move(help);
     const std::string n = s.name;
     s.apply = [out, min, n](const std::string& v) -> std::string {
-      char* end = nullptr;
-      const long x = std::strtol(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || x < min) {
-        return "bad --" + n + " (need an integer >= " + std::to_string(min) +
-               ")";
+      constexpr T kMax = std::numeric_limits<T>::max();
+      std::uint64_t x = 0;
+      if (!parse_decimal(v, static_cast<std::uint64_t>(kMax), &x) ||
+          x < static_cast<std::uint64_t>(min)) {
+        return "bad --" + n + " (need an integer from " + std::to_string(min) +
+               " to " + std::to_string(kMax) + ")";
       }
-      *out = static_cast<int>(x);
-      return {};
-    };
-    return add(std::move(s));
-  }
-
-  /// size_t flag with an inclusive lower bound.
-  FlagSet& add_size(std::string name, std::size_t* out, std::size_t min,
-                    std::string hint, std::string help) {
-    FlagSpec s;
-    s.name = std::move(name);
-    s.value_hint = std::move(hint);
-    s.def = std::to_string(*out);
-    s.help = std::move(help);
-    const std::string n = s.name;
-    s.apply = [out, min, n](const std::string& v) -> std::string {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0' || x < min) {
-        return "bad --" + n + " (need an integer >= " + std::to_string(min) +
-               ")";
-      }
-      *out = static_cast<std::size_t>(x);
-      return {};
-    };
-    return add(std::move(s));
-  }
-
-  /// uint64 flag (any value accepted).
-  FlagSet& add_u64(std::string name, std::uint64_t* out, std::string hint,
-                   std::string help) {
-    FlagSpec s;
-    s.name = std::move(name);
-    s.value_hint = std::move(hint);
-    s.def = std::to_string(*out);
-    s.help = std::move(help);
-    const std::string n = s.name;
-    s.apply = [out, n](const std::string& v) -> std::string {
-      char* end = nullptr;
-      const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-      if (v.empty() || end == nullptr || *end != '\0') {
-        return "bad --" + n + " (need an unsigned integer)";
-      }
-      *out = x;
+      *out = static_cast<T>(x);
       return {};
     };
     return add(std::move(s));
@@ -311,9 +291,9 @@ inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
     };
     fs.add(std::move(s));
   }
-  fs.add_u64("seed", &run->base_seed, "N", "base RNG seed");
-  fs.add_size("grain", &run->grain, 1, "N",
-              "iterations per scheduling turn (N>1 changes the interleaving)");
+  fs.add_int("seed", &run->base_seed, 0, "N", "base RNG seed");
+  fs.add_int("grain", &run->grain, 1, "N",
+             "iterations per scheduling turn (N>1 changes the interleaving)");
   {
     FlagSpec s;
     s.name = "sched";
@@ -330,8 +310,8 @@ inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
     };
     fs.add(std::move(s));
   }
-  fs.add_size("chunk", &run->sched_chunk, 0, "N",
-              "chunk parameter for --sched (0 = schedule's default)");
+  fs.add_int("chunk", &run->sched_chunk, 0, "N",
+             "chunk parameter for --sched (0 = schedule's default)");
   fs.add_double("scale", &run->machine_scale, 1.0, "F",
                 "machine capacity scale factor");
   register_machine_flag(fs, run, machine_spec);

@@ -15,8 +15,10 @@ namespace {
 
 /// Pool key: the topology (its fingerprint covers every level's scaled
 /// capacity), the other capacity-like fields RunOptions::machine_scale
-/// varies, and how the machine executes.  Machines with equal keys are
-/// interchangeable for pooling.
+/// varies, and whether the machine may take the fast path.  Machines with
+/// equal keys are interchangeable for pooling.  Checked, traced, profiled
+/// and plain runs share a pool: their observers attach to a leased machine
+/// and detach before the lease returns it.
 std::string params_pool_key(const sim::MachineParams& p) {
   std::string s;
   s.reserve(64);
@@ -29,13 +31,6 @@ std::string params_pool_key(const sim::MachineParams& p) {
   app(p.dtlb_entries);
   app(static_cast<std::uint64_t>(p.prefetch_streams));
   app(p.fast_path ? 1u : 0u);
-  // A checked machine routes through the reference path and carries an
-  // attached sink during runs; never hand it out for unchecked cells.
-  app(static_cast<std::uint64_t>(p.check_mode));
-  // Same story for profiled machines (model::Profiler attachment).
-  app(p.profile ? 1u : 0u);
-  // And for traced machines (trace::Tracer attachment + region flushes).
-  app(static_cast<std::uint64_t>(p.trace_mode));
   s += p.topology.fingerprint();
   return s;
 }
@@ -105,7 +100,9 @@ CellKey CellKey::from(Kind kind, npb::Benchmark a, npb::Benchmark b,
   // every front end must mint one key for it.
   k.sched_chunk = opt.sched_kind < 0 ? 0 : opt.sched_chunk;
   k.check = opt.check_mode;
-  k.trace = opt.trace_mode;
+  // opt.trace_mode is left out: only run_traced reads it, and neither
+  // run_traced nor ExperimentEngine::trace memoizes, so every cell a key
+  // names ran untraced.
   if (opt.topology != nullptr) k.machine = opt.topology->fingerprint();
   return k;
 }
@@ -188,8 +185,8 @@ std::string cell_fingerprint(const CellKey& k) {
   append_hex(s, static_cast<std::uint64_t>(k.sched_chunk), 16);
   s += ";check=";
   append_hex(s, static_cast<std::uint64_t>(k.check), 2);
-  s += ";trace=";
-  append_hex(s, static_cast<std::uint64_t>(k.trace), 2);
+  // v2's trace slot: no memoized cell is traced (see CellKey::from).
+  s += ";trace=00";
   s += ";config=";
   append_bytes(s, k.config);
   s += ";machine=";
@@ -236,7 +233,6 @@ std::size_t CellKeyHash::operator()(const CellKey& k) const noexcept {
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(k.sched_kind)));
   mix(static_cast<std::uint64_t>(k.sched_chunk));
   mix(static_cast<std::uint64_t>(k.check));
-  mix(static_cast<std::uint64_t>(k.trace));
   mix(static_cast<std::uint64_t>(std::hash<std::string>{}(k.machine)));
   return h;
 }
@@ -541,13 +537,15 @@ std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
     const auto it = profiles_.find(key);
     if (it != profiles_.end()) return it->second;
   }
-  // Profile outside the lock; a concurrent duplicate computes the identical
-  // (deterministic) profile and first insertion wins.  The profiler is the
-  // profiling machine's one sink, and the check mode is not part of the
-  // profile (profile_key omits it), so a checked caller profiles unchecked.
+  // Profile outside the lock, on a pooled machine; a concurrent duplicate
+  // computes the identical (deterministic) profile and first insertion
+  // wins.  The profiler is the machine's one sink, and the check mode is
+  // not part of the profile (profile_key omits it), so a checked caller
+  // profiles unchecked.
   RunOptions popt = opt;
   popt.check_mode = sim::CheckMode::kOff;
-  ProfiledRun run = run_profiled_serial(b, popt, seed);
+  MachinePool::Lease lease = pool_for(popt.machine_params()).acquire();
+  ProfiledRun run = run_profiled_serial(*lease, b, popt, seed);
   auto prof =
       std::make_shared<const model::KernelProfile>(std::move(run.profile));
   std::lock_guard<std::mutex> lock(mu_);

@@ -137,13 +137,9 @@ struct CellKey {
   /// from() drops a chunk that sits next to kind -1.
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
-  /// RunOptions::check_mode: checked cells route through the reference path
-  /// and carry a CheckReport, so they never alias unchecked ones.
+  /// RunOptions::check_mode: checked cells carry a CheckReport, so they
+  /// never alias unchecked ones.  (No cell is traced: see from().)
   sim::CheckMode check = sim::CheckMode::kOff;
-  /// RunOptions::trace_mode: traced cells route through the reference path
-  /// and flush at region boundaries (different counter rounding), so they
-  /// never alias untraced ones.
-  sim::TraceMode trace = sim::TraceMode::kOff;
   /// RunOptions::topology projected through Topology::fingerprint(): cells
   /// simulated on different machines never alias.  Empty for the default
   /// machine (a null RunOptions::topology).
@@ -380,11 +376,12 @@ class ExperimentEngine {
 
   /// Analytical prediction of @p b on @p cfg — the instant tier next to
   /// single().  Profiles @p b once per (class, scale, seed, grain) with
-  /// run_profiled_serial (memoized for the engine's lifetime; the seed is
-  /// the prediction key's, so a kernel whose seed never reaches the
-  /// simulator profiles once whatever the trial seed), then
-  /// evaluates model::predict for the configuration's placement.  Costs one
-  /// serial simulation on first touch and microseconds afterwards.
+  /// run_profiled_serial on a pooled machine (memoized for the engine's
+  /// lifetime; the seed is the prediction key's, so a kernel whose seed
+  /// never reaches the simulator profiles once whatever the trial seed),
+  /// then evaluates model::predict for the configuration's placement.
+  /// Costs one serial simulation on first touch and microseconds
+  /// afterwards.
   PredictionResult predict(npb::Benchmark b, const StudyConfig& cfg,
                            const RunOptions& opt, std::uint64_t seed);
 

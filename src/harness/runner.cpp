@@ -33,7 +33,7 @@ struct Program {
 };
 
 /// The programs of one run, plus the checker, which attaches whenever the
-/// machine was built to check.  The checker is declared first so it
+/// run's options ask for checking.  The checker is declared first so it
 /// outlives the teams that report to it.
 struct Programs {
   std::unique_ptr<check::Checker> checker;
@@ -60,18 +60,24 @@ void refresh_smt_activity(sim::Machine& machine, const Programs& progs) {
 /// Builds program p of @p benches on placements[p] — address-space slot p,
 /// problem seed seed + 17·p, opt's grain and schedule override — and
 /// declares the cores' SMT activity.  @p machine must be reset, with any
-/// tracer or profiler already attached.  Every sink attaches before the
-/// first Team exists: a Team's constructor reports its runtime-internal
-/// lines and the initial clock sync.
+/// tracer or profiler already attached; the checker attaches here when
+/// opt.check_mode asks for it.  Every sink attaches before the first Team
+/// exists: a Team's constructor reports its runtime-internal lines and the
+/// initial clock sync.  Throws std::invalid_argument when a check is asked
+/// of a machine that already carries a sink (it carries one).
 Programs make_programs(sim::Machine& machine,
                        const std::vector<npb::Benchmark>& benches,
                        std::vector<std::vector<sim::LogicalCpu>> placements,
                        const RunOptions& opt, std::uint64_t seed) {
   assert(placements.size() == benches.size());
   Programs progs;
-  if (machine.params().check_mode != sim::CheckMode::kOff) {
-    progs.checker = std::make_unique<check::Checker>(
-        machine, machine.params().check_mode);
+  if (opt.check_mode != sim::CheckMode::kOff) {
+    if (machine.trace_sink() != nullptr) {
+      throw std::invalid_argument(
+          "a checked run cannot also be traced or profiled (the machine "
+          "carries one sink)");
+    }
+    progs.checker = std::make_unique<check::Checker>(machine, opt.check_mode);
   }
   for (std::size_t p = 0; p < benches.size(); ++p) {
     auto prog = std::make_unique<Program>();
@@ -182,47 +188,23 @@ RunResult run_serial(sim::Machine& machine, npb::Benchmark bench,
 TraceResult run_traced(sim::Machine& machine, npb::Benchmark bench,
                        const StudyConfig& cfg, const RunOptions& opt,
                        std::uint64_t seed) {
-  if (machine.params().trace_mode == sim::TraceMode::kOff) {
-    throw std::invalid_argument(
-        "run_traced: machine must be built with trace_mode != off "
-        "(opt.machine_params() with opt.trace_mode set)");
+  if (opt.trace_mode == sim::TraceMode::kOff) {
+    throw std::invalid_argument("run_traced: opt.trace_mode is off");
   }
-  if (machine.params().check_mode != sim::CheckMode::kOff) {
-    throw std::invalid_argument(
-        "run_traced: trace and check modes are mutually exclusive (the "
-        "machine carries one sink)");
-  }
-  machine.reset();
-  trace::Tracer tracer(machine, machine.params().trace_mode);
-  Programs progs = make_programs(machine, {bench}, {cfg.cpus}, opt, seed);
-  const double host_sec = step_to_completion(machine, progs);
+  trace::Tracer tracer(machine, opt.trace_mode);
   TraceResult out;
-  // finish's flush drives the final on_flush while the tracer is still
-  // attached, so the last region's deltas land in the stacks.
-  out.run = finish(progs, opt.verify, cfg.name).front();
-  out.run.host_sim_sec = host_sec;
+  // run_single's final flush drives the last on_flush while the tracer is
+  // still attached, so the last region's deltas land in the stacks.
+  out.run = run_single(machine, bench, cfg, opt, seed);
   out.trace = tracer.finish(out.run.wall_cycles);
   return out;
 }
 
-ProfiledRun run_profiled_serial(npb::Benchmark bench, const RunOptions& opt,
-                                std::uint64_t seed) {
-  if (opt.check_mode != sim::CheckMode::kOff) {
-    throw std::invalid_argument(
-        "run_profiled_serial: profile and check modes are mutually exclusive "
-        "(the machine carries one sink)");
-  }
-  sim::MachineParams params = opt.machine_params();
-  params.profile = true;
-  sim::Machine machine(params);
-  machine.reset();
+ProfiledRun run_profiled_serial(sim::Machine& machine, npb::Benchmark bench,
+                                const RunOptions& opt, std::uint64_t seed) {
   model::Profiler profiler(machine);
-  const StudyConfig& cfg = serial_config();
-  Programs progs = make_programs(machine, {bench}, {cfg.cpus}, opt, seed);
-  const double host_sec = step_to_completion(machine, progs);
   ProfiledRun out;
-  out.result = finish(progs, opt.verify, cfg.name).front();
-  out.result.host_sim_sec = host_sec;
+  out.result = run_serial(machine, bench, opt, seed);
   out.profile = profiler.finish();
 
   // The profiling run doubles as the model's per-kernel calibration point.

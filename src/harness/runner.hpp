@@ -12,15 +12,18 @@
 //                     between kernel steps (the paper's future work);
 //   * run_traced    — run_single with a trace::Tracer attached (CPI stall
 //                     stacks + event recording, RunOptions::trace_mode);
-//   * run_profiled_serial — a serial run with a model::Profiler attached;
+//   * run_profiled_serial — run_serial with a model::Profiler attached;
 //   * run_timeline  — run_single sampled after every kernel step.
 //
 // All of them share one step path: build one program per workload, then
 // always step the program furthest behind in virtual time.  Every runner
 // takes the sim::Machine to run on (the MachinePool recycling path; the
 // machine is reset() to a cold state on entry, so results are bit-identical
-// to a fresh construction) — except run_profiled_serial, which builds its
-// own profiling machine.
+// to a fresh construction).  An observer attaches to that machine for the
+// run — the checker that RunOptions::check_mode asks for, run_traced's
+// tracer or run_profiled_serial's profiler — and sends it down the
+// reference path until it detaches (sim/hooks.hpp).  A machine carries one
+// observer at a time.
 #pragma once
 
 #include <array>
@@ -67,14 +70,13 @@ struct RunOptions {
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
   /// Opt-in runtime analyses (race detection / invariant auditing).  Any
-  /// mode but kOff routes the machine through the reference path and
-  /// attaches a check::Checker for the duration of each run.
+  /// mode but kOff attaches a check::Checker for the duration of each run,
+  /// which routes the machine through the reference path meanwhile.
   sim::CheckMode check_mode = sim::CheckMode::kOff;
-  /// Opt-in execution tracing (CPI stall stacks / event recording).  Any
-  /// mode but kOff routes the machine through the reference path, enables
-  /// the xomp region-boundary flushes and (in run_traced) attaches a
-  /// trace::Tracer.  Mutually exclusive with check_mode in a traced run:
-  /// the machine carries one sink.
+  /// The depth run_traced records at (CPI stall stacks / event recording).
+  /// Only run_traced reads it: the tracer it attaches routes the machine
+  /// through the reference path and enables the xomp region-boundary
+  /// flushes.  Every other runner ignores it.
   sim::TraceMode trace_mode = sim::TraceMode::kOff;
   /// The machine to simulate (sim/topology.hpp), set from a preset name or
   /// a JSON description via the CLI's --machine flag; shared because every
@@ -85,13 +87,12 @@ struct RunOptions {
   std::shared_ptr<const sim::Topology> topology;
 
   /// The scaled machine a cell runs on, carrying resolved_topology().
+  /// Checked, traced, profiled and plain runs share it: an observer
+  /// attaches to the machine, it does not shape it.
   [[nodiscard]] sim::MachineParams machine_params() const {
     sim::MachineParams base{};
     base.topology = resolved_topology();
-    sim::MachineParams p = base.scaled(machine_scale);
-    p.check_mode = check_mode;
-    p.trace_mode = trace_mode;
-    return p;
+    return base.scaled(machine_scale);
   }
   /// The machine's shape, unscaled: `*topology`, or the default machine.
   [[nodiscard]] sim::Topology resolved_topology() const {
@@ -177,12 +178,11 @@ struct TraceResult {
   trace::TraceReport trace;  ///< stacks/regions/events per opt.trace_mode
 };
 
-/// run_single with a trace::Tracer attached for the duration of the run.
-/// @p machine must have been built from opt.machine_params() with
-/// opt.trace_mode != kOff and opt.check_mode == kOff (the machine carries
-/// one sink).  The virtual-time trajectory is identical to an untraced
-/// reference-path run; every context stack in the report sums exactly to
-/// run.wall_cycles.
+/// run_single with a trace::Tracer of depth opt.trace_mode attached for the
+/// duration of the run.  Throws std::invalid_argument when opt.trace_mode
+/// is kOff or opt.check_mode is not (the machine carries one sink).  The
+/// virtual-time trajectory is identical to an untraced run; every context
+/// stack in the report sums exactly to run.wall_cycles.
 TraceResult run_traced(sim::Machine& machine, npb::Benchmark bench,
                        const StudyConfig& cfg, const RunOptions& opt,
                        std::uint64_t seed);
@@ -193,15 +193,14 @@ struct ProfiledRun {
   model::KernelProfile profile;  ///< reuse/sharing summary, anchor filled
 };
 
-/// Runs @p bench once on the Serial configuration with
-/// MachineParams::profile enabled and a model::Profiler attached, then
-/// fills profile.anchor from the run's own counters.  The run routes
+/// run_serial of @p bench on @p machine with a model::Profiler attached,
+/// then fills profile.anchor from the run's own counters.  The run routes
 /// through the reference path but its counters and wall time are
 /// bit-identical to an unprofiled serial run (test-enforced).  Throws
 /// std::invalid_argument when opt.check_mode != kOff (the machine carries
 /// one sink).
-ProfiledRun run_profiled_serial(npb::Benchmark bench, const RunOptions& opt,
-                                std::uint64_t seed);
+ProfiledRun run_profiled_serial(sim::Machine& machine, npb::Benchmark bench,
+                                const RunOptions& opt, std::uint64_t seed);
 
 /// Outcome of a scheduled (possibly multi-program) run.
 struct ScheduledResult {

@@ -20,9 +20,9 @@
 // owners land on different cores.
 //
 // Attachment is RAII like check::Checker: construction attaches to the
-// machine, finish() (or destruction) detaches.  The machine must run with
-// MachineParams::profile = true so the reference path reports every event;
-// profiling observes and never mutates, so a profiled run's counters are
+// machine, finish() (or destruction) detaches.  While attached, the
+// machine takes the reference path, which reports every event; profiling
+// observes and never mutates, so a profiled run's counters are
 // bit-identical to an unprofiled one (test-enforced).
 #pragma once
 

@@ -86,8 +86,9 @@ class IsKernel final : public Kernel {
                       kBlkScan, [&](std::size_t i, sim::HwContext& ctx, int) {
                         hist_.put(ctx, i, 0);
                       });
-    // 2. Count keys into private histograms.
-    team.parallel_for(0, n_, xomp::Schedule::static_default(), kBlkHist,
+    // 2. Count keys into private histograms.  Phase 4 must see the same
+    //    partition, so a schedule override changes only the chunk here.
+    team.parallel_for(0, n_, xomp::Schedule::static_partition(), kBlkHist,
                       [&](std::size_t i, sim::HwContext& ctx, int rank) {
                         const std::uint32_t k = keys_.get(ctx, i);
                         const std::size_t h =
@@ -134,9 +135,9 @@ class IsKernel final : public Kernel {
                         }
                       });
     // 4. Rank in parallel: each thread ranks the same slice of keys it
-    //    counted in phase 2 (identical static partition), bumping its own
-    //    per-key base — the NPB-OMP IS scatter.
-    team.parallel_for(0, n_, xomp::Schedule::static_default(), kBlkRank,
+    //    counted in phase 2 (identical static partition, whatever the
+    //    override), bumping its own per-key base — the NPB-OMP IS scatter.
+    team.parallel_for(0, n_, xomp::Schedule::static_partition(), kBlkRank,
                       [&](std::size_t i, sim::HwContext& ctx, int rank) {
                         const std::uint32_t k = keys_.get(ctx, i);
                         const std::size_t h =

@@ -349,6 +349,17 @@ bool parse_job_file(std::string_view text, JobPlan* out, std::string* error) {
     }
     return false;
   }
+  // A misplaced member (a top-level "machines" belongs in a sweep) must not
+  // silently mean "default".
+  for (const auto& m : doc.members) {
+    if (m.first != "schema_version" && m.first != "kind" &&
+        m.first != "store" && m.first != "defaults" && m.first != "sweeps") {
+      if (error != nullptr) {
+        *error = "job file: unknown member \"" + m.first + "\"";
+      }
+      return false;
+    }
+  }
   out->store_dir = doc.string_or("store", "");
 
   harness::RunOptions defaults;

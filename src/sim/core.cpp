@@ -142,11 +142,7 @@ Core::Core(const MachineParams& p, Machine* machine, int chip_idx, int core_idx,
       dtlb_(p.dtlb_entries, p.dtlb_ways, p.page_bytes),
       predictor_(),
       prefetcher_(p),
-      // Any analysis, profiling or tracing mode needs the complete access
-      // stream, which only the reference path reports; its state trajectory
-      // is bit-identical.
-      fast_path_(p.fast_path && p.check_mode == CheckMode::kOff &&
-                 !p.profile && p.trace_mode == TraceMode::kOff) {
+      fast_path_(p.fast_path) {
   refresh_issue_cost();
   const int smt = std::max(1, p.topology.smt_per_core);
   contexts_.resize(static_cast<std::size_t>(smt));
@@ -165,6 +161,7 @@ double Core::access_memory(HwContext& ctx, Addr addr, bool is_store,
                            Dep dep) noexcept {
   const MachineParams& p = *params_;
   perf::CounterSet& c = *ctx.counters_;
+  ++reference_accesses_;
 
   // --- DTLB ------------------------------------------------------------------
   // (The reference count was already batched by the inlined load()/store().)

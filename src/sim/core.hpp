@@ -36,7 +36,8 @@
 // already runs (and on rebind).  Both mechanisms are bit-identity
 // preserving; `MachineParams::fast_path = false` (or building with
 // -DPAXSIM_REFERENCE_PATH=ON) forces every access through the reference
-// path, which the differential tests compare against.
+// path, which the differential tests compare against, and so does an
+// attached TraceSink while it stays attached.
 #pragma once
 
 #include <algorithm>
@@ -123,7 +124,7 @@ class HwContext {
   /// Static id of the code block most recently fetched through the
   /// reference front-end path (exec_block_slow) — the analysis layer's
   /// "program counter" when attributing accesses.  Every fetch takes the
-  /// reference path while a check mode is active, so this is exact there.
+  /// reference path while a sink is attached, so this is exact there.
   [[nodiscard]] BlockId last_block() const noexcept { return last_block_; }
 
   /// The core this context belongs to.
@@ -369,9 +370,20 @@ class Core {
 
   /// Machine-wide event sink, cached per core so reference-path call sites
   /// skip the Machine indirection.  Set by Machine::set_trace_sink; never
-  /// attach directly.
-  void set_trace_sink(TraceSink* sink) noexcept { sink_ = sink; }
+  /// attach directly.  The fast path runs exactly while no sink is attached;
+  /// the registers are cleared either way, so a sink sees every access.
+  void set_trace_sink(TraceSink* sink) noexcept {
+    sink_ = sink;
+    fast_path_ = params_->fast_path && sink == nullptr;
+    clear_fast_entries();
+  }
   [[nodiscard]] TraceSink* trace_sink() const noexcept { return sink_; }
+
+  /// Accesses this core's contexts sent down the reference path
+  /// (access_memory) since construction: a fast-path test probe, untimed.
+  [[nodiscard]] std::uint64_t reference_accesses() const noexcept {
+    return reference_accesses_;
+  }
 
   // Introspection for tests and the invariant checker.
   [[nodiscard]] const SetAssocCache& l1d() const noexcept { return l1d_; }
@@ -392,8 +404,8 @@ class Core {
   /// generation sum still matches the live structures must also pass handle
   /// revalidation — the tier-1 "commit without reading the line" proof must
   /// never outlive tier 2's.  Returns true when clean; otherwise fills
-  /// @p why (if non-null).  Trivially clean when a check mode disabled the
-  /// fast path (the tables stay empty); exercised against fast-path
+  /// @p why (if non-null).  Trivially clean while an attached sink disables
+  /// the fast path (the tables stay empty); exercised against fast-path
   /// machines by the unit tests.
   [[nodiscard]] bool audit_fast_entries(std::string* why) const;
 
@@ -454,11 +466,12 @@ class Core {
   std::vector<HwContext> contexts_;
   int active_contexts_ = 1;
 
-  bool fast_path_ = true;          ///< MachineParams::fast_path
+  bool fast_path_ = true;          ///< MachineParams::fast_path, no sink
   double issue_cost_ = 0;          ///< cached issue_cycles_per_uop()
   double chained_l1_stall_ = 0;    ///< max(0, l1_latency - issue_cost_)
   double issue_stretch_extra_ = 0; ///< issue_cost_ - cycles_per_uop
   TraceSink* sink_ = nullptr;      ///< Machine's sink, cached per core
+  std::uint64_t reference_accesses_ = 0;  ///< see reference_accesses()
 };
 
 // ---------------------------------------------------------------------------

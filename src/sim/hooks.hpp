@@ -1,16 +1,17 @@
 // paxsim/sim/hooks.hpp
 //
-// Observation interface for analysis subsystems (src/check/): a TraceSink
-// attached to a Machine receives the simulator's memory-access and fetch
-// stream plus synchronization callbacks from the xomp runtime, all in
-// virtual-time execution order.
+// Observation interface for the checker (src/check/), the tracer
+// (src/trace/) and the reuse profiler (src/model/): a TraceSink attached to
+// a Machine receives the simulator's memory-access and fetch stream plus
+// synchronization callbacks from the xomp runtime, all in virtual-time
+// execution order.
 //
 // Cost discipline: every call site is on the *reference* (out-of-line) path
-// only — the inlined L1/DTLB fast path never consults the sink.  Analysis
-// modes that need the full stream (MachineParams::check_mode != kOff) force
-// the reference path, so a machine running with the sink detached and the
-// fast path enabled pays nothing.  A sink observes; it must never mutate
-// simulator state (all references handed to it are const).
+// only — the inlined L1/DTLB fast path never consults the sink.  A machine
+// takes the reference path exactly while a sink is attached
+// (Core::set_trace_sink), so a machine without one pays nothing.  A sink
+// observes; it must never mutate simulator state (all references handed to
+// it are const).
 #pragma once
 
 #include <cstddef>
@@ -32,6 +33,11 @@ enum class MemLevel : std::uint8_t { kL1, kL2, kL3, kMem };
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
+
+  /// True when the xomp runtime must flush every context at each region
+  /// fork (the tracer's per-region stacks).  Extra flushes change counter
+  /// rounding, so every other sink keeps its runs bit-identical.
+  [[nodiscard]] virtual bool flushes_at_fork() const noexcept { return false; }
 
   /// One committed data access (load or store) by @p ctx at byte address
   /// @p addr.  Called at the end of the reference memory path, after all

@@ -202,9 +202,10 @@ class Machine {
   /// == core on the default private-L2 machine): what a snoop would see.
   [[nodiscard]] unsigned holders_of(Addr line_addr) const noexcept;
 
-  // ---- analysis hooks (src/check/) ----------------------------------------
+  // ---- observer hooks (sim/hooks.hpp) --------------------------------------
   /// Attaches/detaches the event-stream observer.  Only reference-path code
-  /// consults it (see sim/hooks.hpp); pass nullptr to detach.  The sink is
+  /// consults it (see sim/hooks.hpp), so every core takes the reference
+  /// path while a sink is attached; pass nullptr to detach.  The sink is
   /// not owned and must outlive its attachment.  Each core caches the
   /// pointer so per-access call sites skip the machine indirection.
   void set_trace_sink(TraceSink* sink) noexcept {

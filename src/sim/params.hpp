@@ -10,8 +10,10 @@
 // memory — are written once, in Topology::paxville(), which is the
 // default.  The fields below describe what the topology does not: the
 // clock, the per-core front end and TLBs (shared by a core's two contexts),
-// the issue and memory-level-parallelism model, the prefetcher, and how
-// the simulator executes.
+// the issue and memory-level-parallelism model, the prefetcher, and whether
+// the simulator may take its inlined fast path.  Nothing here says who
+// observes a run: a machine takes the reference path exactly while a
+// sim::TraceSink is attached (sim/hooks.hpp), whatever the sink is.
 #pragma once
 
 #include <cstddef>
@@ -23,9 +25,8 @@
 namespace paxsim::sim {
 
 /// Which runtime analyses (src/check/) observe a run.  Any mode other than
-/// kOff routes every memory access through the reference (out-of-line) path
-/// so the attached checker sees the complete event stream; kOff leaves the
-/// inlined fast path untouched and costs nothing.
+/// kOff attaches a check::Checker, whose attachment sends the machine down
+/// the reference path; kOff attaches nothing and costs nothing.
 enum class CheckMode : std::uint8_t {
   kOff,         ///< no analysis; the default
   kRace,        ///< happens-before data-race detection only
@@ -39,11 +40,9 @@ enum class CheckMode : std::uint8_t {
 /// Parses a check-mode name; returns true on success.
 bool parse_check_mode(const char* s, CheckMode& out) noexcept;
 
-/// Which tracing layers (src/trace/) observe a run.  Any mode other than
-/// kOff routes every memory access through the reference (out-of-line) path
-/// so the attached tracer sees the complete event stream; kOff leaves the
-/// inlined fast path untouched and costs nothing (bit-identical,
-/// test-enforced, like CheckMode::kOff).
+/// Which tracing layers (src/trace/) a traced run records: the depth a
+/// trace::Tracer is built with.  Only a run that attaches a tracer reads
+/// it; kOff leaves the run untouched (bit-identical, test-enforced).
 enum class TraceMode : std::uint8_t {
   kOff,     ///< no tracing; the default
   kStacks,  ///< CPI stall-attribution stacks only
@@ -137,36 +136,18 @@ struct MachineParams {
   std::size_t code_block_bytes = 256; ///< average static footprint per block
 
   // ---- simulator execution (not a property of the modelled machine) --------
-  /// Enables the core's inlined L1-hit/DTLB-hit fast path.  Results are
-  /// bit-identical either way — the fast path replays exactly the state
-  /// effects the out-of-line path would have (enforced by the differential
-  /// tests); the reference path exists to prove that and to debug against.
+  /// Enables the core's inlined L1-hit/DTLB-hit fast path while no sink is
+  /// attached (Core::set_trace_sink turns it off for as long as one is, so
+  /// the sink sees every access).  Results are bit-identical either way —
+  /// the fast path replays exactly the state effects the out-of-line path
+  /// would have (enforced by the differential tests); the reference path
+  /// exists to prove that, to feed observers and to debug against.
   /// Building with -DPAXSIM_REFERENCE_PATH=ON flips the default to false.
 #ifdef PAXSIM_REFERENCE_PATH
   bool fast_path = false;
 #else
   bool fast_path = true;
 #endif
-
-  /// Opt-in analysis mode (see CheckMode).  Any mode but kOff overrides
-  /// `fast_path`: checked runs execute on the reference path, whose state
-  /// trajectory is bit-identical, so the analyses observe every access
-  /// without perturbing what they measure.
-  CheckMode check_mode = CheckMode::kOff;
-
-  /// Opt-in reuse-profile collection (src/model/).  Like check_mode, any
-  /// profiled run executes on the reference path so the attached
-  /// model::Profiler sees the complete access/fetch stream; the state
-  /// trajectory — and therefore every counter — is bit-identical to an
-  /// unprofiled run (test-enforced).  Off by default and free when off.
-  bool profile = false;
-
-  /// Opt-in execution tracing (src/trace/).  Like check_mode, any mode but
-  /// kOff routes the machine through the reference path so the attached
-  /// trace::Tracer observes every access, fetch and accumulator flush.  The
-  /// virtual-time trajectory is unchanged; --trace=off stays bit-identical
-  /// to a build without the tracing subsystem (test-enforced).
-  TraceMode trace_mode = TraceMode::kOff;
 
   /// Returns a copy with all capacity-like quantities divided by @p factor
   /// (latencies, bandwidth-per-cycle and issue parameters untouched): each

@@ -3,18 +3,18 @@
 // The stall-attribution accountant: a sim::TraceSink that turns the
 // reference-path event stream of one run into per-context CPI stacks,
 // per-region aggregates and (in the event modes) ring-buffered event
-// records.  Usage mirrors check::Checker:
+// records.  Usage mirrors check::Checker (harness::run_traced does exactly
+// this):
 //
-//   sim::Machine machine(params);           // params.trace_mode != kOff
-//   trace::Tracer tracer(machine, params.trace_mode);   // attaches
+//   trace::Tracer tracer(machine, sim::TraceMode::kStacks);  // attaches
 //   ... run the workload ...
 //   trace::TraceReport report = tracer.finish(machine.wall_time());
 //
 // Attachment is RAII: the destructor detaches the sink if finish() was
 // never called.  The tracer only observes — it never mutates machine
 // state — and every hook it consumes lives on the reference path, which
-// MachineParams::trace_mode != kOff forces; a --trace=off run is
-// bit-identical to one executed before this subsystem existed.
+// the machine takes exactly while the tracer is attached; a run without a
+// tracer is bit-identical to one executed before this subsystem existed.
 //
 // Accounting scheme (see docs/TRACING.md for the full derivation)
 // ---------------------------------------------------------------
@@ -28,8 +28,9 @@
 //   stall_fe   -> kTcRebuild
 //   stall_br   -> kBranchFlush
 // Each delta is attributed to the context's current parallel region; the
-// fork/barrier flushes the xomp runtime performs in trace mode align the
-// flush boundaries with region boundaries, so deltas never straddle one.
+// fork/barrier flushes the xomp runtime performs for this sink (see
+// flushes_at_fork) align the flush boundaries with region boundaries, so
+// deltas never straddle one.
 // finish() closes each context's whole-run stack against wall_cycles, so
 // the per-context stacks sum to the wall *bitwise* (test-enforced).
 #pragma once
@@ -57,9 +58,9 @@ class Tracer final : public sim::TraceSink {
   /// Events retained per hardware context in the event modes.
   static constexpr std::size_t kDefaultRingCapacity = 8192;
 
-  /// Attaches to @p machine (which must have no other sink and must have
-  /// been constructed with trace_mode != kOff so the reference path and
-  /// the region-boundary flushes are active).
+  /// Attaches to @p machine, which must have no other sink.  Attaching
+  /// sends the machine down the reference path and turns on the xomp
+  /// runtime's region-boundary flushes until the tracer detaches.
   Tracer(sim::Machine& machine, sim::TraceMode mode,
          std::size_t ring_capacity = kDefaultRingCapacity);
   ~Tracer() override;
@@ -75,6 +76,8 @@ class Tracer final : public sim::TraceSink {
   [[nodiscard]] sim::TraceMode mode() const noexcept { return mode_; }
 
   // ---- sim::TraceSink -------------------------------------------------------
+  /// Per-region stacks need a flush at every region boundary.
+  [[nodiscard]] bool flushes_at_fork() const noexcept override { return true; }
   void on_access(const sim::HwContext& ctx, sim::Addr addr, bool is_store,
                  sim::Dep dep) override;
   void on_fetch(const sim::HwContext& ctx, sim::Addr code_addr,

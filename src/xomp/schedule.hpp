@@ -24,8 +24,14 @@ enum class ScheduleKind : std::uint8_t {
 struct Schedule {
   ScheduleKind kind = ScheduleKind::kStatic;
   std::size_t chunk = 0;
+  /// A loop whose partition another loop relies on: a schedule override
+  /// changes only its chunk, as `schedule(static)` ignores OMP_SCHEDULE.
+  bool keep_static = false;
 
   [[nodiscard]] static constexpr Schedule static_default() noexcept { return {}; }
+  [[nodiscard]] static constexpr Schedule static_partition() noexcept {
+    return {ScheduleKind::kStatic, 0, true};
+  }
   [[nodiscard]] static constexpr Schedule dynamic(std::size_t c = 1) noexcept {
     return {ScheduleKind::kDynamic, c};
   }

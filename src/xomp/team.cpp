@@ -106,12 +106,10 @@ void Team::fork() {
   // Workers that idled through a serial section catch up to the master.
   const double t = wall_time();
   for (sim::HwContext* c : ctxs_) c->set_now(t);
-  // Region-boundary flush, trace mode only: hand the serial segment's
-  // accumulators to the tracer before the next parallel region begins, so
-  // its per-region stacks never smear serial cycles into parallel regions.
-  // Gated on the machine mode, not sink presence: extra flushes change
-  // counter rounding, and checked/profiled runs are bit-identity bound.
-  if (machine_->params().trace_mode != sim::TraceMode::kOff) flush();
+  // Region-boundary flush for a sink that asks for it (the tracer), so its
+  // per-region stacks never smear serial cycles into parallel regions.
+  const sim::TraceSink* sink = machine_->trace_sink();
+  if (sink != nullptr && sink->flushes_at_fork()) flush();
   notify_team(sim::TraceSink::TeamEvent::kFork);
 }
 

@@ -67,12 +67,13 @@ class Team {
 
   /// Overrides the schedule of every parallel loop the team runs, replacing
   /// whatever Schedule the kernel passed (the paxtune schedule axis: tune a
-  /// kernel's loops across static/dynamic/guided without editing kernels).
-  /// Applied at run_loop entry, so it covers parallel_for and
-  /// parallel_reduce alike.  Single-thread teams execute serial_for, which
-  /// has no schedule — overrides are placement-neutral there by
-  /// construction.  Like grain, an override changes the interleaving, so
-  /// the experiment engine keys its memo cache on it.
+  /// kernel's loops across static/dynamic/guided without editing kernels);
+  /// a loop marked Schedule::keep_static stays static and takes only the
+  /// override's chunk.  Applied at run_loop entry, so it covers
+  /// parallel_for and parallel_reduce alike.  Single-thread teams execute
+  /// serial_for, which has no schedule — overrides are placement-neutral
+  /// there by construction.  Like grain, an override changes the
+  /// interleaving, so the experiment engine keys its memo cache on it.
   void set_schedule_override(Schedule sched) noexcept {
     sched_override_ = sched;
     has_sched_override_ = true;
@@ -256,7 +257,11 @@ class Team {
   template <typename Body>
   void run_loop(std::size_t begin, std::size_t end, Schedule sched,
                 CodeBlock body_block, Body&& body) {
-    if (has_sched_override_) sched = sched_override_;
+    if (has_sched_override_) {
+      sched = sched.keep_static
+                  ? Schedule{ScheduleKind::kStatic, sched_override_.chunk, true}
+                  : sched_override_;
+    }
     notify_loop(body_block.id, begin, end);
     const int nt = size();
     if (nt == 1) {

@@ -66,6 +66,26 @@ TEST(CliParseTest, JobsDefaultsToOneAndRejectsBadValues) {
   EXPECT_FALSE(P({"run", "--bench=CG", "--config=Serial", "--jobs=-2"}).ok());
 }
 
+TEST(CliParseTest, IntegerFlagsRefuseValuesTheyCannotHold) {
+  // Refused at parse time: paxsim prints an `error:` line and exits 2
+  // rather than run at a wrapped (-1 as 2^64-1) or clamped value.  An
+  // out-of-range --jobs is only ever parsed here, never run.
+  for (const char* bad :
+       {"--grain=-1", "--seed=-1", "--seed=+5", "--chunk=-1",
+        "--seed=18446744073709551616", "--jobs=4294967297", "--jobs=-1"}) {
+    const ParseResult r =
+        P({"run", "--bench=EP", "--config=Serial", "--class=S", bad});
+    EXPECT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.error.rfind("bad --", 0), 0u) << bad << ": " << r.error;
+  }
+  EXPECT_NE(P({"serve", "--jobs-file=p.json", "--max-cells=-1"})
+                .error.find("bad --max-cells"),
+            std::string::npos);
+  EXPECT_NE(P({"tune", "--bench=EP", "--class=S", "--chunks=-1"})
+                .error.find("bad --chunks"),
+            std::string::npos);
+}
+
 TEST(CliParseTest, RunRequiresBenchAndConfig) {
   EXPECT_FALSE(P({"run", "--config=Serial"}).ok());
   EXPECT_FALSE(P({"run", "--bench=CG"}).ok());
@@ -676,6 +696,19 @@ TEST(CliExecTest, TuneFindsTheKnownWinnerForCG) {
   EXPECT_NE(out.find("CG: best"), std::string::npos);
   EXPECT_NE(out.find("HT on -8-2"), std::string::npos);
   EXPECT_NE(out.find("engine:"), std::string::npos);
+}
+
+TEST(CliExecTest, TuneSweepsIsOverDynamicSchedules) {
+  // IS's counting and ranking loops stay static under an override, so a
+  // dynamic schedule axis no longer fails IS's verification.
+  std::string out;
+  EXPECT_EQ(run_cli({"tune", "--bench=IS", "--class=S",
+                     "--schedules=static,dynamic", "--chunks=4,8",
+                     "--grains=1,2"},
+                    out),
+            0)
+      << out;
+  EXPECT_NE(out.find("IS: best"), std::string::npos) << out;
 }
 
 TEST(CliExecTest, TuneCsvEmitsTheTuningReport) {

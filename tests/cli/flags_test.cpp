@@ -20,8 +20,8 @@ TEST(FlagSetTest, TypedAddersAcceptAndReject) {
   std::string s = "x";
   FlagSet fs;
   fs.add_int("n", &n, 1, "N", "an int");
-  fs.add_size("sz", &sz, 1, "N", "a size");
-  fs.add_u64("u", &u, "N", "a u64");
+  fs.add_int("sz", &sz, 1, "N", "a size");
+  fs.add_int("u", &u, 0, "N", "a u64");
   fs.add_double("d", &d, 0.5, "F", "a double");
   fs.add_flag("b", &b, "a bare flag");
   fs.add_string("s", &s, "STR", "a string");
@@ -53,6 +53,39 @@ TEST(FlagSetTest, TypedAddersAcceptAndReject) {
   // State survives rejected writes.
   EXPECT_EQ(n, 7);
   EXPECT_EQ(d, 2.5);
+}
+
+TEST(FlagSetTest, IntegerFlagsTakeOnlyDecimalsTheTypeHolds) {
+  // strtoull reads "-1" as 2^64-1 and clamps an overflow to the largest
+  // value; a cast then wraps an int.  Each of those is refused instead.
+  int trials = 1;
+  std::size_t chunk = 0;
+  std::uint64_t seed = 0;
+  FlagSet fs;
+  fs.add_int("trials", &trials, 1, "N", "an int");
+  fs.add_int("chunk", &chunk, 0, "N", "a size");
+  fs.add_int("seed", &seed, 0, "N", "a u64");
+  std::string error;
+  for (const char* bad :
+       {"--trials=4294967297", "--trials=2147483648", "--trials=-1",
+        "--trials=+5", "--trials= 5", "--chunk=-1", "--chunk=+0",
+        "--chunk=18446744073709551616", "--seed=-1", "--seed=+5",
+        "--seed=18446744073709551616", "--seed=0x10", "--seed=5 "}) {
+    EXPECT_EQ(fs.parse_flag(bad, &error), FlagSet::Outcome::kError) << bad;
+    EXPECT_EQ(error.rfind("bad --", 0), 0u) << error;
+  }
+  EXPECT_EQ(trials, 1);
+  EXPECT_EQ(chunk, 0u);
+  EXPECT_EQ(seed, 0u);
+  // The edges of each range are accepted.
+  EXPECT_EQ(fs.parse_flag("--trials=2147483647", &error),
+            FlagSet::Outcome::kOk);
+  EXPECT_EQ(trials, 2147483647);
+  EXPECT_EQ(fs.parse_flag("--chunk=18446744073709551615", &error),
+            FlagSet::Outcome::kOk);
+  EXPECT_EQ(chunk, 18446744073709551615ull);
+  EXPECT_EQ(fs.parse_flag("--seed=007", &error), FlagSet::Outcome::kOk);
+  EXPECT_EQ(seed, 7u);
 }
 
 TEST(FlagSetTest, OutcomeClassification) {

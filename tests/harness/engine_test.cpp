@@ -95,8 +95,8 @@ TEST(CellKeyTest, FactoryProjectsEveryResultRelevantOption) {
 
   RunOptions traced = opt;
   traced.trace_mode = sim::TraceMode::kStacks;
-  EXPECT_NE(base, CellKey::from(npb::Benchmark::kCG, *cfg, traced, seed))
-      << "traced cells must never alias untraced ones";
+  EXPECT_EQ(base, CellKey::from(npb::Benchmark::kCG, *cfg, traced, seed))
+      << "no memoized cell is traced: a trace mode mints the untraced key";
 
   RunOptions checked = opt;
   checked.check_mode = sim::CheckMode::kFull;
@@ -139,19 +139,6 @@ TEST(CellKeyTest, TopologiesHashToDistinctCells) {
   EXPECT_NE(h(base), h(wc_key));
 }
 
-TEST(CellKeyTest, TraceModesHashToDistinctCells) {
-  const StudyConfig* cfg = find_config("HT on -2-1");
-  const RunOptions opt = quick_options();
-  const std::uint64_t seed = opt.trial_seed(0);
-  RunOptions traced = opt;
-  traced.trace_mode = sim::TraceMode::kFull;
-  const CellKeyHash h;
-  // Hash inequality is not a contract in general, but the trace bits are
-  // mixed in deliberately; a collision here means the mixing regressed.
-  EXPECT_NE(h(CellKey::from(npb::Benchmark::kCG, *cfg, opt, seed)),
-            h(CellKey::from(npb::Benchmark::kCG, *cfg, traced, seed)));
-}
-
 TEST(ExperimentEngineTest, MemoizesRepeatedCells) {
   ExperimentEngine engine(1);
   const RunOptions opt = quick_options();
@@ -166,6 +153,33 @@ TEST(ExperimentEngineTest, MemoizesRepeatedCells) {
   EXPECT_EQ(s.cache_misses, 1u);
   EXPECT_EQ(s.cache_hits, 1u);
   EXPECT_EQ(s.machines_created, 1u) << "the hit must not touch the pool";
+}
+
+TEST(ExperimentEngineTest, ObservedAndPlainRunsShareOneMachine) {
+  // An observer attaches to a leased machine rather than shaping it, so a
+  // checked cell, the same cell unchecked and a profile of one geometry
+  // all run on one pooled machine, and the unchecked cell still matches a
+  // fresh engine's bit for bit.
+  const StudyConfig* cfg = find_config("HT on -4-1");
+  const RunOptions opt = quick_options();
+  RunOptions checked = opt;
+  checked.check_mode = sim::CheckMode::kFull;
+  const std::uint64_t seed = opt.trial_seed(0);
+
+  ExperimentEngine engine(1);
+  const RunResult chk =
+      engine.single(npb::Benchmark::kCG, *cfg, checked, seed);
+  EXPECT_TRUE(chk.check.clean());
+  const RunResult plain = engine.single(npb::Benchmark::kCG, *cfg, opt, seed);
+  (void)engine.profile(npb::Benchmark::kCG, opt, seed);
+  EXPECT_EQ(engine.stats().machines_created, 1u);
+  EXPECT_EQ(engine.stats().machines_acquired, 3u);
+  EXPECT_EQ(engine.stats().cache_misses, 2u) << "checked and plain are 2 cells";
+
+  ExperimentEngine fresh(1);
+  EXPECT_TRUE(same_result(
+      plain, fresh.single(npb::Benchmark::kCG, *cfg, opt, seed)));
+  EXPECT_TRUE(same_result(chk, plain)) << "checking perturbed the run";
 }
 
 TEST(ExperimentEngineTest, DistinctSeedsAreDistinctCells) {

@@ -136,10 +136,6 @@ TEST(CellFingerprintTest, EveryFieldChangesTheFingerprint) {
   EXPECT_NE(cell_fingerprint(k), ref) << "check";
 
   k = base;
-  k.trace = sim::TraceMode::kStacks;
-  EXPECT_NE(cell_fingerprint(k), ref) << "trace";
-
-  k = base;
   k.machine = sim::Topology::paxville().fingerprint();
   EXPECT_NE(cell_fingerprint(k), ref) << "machine";
 }

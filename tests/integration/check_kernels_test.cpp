@@ -4,6 +4,8 @@
 //  * every shipped suite kernel must come back clean under --check=full on
 //    Serial, HT-off and HT-on configurations (class S keeps it fast), and
 //    under --check=invariants on every row of every machine preset;
+//  * IS verifies, and is clean under --check=full, under every dynamic and
+//    guided schedule override on each machine preset's widest row;
 //  * --check=off must leave results bit-identical to an unchecked run;
 //  * a race record numbers its cpu by the machine's own topology.
 #include <gtest/gtest.h>
@@ -152,6 +154,31 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+TEST(CheckKernelsTest, IsVerifiesUnderEveryScheduleOverride) {
+  // IS ranks each key in the slice its thread counted, so its counting and
+  // ranking loops keep a static partition whatever the override says.
+  for (const char* preset : {"paxville", "woodcrest", "numa16"}) {
+    RunOptions opt = checked_options(sim::CheckMode::kFull);
+    opt.topology = std::make_shared<const sim::Topology>(
+        *sim::Topology::from_preset(preset));
+    const StudyConfig cfg = configs_for(*opt.topology).back();
+    sim::Machine machine(opt.machine_params());
+    for (const int kind : {1, 2}) {  // dynamic, guided
+      for (const std::size_t chunk : {std::size_t{0}, std::size_t{4}}) {
+        opt.sched_kind = kind;
+        opt.sched_chunk = chunk;
+        SCOPED_TRACE(testing::Message() << preset << " " << cfg.name << " "
+                                        << sched_name(kind) << " chunk "
+                                        << chunk);
+        const RunResult r = run_single(machine, npb::Benchmark::kIS, cfg, opt,
+                                       opt.trial_seed(0));
+        EXPECT_TRUE(r.verified);
+        EXPECT_TRUE(r.check.clean());
+      }
+    }
+  }
+}
 
 TEST(CheckKernelsTest, RaceRecordsNumberCpusByTheMachine) {
   // numa16 has 4 cores per chip: each printed record's cpu number must be

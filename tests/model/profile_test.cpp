@@ -24,7 +24,9 @@ harness::RunOptions quick_options() {
 
 KernelProfile profiled(npb::Benchmark b) {
   const harness::RunOptions opt = quick_options();
-  return harness::run_profiled_serial(b, opt, opt.trial_seed(0)).profile;
+  sim::Machine machine(opt.machine_params());
+  return harness::run_profiled_serial(machine, b, opt, opt.trial_seed(0))
+      .profile;
 }
 
 TEST(ThreadCountIndexTest, NearestNotAboveMatch) {
@@ -133,16 +135,16 @@ TEST(ProfilerTest, EPIsOverwhelminglyParallel) {
 TEST(ProfilerTest, RunProfiledSerialRejectsCheckMode) {
   harness::RunOptions opt = quick_options();
   opt.check_mode = sim::CheckMode::kFull;
-  EXPECT_THROW(harness::run_profiled_serial(npb::Benchmark::kEP, opt,
+  sim::Machine machine(opt.machine_params());
+  EXPECT_THROW(harness::run_profiled_serial(machine, npb::Benchmark::kEP, opt,
                                             opt.trial_seed(0)),
                std::invalid_argument);
+  EXPECT_EQ(machine.trace_sink(), nullptr) << "the profiler must detach";
 }
 
 TEST(ProfilerTest, FinishIsIdempotent) {
   const harness::RunOptions opt = quick_options();
-  sim::MachineParams params = opt.machine_params();
-  params.profile = true;
-  sim::Machine machine(params);
+  sim::Machine machine(opt.machine_params());
   Profiler profiler(machine);
   const KernelProfile empty = profiler.finish();  // nothing ran: all zeros
   EXPECT_EQ(empty.loads + empty.stores, 0u);

@@ -214,6 +214,26 @@ TEST(JobFileTest, RejectsUnknownMembers) {
   EXPECT_NE(err.find("trails"), std::string::npos) << err;
 }
 
+TEST(JobFileTest, RejectsAMisplacedTopLevelMachines) {
+  // "machines" belongs in a sweep; at the top level it used to be ignored,
+  // serving every cell on the default machine.
+  const std::string err = parse_fail(
+      R"({"schema_version":1,"kind":"job_file","machines":["woodcrest"],
+          "sweeps":[{"benches":["CG"],"configs":["Serial"],
+                     "modes":["single"]}]})");
+  EXPECT_NE(err.find("unknown member \"machines\""), std::string::npos)
+      << err;
+}
+
+TEST(JobFileTest, RejectsAMisspelledTopLevelMember) {
+  const std::string err = parse_fail(
+      R"({"schema_version":1,"kind":"job_file","machinez":["woodcrest"],
+          "sweeps":[{"benches":["CG"],"configs":["Serial"],
+                     "modes":["single"]}]})");
+  EXPECT_NE(err.find("unknown member \"machinez\""), std::string::npos)
+      << err;
+}
+
 TEST(JobFileTest, RejectsUnknownBenchConfigModeAndMachine) {
   EXPECT_NE(parse_fail(R"({"schema_version":1,"kind":"job_file",
                            "sweeps":[{"benches":["ZZ"],

@@ -31,33 +31,38 @@ struct Rig {
   }
 };
 
-/// Counts the reference-path memory accesses of one context: on_access
-/// fires only inside Core::access_memory, never on an inlined fast-path hit.
-class SlowPathCounter final : public TraceSink {
- public:
-  explicit SlowPathCounter(LogicalCpu who) : who_(who) {}
+/// Reference-path entries on @p ctx's core caused by @p access.  A probe,
+/// not a sink: attaching a sink would itself send every access down the
+/// reference path.
+template <typename F>
+std::uint64_t entries_of(const HwContext& ctx, F&& access) {
+  const std::uint64_t before = ctx.core().reference_accesses();
+  access();
+  return ctx.core().reference_accesses() - before;
+}
 
-  /// Reference-path entries caused by @p access.
-  template <typename F>
-  int entries_of(F&& access) {
-    const int before = entries_;
-    access();
-    return entries_ - before;
-  }
+/// Counts the accesses and fetches one context reports to its sink.
+class EventCounter final : public TraceSink {
+ public:
+  explicit EventCounter(LogicalCpu who) : who_(who) {}
 
   void on_access(const HwContext& ctx, Addr, bool, Dep) override {
-    if (ctx.id() == who_) ++entries_;
+    if (ctx.id() == who_) ++accesses;
   }
-  void on_fetch(const HwContext&, Addr, std::uint32_t) override {}
+  void on_fetch(const HwContext& ctx, Addr, std::uint32_t) override {
+    if (ctx.id() == who_) ++fetches;
+  }
   void on_team(TeamEvent, const void*, const HwContext* const*,
                std::size_t) override {}
   void on_runtime_range(Addr, std::size_t) override {}
   void on_sync(SyncOp, const HwContext&, Addr) override {}
   void on_thread_moved(const HwContext&, const HwContext&) override {}
 
+  int accesses = 0;
+  int fetches = 0;
+
  private:
   LogicalCpu who_;
-  int entries_ = 0;
 };
 
 TEST(CoreTest, AluCostsIssueCycles) {
@@ -265,11 +270,9 @@ TEST(CoreTest, RemoteSnoopRevalidatesOnlyTheSnoopedSet) {
   // A remote snoop ticks the generation of the one L1 set it touches, so
   // only that set's fast-path registers fall back to revalidation; the
   // registers of every other set keep serving hits.
-  SlowPathCounter sink({0, 0, 0});
   MachineParams p;
   p.fast_path = true;
   Rig r(p);
-  r.machine.set_trace_sink(&sink);
   HwContext& local = r.ctx(0, 0, 0);
   HwContext& remote = r.ctx(1, 0, 0);  // another chip: another coherence domain
   const SetAssocCache& l1 = r.machine.core(0, 0).l1d();
@@ -282,26 +285,61 @@ TEST(CoreTest, RemoteSnoopRevalidatesOnlyTheSnoopedSet) {
     local.load(x);
     local.load(y);
   }
-  ASSERT_EQ(sink.entries_of([&] {
-              local.load(x);
-              local.load(y);
-            }),
-            0)
+  ASSERT_EQ(entries_of(local,
+                       [&] {
+                         local.load(x);
+                         local.load(y);
+                       }),
+            0u)
       << "both lines are registered after the warm-up";
 
   remote.store(x);  // remote invalidate of x
   ASSERT_FALSE(l1.contains(x));
-  EXPECT_EQ(sink.entries_of([&] { local.load(y); }), 0)
+  EXPECT_EQ(entries_of(local, [&] { local.load(y); }), 0u)
       << "invalidating x must leave y's register armed";
-  EXPECT_EQ(sink.entries_of([&] { local.load(x); }), 1)
+  EXPECT_EQ(entries_of(local, [&] { local.load(x); }), 1u)
       << "the invalidated line must take the reference path";
 
   remote.load(y);  // remote downgrade of y
   ASSERT_EQ(l1.state_of(y), LineState::kShared);
-  EXPECT_EQ(sink.entries_of([&] { local.load(y); }), 0)
+  EXPECT_EQ(entries_of(local, [&] { local.load(y); }), 0u)
       << "a downgraded line still serves loads through tier 2";
-  EXPECT_EQ(sink.entries_of([&] { local.store(y); }), 1)
+  EXPECT_EQ(entries_of(local, [&] { local.store(y); }), 1u)
       << "a store to a shared line needs the reference path's upgrade";
+}
+
+TEST(CoreTest, SinkAttachedAfterAFastRunSeesEveryAccess) {
+  // Attaching a sink is what sends a machine down the reference path: a
+  // sink attached, with no reset, to a machine whose fast-path registers
+  // are warm must still see every access and every fetch.
+  MachineParams p;
+  p.fast_path = true;
+  Rig r(p);
+  HwContext& c = r.ctx();
+  const Addr x = r.space.alloc(64, 64);
+  constexpr BlockId kBlock = 7;
+  for (int i = 0; i < 3; ++i) {
+    c.exec_block(kBlock, 8);
+    c.load(x);
+  }
+  ASSERT_EQ(entries_of(c, [&] { c.load(x); }), 0u)
+      << "the warm-up must leave x on the fast path";
+
+  EventCounter sink(c.id());
+  r.machine.set_trace_sink(&sink);
+  for (int i = 0; i < 5; ++i) {
+    c.exec_block(kBlock, 8);
+    c.load(x);
+    c.store(x);
+  }
+  EXPECT_EQ(sink.accesses, 10);
+  EXPECT_EQ(sink.fetches, 5);
+
+  // Detaching hands the machine back to the fast path.
+  r.machine.set_trace_sink(nullptr);
+  c.load(x);  // re-registers x
+  EXPECT_EQ(entries_of(c, [&] { c.load(x); }), 0u);
+  EXPECT_EQ(sink.accesses, 10) << "a detached sink hears nothing";
 }
 
 }  // namespace

@@ -42,6 +42,7 @@ TEST(TracerTest, FinishDetaches) {
 }
 
 TEST(TracerTest, RunTracedRejectsUntracedMachine) {
+  // The depth comes from the options; a machine carries no trace mode.
   harness::RunOptions opt = traced_options(sim::TraceMode::kOff);
   sim::Machine machine(opt.machine_params());
   EXPECT_THROW(harness::run_traced(machine, npb::Benchmark::kEP,

@@ -93,6 +93,31 @@ TEST(TeamTest, StaticDefaultIsContiguousBlocks) {
   EXPECT_EQ(range[3].second, 99u);
 }
 
+TEST(TeamTest, OverrideKeepsAKeepStaticLoopStatic) {
+  // A keep_static loop takes only the override's chunk: under dynamic(4)
+  // it runs static with chunk 4, round-robin over the ranks, so a loop
+  // that must see another's partition still sees it.
+  Rig rig;
+  Team team = rig.team(4);
+  const auto owners = [&team] {
+    std::vector<int> rank_of(64, -1);
+    team.parallel_for(0, 64, Schedule::static_partition(), kBlk,
+                      [&](std::size_t i, sim::HwContext&, int rank) {
+                        rank_of[i] = rank;
+                      });
+    return rank_of;
+  };
+  const std::vector<int> plain = owners();
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(plain[i], static_cast<int>(i / 16)) << "iteration " << i;
+  }
+  team.set_schedule_override(Schedule::dynamic(4));
+  const std::vector<int> overridden = owners();
+  for (std::size_t i = 0; i < overridden.size(); ++i) {
+    EXPECT_EQ(overridden[i], static_cast<int>(i / 4 % 4)) << "iteration " << i;
+  }
+}
+
 TEST(TeamTest, ReduceSumsCorrectly) {
   Rig rig;
   Team team = rig.team(4);
