@@ -340,7 +340,6 @@ int do_list(const Command& cmd, std::ostream& out) {
   out << " (or --machine=<file.json>)\n";
   out << "scheduler policies: pinned-spread naive-pack random-migrating "
          "ht-aware symbiotic\n";
-  out << "tune strategies: grid greedy anneal\n";
   return 0;
 }
 
@@ -414,7 +413,8 @@ int do_store(const Command& cmd, std::ostream& out, std::ostream& err) {
     report::Json j(out);
     j.begin_document("store_gc")
         .field("removed_tmp", r.removed_tmp)
-        .field("removed_quarantined", r.removed_quarantined);
+        .field("removed_quarantined", r.removed_quarantined)
+        .field("removed_unreachable", r.removed_unreachable);
     j.finish();
   } else {  // verify
     const serve::VerifyResult r = store.verify();
@@ -430,7 +430,21 @@ int do_store(const Command& cmd, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+/// docs/CALIBRATION.md measures the model's error bands on Paxville only,
+/// so `predict` and `tune` say so on @p err on any other machine (their
+/// stdout stays the same bytes).
+void note_unmeasured_model(const Command& cmd, std::ostream& err) {
+  const sim::Topology paxville = sim::Topology::paxville();
+  sim::Topology machine = cmd.options.resolved_topology();
+  machine.name = paxville.name;
+  if (machine.fingerprint() == paxville.fingerprint()) return;
+  err << "note: the model's error bands are unmeasured on machine '"
+      << cmd.machine << "' (docs/CALIBRATION.md measures them on paxville "
+      << "only)\n";
+}
+
 int do_tune(const Command& cmd, std::ostream& out, std::ostream& err) {
+  note_unmeasured_model(cmd, err);
   harness::ExperimentEngine engine;
   attach_store(engine, cmd);
   std::vector<npb::Benchmark> benches = cmd.benches;
@@ -446,19 +460,16 @@ int do_tune(const Command& cmd, std::ostream& out, std::ostream& err) {
     out << "tuned " << rep.kernels.size() << " kernel"
         << (rep.kernels.size() == 1 ? "" : "s") << " on machine "
         << (rep.machine.empty() ? "default" : rep.machine) << " (class "
-        << rep.problem_class << ", strategy " << rep.strategy << ", "
-        << (rep.strategy == "grid" ? std::string("exhaustive validation")
-                                   : "top-" + std::to_string(rep.top_k) +
-                                         " validation")
-        << ", seed " << rep.seed << ")\n";
+        << rep.problem_class << ", top-" << rep.top_k << " validation, seed "
+        << rep.seed << ")\n";
     for (const tune::KernelResult& kr : rep.kernels) {
       out << "  " << npb::benchmark_name(kr.bench) << ": best "
           << kr.best.label << "\n    sim "
           << static_cast<std::uint64_t>(kr.best.sim_wall)
           << " cycles, speedup " << kr.best.sim_speedup << " ("
           << (kr.model_agrees ? "model agreed" : "model disagreed") << "; "
-          << kr.model_cells << " model cells, " << kr.sim_cells
-          << " simulated, space " << kr.space_cells << ")\n";
+          << kr.sim_cells << " of " << kr.space_cells
+          << " cells simulated)\n";
     }
     const auto& st = rep.stats;
     out << "engine: " << st.cache_misses << " cells simulated, "
@@ -511,10 +522,10 @@ std::string usage() {
       "                                            one profiled serial run\n"
       "  trace --bench=CG --config=\"HT on -8-2\"     traced run: per-context and\n"
       "                                            per-region CPI stall stacks\n"
-      "  tune  [--bench=CG,...] [--strategy=greedy] model-driven autotuning:\n"
-      "        [--machine=...] [--top-k=N] [--out=F] search the configuration\n"
-      "                                            space on the model, validate\n"
-      "                                            the frontier on the simulator\n"
+      "  tune  [--bench=CG,...] [--top-k=N]        model-driven autotuning:\n"
+      "        [--machine=...] [--out=F]           rank every cell of the space\n"
+      "                                            on the model, simulate the\n"
+      "                                            top N\n"
       "  serve --jobs-file=plan.json [--store=DIR]  batch sweep service: expand\n"
       "        [--jobs=N] [--max-cells=N] [--quiet] the job file, answer stored\n"
       "                                            cells from the store, compute\n"
@@ -725,6 +736,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
       case Command::Kind::kStore:
         return do_store(cmd, out, err);
       case Command::Kind::kPredict: {
+        note_unmeasured_model(cmd, err);
         const npb::Benchmark bench = cmd.benches[0];
         harness::ExperimentEngine engine;
         attach_store(engine, cmd);

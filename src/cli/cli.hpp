@@ -22,9 +22,9 @@
 //   paxsim predict --bench=CG --config="HT on -8-2" [--compare]
 //   paxsim trace --bench=CG --config="HT on -8-2" [--trace=stacks|events|full]
 //                [--trace-out=FILE] [--regions] [--stacks]
-//   paxsim tune  [--bench=CG,...] [--strategy=grid|greedy|anneal] [--top-k=N]
-//                [--schedules=...] [--chunks=...] [--grains=...]
-//                [--scales=...] [--out=FILE] — model-driven autotuning
+//   paxsim tune  [--bench=CG,...] [--top-k=N] [--schedules=...]
+//                [--chunks=...] [--grains=...] [--scales=...] [--out=FILE]
+//                — rank every cell on the model, simulate the top N
 //   paxsim serve --jobs-file=plan.json [--store=DIR] [--jobs=N]
 //                [--max-cells=N] [--quiet]
 //   paxsim store <stat|ls|gc|verify> --store=DIR
@@ -81,8 +81,8 @@ struct Command {
   bool quiet = false;                   ///< serve: suppress per-cell lines
 
   // ---- tune -----------------------------------------------------------------
-  /// --strategy/--top-k/--budget and the --schedules/--chunks/--grains/
-  /// --scales axes; an axis left empty is the single point `options` names.
+  /// --top-k and the --schedules/--chunks/--grains/--scales axes; an axis
+  /// left empty is the single point `options` names.
   tune::TuneOptions tune;
   std::string tune_out;                 ///< --out: tuning_report JSON file
 };

@@ -329,26 +329,11 @@ inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
   }
 }
 
-/// Registers the tuner's search knobs — --strategy, --top-k and --budget —
-/// written through to @p t, on `paxsim tune` and on ext_autotune.
+/// Registers the tuner's search knob, --top-k, written through to @p t, on
+/// `paxsim tune` and on ext_autotune.
 inline void register_tune_flags(FlagSet& fs, tune::TuneOptions* t) {
-  FlagSpec s;
-  s.name = "strategy";
-  s.value_hint = "grid|greedy|anneal";
-  s.def = t->strategy;
-  s.help = "search strategy over the configuration space";
-  s.apply = [t](const std::string& v) -> std::string {
-    if (v != "grid" && v != "greedy" && v != "anneal") {
-      return "bad --strategy '" + v + "' (use grid, greedy or anneal)";
-    }
-    t->strategy = v;
-    return {};
-  };
-  fs.add(std::move(s));
   fs.add_int("top-k", &t->top_k, 1, "N",
-             "simulator validations per kernel (grid validates all)");
-  fs.add_int("budget", &t->anneal_budget, 1, "N",
-             "proposal steps for --strategy=anneal");
+             "simulate the model's top N cells per kernel");
 }
 
 /// Registers --jobs, on the tables of the commands and benches that fan

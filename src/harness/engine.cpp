@@ -6,6 +6,7 @@
 #include <chrono>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <unordered_set>
@@ -89,21 +90,26 @@ CellKey CellKey::from(Kind kind, npb::Benchmark a, npb::Benchmark b,
   k.config = config_fingerprint(cfg);
   k.cls = opt.cls;
   k.machine_scale = opt.machine_scale;
-  // The per-trial seed (opt.trials/base_seed are plan-level), unless no
-  // program's seed reaches the simulator.
-  k.seed = simulated_seed(a, b, seed);
+  k.seed = seed;  // the per-trial seed: opt.trials/base_seed are plan-level
   k.verify = opt.verify;
   k.grain = opt.grain;
   k.sched_kind = opt.sched_kind;
-  // The runner reads the chunk only under an override, so a chunk next to
-  // the kernel-default schedule names the same run as no chunk at all:
-  // every front end must mint one key for it.
-  k.sched_chunk = opt.sched_kind < 0 ? 0 : opt.sched_chunk;
+  k.sched_chunk = opt.sched_chunk;
   k.check = opt.check_mode;
   // opt.trace_mode is left out: only run_traced reads it, and neither
   // run_traced nor ExperimentEngine::trace memoizes, so every cell a key
   // names ran untraced.
   if (opt.topology != nullptr) k.machine = opt.topology->fingerprint();
+  return k.canonical();
+}
+
+CellKey CellKey::canonical() const {
+  CellKey k = *this;
+  k.seed = simulated_seed(a, b, seed);
+  // The runner reads the chunk only under an override, so a chunk next to
+  // the kernel-default schedule names the same run as no chunk at all:
+  // every front end must mint one key for it.
+  if (k.sched_kind < 0) k.sched_chunk = 0;
   return k;
 }
 
@@ -192,6 +198,94 @@ std::string cell_fingerprint(const CellKey& k) {
   s += ";machine=";
   append_bytes(s, k.machine);
   return s;
+}
+
+namespace {
+
+/// Reads one field append_hex wrote: @p tag, then @p digits lowercase hex
+/// nibbles.  Advances @p s past both on success.
+bool take_hex(std::string_view& s, std::string_view tag, int digits,
+              std::uint64_t* v) {
+  const std::size_t n = tag.size() + static_cast<std::size_t>(digits);
+  if (s.size() < n || s.substr(0, tag.size()) != tag) return false;
+  std::uint64_t x = 0;
+  for (const char c : s.substr(tag.size(), n - tag.size())) {
+    int nibble = 0;
+    if (c >= '0' && c <= '9') {
+      nibble = c - '0';
+    } else if (c >= 'a' && c <= 'f') {
+      nibble = c - 'a' + 10;
+    } else {
+      return false;
+    }
+    x = (x << 4) | static_cast<std::uint64_t>(nibble);
+  }
+  s.remove_prefix(n);
+  *v = x;
+  return true;
+}
+
+/// Reads one field append_bytes wrote, after @p tag.
+bool take_bytes(std::string_view& s, std::string_view tag, std::string* out) {
+  std::uint64_t n = 0;
+  if (!take_hex(s, tag, 8, &n) || s.empty() || s[0] != ':' ||
+      s.size() - 1 < n) {
+    return false;
+  }
+  out->assign(s.substr(1, n));
+  s.remove_prefix(1 + n);
+  return true;
+}
+
+}  // namespace
+
+bool parse_cell_fingerprint(std::string_view s, CellKey* out) {
+  const std::string version =
+      "cellkey-v" + std::to_string(kCellFingerprintVersion);
+  if (s.substr(0, version.size()) != version) return false;
+  s.remove_prefix(version.size());
+  std::uint64_t kind = 0, a = 0, b = 0, cls = 0, scale = 0, seed = 0;
+  std::uint64_t verify = 0, grain = 0, skind = 0, schunk = 0, check = 0;
+  std::uint64_t trace = 0;
+  CellKey k;
+  const bool read =
+      take_hex(s, ";kind=", 2, &kind) && take_hex(s, ";a=", 2, &a) &&
+      take_hex(s, ";b=", 2, &b) && take_hex(s, ";cls=", 2, &cls) &&
+      take_hex(s, ";scale=", 16, &scale) && take_hex(s, ";seed=", 16, &seed) &&
+      take_hex(s, ";verify=", 1, &verify) &&
+      take_hex(s, ";grain=", 16, &grain) &&
+      take_hex(s, ";skind=", 16, &skind) &&
+      take_hex(s, ";schunk=", 16, &schunk) &&
+      take_hex(s, ";check=", 2, &check) && take_hex(s, ";trace=", 2, &trace) &&
+      take_bytes(s, ";config=", &k.config) &&
+      take_bytes(s, ";machine=", &k.machine) && s.empty();
+  // Every value cell_fingerprint can write, and no other.
+  const auto last_bench =
+      static_cast<std::uint64_t>(npb::Benchmark::kRacyFlag);
+  const auto sched = static_cast<std::int64_t>(skind);
+  if (!read || kind > static_cast<std::uint64_t>(CellKey::Kind::kPredict) ||
+      a > last_bench || b > last_bench ||
+      cls > static_cast<std::uint64_t>(npb::ProblemClass::kClassB) ||
+      verify > 1 ||
+      sched < std::numeric_limits<int>::min() ||
+      sched > std::numeric_limits<int>::max() ||
+      check > static_cast<std::uint64_t>(sim::CheckMode::kFull) ||
+      trace != 0) {
+    return false;
+  }
+  k.kind = static_cast<CellKey::Kind>(kind);
+  k.a = static_cast<npb::Benchmark>(a);
+  k.b = static_cast<npb::Benchmark>(b);
+  k.cls = static_cast<npb::ProblemClass>(cls);
+  std::memcpy(&k.machine_scale, &scale, sizeof(scale));
+  k.seed = seed;
+  k.verify = verify == 1;
+  k.grain = static_cast<std::size_t>(grain);
+  k.sched_kind = static_cast<int>(sched);
+  k.sched_chunk = static_cast<std::size_t>(schunk);
+  k.check = static_cast<sim::CheckMode>(check);
+  *out = std::move(k);
+  return true;
 }
 
 std::string cell_digest(std::string_view fingerprint) {

@@ -127,14 +127,15 @@ struct CellKey {
   double machine_scale = 0;
   /// The seed the cell simulates at: the trial seed, or npb::kDefaultSeed
   /// when no program's seed reaches the simulated path
-  /// (npb::seed_reaches_simulator), so that all trials share one cell.
+  /// (npb::seed_reaches_simulator, applied by canonical()), so that all
+  /// trials share one cell.
   std::uint64_t seed = 0;
   bool verify = true;
   std::size_t grain = 1;   ///< RunOptions::grain (changes interleaving)
   /// RunOptions::sched_kind / sched_chunk: a loop-schedule override changes
   /// the interleaving exactly like grain does, so overridden cells never
   /// alias kernel-default ones.  -1 / 0 is the kernel-default identity:
-  /// from() drops a chunk that sits next to kind -1.
+  /// canonical() drops a chunk that sits next to kind -1.
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
   /// RunOptions::check_mode: checked cells carry a CheckReport, so they
@@ -147,11 +148,10 @@ struct CellKey {
 
   /// The one place RunOptions is projected onto a cell identity.  Every
   /// result-relevant RunOptions field must flow through here (trials and
-  /// base_seed are plan-level: the per-trial seed is the @p seed argument,
-  /// replaced by npb::kDefaultSeed when neither @p a's nor @p b's seed
-  /// reaches the simulator);
-  /// a sizeof tripwire in engine.cpp fails the build when RunOptions grows
-  /// a field this factory has not been audited against.
+  /// base_seed are plan-level: the per-trial seed is the @p seed argument),
+  /// and the key it returns is canonical(); a sizeof tripwire in
+  /// engine.cpp fails the build when RunOptions grows a field this factory
+  /// has not been audited against.
   [[nodiscard]] static CellKey from(Kind kind, npb::Benchmark a,
                                     npb::Benchmark b, const StudyConfig& cfg,
                                     const RunOptions& opt, std::uint64_t seed);
@@ -160,6 +160,13 @@ struct CellKey {
                                     const RunOptions& opt, std::uint64_t seed) {
     return from(Kind::kSingle, b, b, cfg, opt, seed);
   }
+
+  /// The one canonicalising step, which from() ends with: the seed becomes
+  /// npb::kDefaultSeed when neither program's seed reaches the simulator,
+  /// and a chunk next to the kernel-default schedule is dropped.  Both name
+  /// the same run either way.  A key this step changes is one from() can
+  /// no longer mint (`paxsim store gc` removes such entries).
+  [[nodiscard]] CellKey canonical() const;
 
   friend bool operator==(const CellKey&, const CellKey&) = default;
 };
@@ -183,6 +190,14 @@ inline constexpr int kCellFingerprintVersion = 2;
 /// written by different binaries interoperate.  Injective: two distinct
 /// keys can never serialize equal (golden-fingerprint test enforced).
 [[nodiscard]] std::string cell_fingerprint(const CellKey& k);
+
+/// The inverse of cell_fingerprint: fills @p out and returns true exactly
+/// when @p fingerprint is cell_fingerprint() of some key at this binary's
+/// kCellFingerprintVersion.  A truncated string, a bad hex digit, an
+/// out-of-range enum or another version is refused (false, @p out
+/// untouched).
+[[nodiscard]] bool parse_cell_fingerprint(std::string_view fingerprint,
+                                          CellKey* out);
 
 /// 128-bit content digest of a fingerprint as 32 lowercase hex characters —
 /// the on-disk address of a cell (serve::ResultStore's object name).

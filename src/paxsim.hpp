@@ -17,7 +17,7 @@
 //              result store, job files and the batch driver
 //   lmb::      the LMbench-analog calibration probes
 //   sched::    scheduler policies for the co-scheduling extension
-//   tune::     model-driven autotuning (SearchSpace, strategies, tuner)
+//   tune::     model-driven autotuning (SearchSpace, tuner)
 //   xomp::     the OpenMP-analog runtime, for authoring custom kernels
 //
 // In-repo drivers (bench/, examples/, the CLI) include only this header;
@@ -56,7 +56,6 @@
 #include "sim/topology.hpp"
 #include "trace/chrome.hpp"
 #include "tune/space.hpp"
-#include "tune/strategy.hpp"
 #include "tune/tuner.hpp"
 #include "trace/report.hpp"
 #include "trace/ring.hpp"

@@ -537,8 +537,23 @@ GcResult ResultStore::gc() {
   for (const std::string& p : walk_tmp(dir_)) {
     if (fs::remove(p, ec)) ++r.removed_tmp;
   }
-  for (const std::string& p : walk_objects(dir_).quarantined) {
+  const ObjectWalk objects = walk_objects(dir_);
+  for (const std::string& p : objects.quarantined) {
     if (fs::remove(p, ec)) ++r.removed_quarantined;
+  }
+  // An entry filed under a key from() no longer mints (a trial seed that
+  // never reached the simulator, a chunk beside the kernel-default
+  // schedule) is never read again.
+  for (const std::string& p : objects.committed) {
+    std::string text;
+    report::JsonValue doc;
+    harness::CellKey key;
+    if (read_file(p, &text) && report::parse_json_value(text, &doc) &&
+        harness::parse_cell_fingerprint(doc.string_or("fingerprint", ""),
+                                        &key) &&
+        key.canonical() != key && fs::remove(p, ec)) {
+      ++r.removed_unreachable;
+    }
   }
   return r;
 }

@@ -84,6 +84,9 @@ struct StoreEntry {
 struct GcResult {
   std::uint64_t removed_tmp = 0;
   std::uint64_t removed_quarantined = 0;
+  /// Committed entries whose key CellKey::canonical() changes: no key
+  /// CellKey::from mints can reach them.
+  std::uint64_t removed_unreachable = 0;
 };
 
 /// Outcome of `paxsim store verify`.
@@ -126,6 +129,9 @@ class ResultStore final : public harness::CellStore {
   /// Every committed entry, parsed and sorted by digest.  Unparseable
   /// entries are skipped (verify() is the tool that acts on them).
   [[nodiscard]] std::vector<StoreEntry> list() const;
+  /// Removes leftover tmp files, quarantined entries and unreachable
+  /// entries.  An entry whose fingerprint does not parse at this binary's
+  /// version stays (verify() reports it).
   GcResult gc();
   /// Re-parses every entry; quarantines corrupt ones, counts version
   /// mismatches without touching them.

@@ -3,68 +3,42 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <unordered_set>
 
-#include "harness/runner.hpp"
+#include "harness/engine.hpp"
 
 namespace paxsim::tune {
 
-std::size_t SearchSpace::axis_size(std::size_t axis) const {
-  switch (axis) {
-    case 0: return configs.size();
-    case 1: return sched_kinds.size();
-    case 2: return chunks.size();
-    case 3: return grains.size();
-    case 4: return scales.size();
-    default: throw std::invalid_argument("SearchSpace: bad axis");
-  }
+harness::RunOptions SearchSpace::options_for(
+    const Point& p, const harness::RunOptions& base) const {
+  harness::RunOptions opt = base;
+  opt.sched_kind = sched_kinds[p.sched];
+  opt.sched_chunk = chunks[p.chunk];
+  opt.grain = grains[p.grain];
+  opt.machine_scale = scales[p.scale];
+  return opt;
 }
 
-std::size_t SearchSpace::size() const {
-  std::size_t n = 1;
-  for (std::size_t a = 0; a < kAxes; ++a) n *= axis_size(a);
-  return n;
-}
-
-std::size_t SearchSpace::distinct_cells() const {
-  // Kernel-default schedule rows collapse the chunk axis to one point.
-  std::size_t defaults = 0;
-  for (const int k : sched_kinds) {
-    if (k < 0) ++defaults;
-  }
-  const std::size_t per_config =
-      (defaults + (sched_kinds.size() - defaults) * chunks.size()) *
-      grains.size() * scales.size();
-  return configs.size() * per_config;
-}
-
-std::size_t SearchSpace::to_flat(const Point& p) const {
-  // Mixed radix, config most significant — grid order walks configurations
-  // in Table-1 order first, which keeps trajectories readable.
-  std::size_t flat = p.config;
-  flat = flat * sched_kinds.size() + p.sched;
-  flat = flat * chunks.size() + p.chunk;
-  flat = flat * grains.size() + p.grain;
-  flat = flat * scales.size() + p.scale;
-  return flat;
-}
-
-Point SearchSpace::from_flat(std::size_t flat) const {
+std::vector<Point> SearchSpace::cells(npb::Benchmark bench,
+                                      const harness::RunOptions& base,
+                                      std::uint64_t seed) const {
+  std::vector<Point> out;
+  std::unordered_set<harness::CellKey, harness::CellKeyHash> seen;
   Point p;
-  p.scale = flat % scales.size();
-  flat /= scales.size();
-  p.grain = flat % grains.size();
-  flat /= grains.size();
-  p.chunk = flat % chunks.size();
-  flat /= chunks.size();
-  p.sched = flat % sched_kinds.size();
-  flat /= sched_kinds.size();
-  p.config = flat;
-  return p;
-}
-
-Point SearchSpace::canonicalize(Point p) const {
-  if (sched_kinds[p.sched] < 0) p.chunk = 0;
-  return p;
+  for (p.config = 0; p.config < configs.size(); ++p.config) {
+    for (p.sched = 0; p.sched < sched_kinds.size(); ++p.sched) {
+      for (p.chunk = 0; p.chunk < chunks.size(); ++p.chunk) {
+        for (p.grain = 0; p.grain < grains.size(); ++p.grain) {
+          for (p.scale = 0; p.scale < scales.size(); ++p.scale) {
+            const harness::CellKey key = harness::CellKey::from(
+                bench, configs[p.config], options_for(p, base), seed);
+            if (seen.insert(key).second) out.push_back(p);
+          }
+        }
+      }
+    }
+  }
+  return out;
 }
 
 namespace {
@@ -100,11 +74,9 @@ std::string SearchSpace::describe(const Point& p) const {
 }
 
 void SearchSpace::validate() const {
-  for (std::size_t a = 0; a < kAxes; ++a) {
-    if (axis_size(a) == 0) {
-      throw std::invalid_argument("SearchSpace: empty axis " +
-                                  std::to_string(a));
-    }
+  if (configs.empty() || sched_kinds.empty() || chunks.empty() ||
+      grains.empty() || scales.empty()) {
+    throw std::invalid_argument("SearchSpace: empty axis");
   }
   for (const int k : sched_kinds) {
     if (k < -1 || k > 2) {

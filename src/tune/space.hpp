@@ -8,12 +8,12 @@
 // driver builds one SearchSpace per machine rather than forcing a jagged
 // axis into the product).
 //
-// Points are axis-index tuples (not resolved values), which is what the
-// search strategies want: coordinate descent moves along one index axis at
-// a time, and the annealer proposes single-axis perturbations.  A point's
-// flat index is its mixed-radix encoding; canonicalize() collapses the
-// points that name the same cell (the kernel-default schedule has no chunk
-// parameter) so strategies never spend two evaluations on one cell.
+// Points are axis-index tuples (not resolved values).  cells() lists the
+// points that name distinct cells, in Table-1-major order: two points name
+// one cell exactly when harness::CellKey::from mints one key for them (a
+// chunk next to the kernel-default schedule, or a repeated axis value), so
+// the tuner never spends two evaluations on one cell and the rule that
+// decides it lives in CellKey::from alone.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +22,8 @@
 #include <vector>
 
 #include "harness/config.hpp"
+#include "harness/runner.hpp"
+#include "npb/kernel.hpp"
 
 namespace paxsim::tune {
 
@@ -46,27 +48,22 @@ struct SearchSpace {
   std::vector<std::size_t> grains{1};
   std::vector<double> scales{16.0};
 
-  static constexpr std::size_t kAxes = 5;
+  /// @p base with @p p's schedule, chunk, grain and scale substituted in.
+  [[nodiscard]] harness::RunOptions options_for(
+      const Point& p, const harness::RunOptions& base) const;
 
-  [[nodiscard]] std::size_t axis_size(std::size_t axis) const;
-  /// Product of all axis sizes (canonical duplicates included).
-  [[nodiscard]] std::size_t size() const;
-  /// Number of DISTINCT cells (canonical points) in the space.
-  [[nodiscard]] std::size_t distinct_cells() const;
-
-  [[nodiscard]] std::size_t to_flat(const Point& p) const;
-  [[nodiscard]] Point from_flat(std::size_t flat) const;
-
-  /// Collapses aliases of the same cell: the kernel-default schedule
-  /// (sched_kinds[p.sched] == -1) ignores the chunk parameter, so its chunk
-  /// index is forced to 0.
-  [[nodiscard]] Point canonicalize(Point p) const;
+  /// Every distinct cell of @p bench at @p seed, in Table-1-major order
+  /// (configuration, then schedule, chunk, grain and scale): a point whose
+  /// CellKey::from key an earlier point already holds is skipped.
+  [[nodiscard]] std::vector<Point> cells(npb::Benchmark bench,
+                                         const harness::RunOptions& base,
+                                         std::uint64_t seed) const;
 
   /// Human-readable axis values of @p p (for trajectories and reports).
   [[nodiscard]] std::string describe(const Point& p) const;
 
   /// Throws std::invalid_argument unless every axis is non-empty and every
-  /// index of @p p is in range.
+  /// schedule kind, grain and scale is in range.
   void validate() const;
 };
 

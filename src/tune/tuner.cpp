@@ -2,9 +2,9 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "report/json.hpp"
@@ -13,59 +13,11 @@ namespace paxsim::tune {
 
 namespace {
 
-/// Builds the RunOptions of one search point: the base options with the
-/// point's schedule, grain and scale substituted in.
-harness::RunOptions options_for(const SearchSpace& space, const Point& p,
-                                const harness::RunOptions& base) {
-  harness::RunOptions opt = base;
-  opt.sched_kind = space.sched_kinds[p.sched];
-  opt.sched_chunk = space.chunks[p.chunk];
-  opt.grain = space.grains[p.grain];
-  opt.machine_scale = space.scales[p.scale];
-  return opt;
-}
-
 /// @p axis, or the single point @p base when the caller left it empty.
 template <typename T>
 std::vector<T> axis_or(const std::vector<T>& axis, T base) {
   return axis.empty() ? std::vector<T>{base} : axis;
 }
-
-/// Model-tier evaluator over the engine: each distinct point costs one
-/// ExperimentEngine::predict (microseconds after the memoized profiling
-/// run); revisits are answered from a local memo.
-class EngineEvaluator final : public Evaluator {
- public:
-  EngineEvaluator(harness::ExperimentEngine& engine, npb::Benchmark bench,
-                  const SearchSpace& space, const harness::RunOptions& base,
-                  std::uint64_t seed)
-      : engine_(engine), bench_(bench), space_(space), base_(base),
-        seed_(seed) {}
-
-  double predicted_wall(const Point& p) override {
-    const std::size_t flat = space_.to_flat(p);
-    const auto it = memo_.find(flat);
-    if (it != memo_.end()) return it->second;
-    const harness::RunOptions opt = options_for(space_, p, base_);
-    const harness::StudyConfig& cfg = space_.configs[p.config];
-    const double wall =
-        engine_.predict(bench_, cfg, opt, seed_).prediction.wall_cycles;
-    memo_.emplace(flat, wall);
-    return wall;
-  }
-
-  [[nodiscard]] std::size_t distinct_evaluations() const {
-    return memo_.size();
-  }
-
- private:
-  harness::ExperimentEngine& engine_;
-  npb::Benchmark bench_;
-  const SearchSpace& space_;
-  const harness::RunOptions& base_;
-  std::uint64_t seed_;
-  std::unordered_map<std::size_t, double> memo_;
-};
 
 }  // namespace
 
@@ -73,12 +25,6 @@ TuneReport tune(harness::ExperimentEngine& engine,
                 const std::vector<npb::Benchmark>& benches,
                 const harness::RunOptions& base_opt,
                 const std::string& machine_spec, const TuneOptions& topt) {
-  std::unique_ptr<Strategy> strategy =
-      make_strategy(topt.strategy, topt.anneal_budget);
-  if (strategy == nullptr) {
-    throw std::invalid_argument("unknown strategy '" + topt.strategy +
-                                "' (use grid, greedy or anneal)");
-  }
   if (topt.top_k < 1) throw std::invalid_argument("top_k must be >= 1");
 
   // The search space is per-machine: the configuration axis is the
@@ -93,7 +39,6 @@ TuneReport tune(harness::ExperimentEngine& engine,
   space.validate();
 
   TuneReport report;
-  report.strategy = std::string(strategy->name());
   report.top_k = topt.top_k;
   report.seed = base_opt.base_seed;
   report.machine = machine_spec;
@@ -104,51 +49,46 @@ TuneReport tune(harness::ExperimentEngine& engine,
     KernelResult kr;
     kr.bench = bench;
     kr.machine = machine_spec;
-    kr.space_cells = space.distinct_cells();
 
-    // ---- explore: model tier only --------------------------------------
-    EngineEvaluator eval(engine, bench, space, base_opt, seed);
-    const std::vector<Point> explored =
-        strategy->explore(space, eval, base_opt.base_seed);
-    kr.explored = explored.size();
-    kr.model_cells = eval.distinct_evaluations();
-    kr.trajectory.reserve(explored.size());
-    for (const Point& p : explored) {
-      kr.trajectory.push_back(
-          {p, space.describe(p), eval.predicted_wall(p)});
+    // ---- rank: predict every distinct cell once, on the model tier -----
+    const std::vector<Point> cells = space.cells(bench, base_opt, seed);
+    kr.space_cells = cells.size();
+    kr.trajectory.reserve(cells.size());
+    for (const Point& p : cells) {
+      const double wall =
+          engine
+              .predict(bench, space.configs[p.config],
+                       space.options_for(p, base_opt), seed)
+              .prediction.wall_cycles;
+      kr.trajectory.push_back({p, space.describe(p), wall});
     }
-
-    // ---- rank the frontier by the model's opinion -----------------------
-    std::vector<std::size_t> order(explored.size());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    std::vector<std::size_t> order(cells.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return eval.predicted_wall(explored[a]) <
-                              eval.predicted_wall(explored[b]);
+                     [&kr](std::size_t a, std::size_t b) {
+                       return kr.trajectory[a].predicted_wall <
+                              kr.trajectory[b].predicted_wall;
                      });
     const std::size_t k =
-        strategy->exhaustive()
-            ? explored.size()
-            : std::min<std::size_t>(static_cast<std::size_t>(topt.top_k),
-                                    explored.size());
+        std::min(static_cast<std::size_t>(topt.top_k), cells.size());
 
     // ---- validate: simulator tier on the top of the ranking -------------
     const std::uint64_t misses_before = engine.stats().cache_misses;
     for (std::size_t rank = 0; rank < k; ++rank) {
-      const Point& p = explored[order[rank]];
-      const harness::RunOptions opt = options_for(space, p, base_opt);
-      const harness::StudyConfig& cfg = space.configs[p.config];
+      const TrajectoryStep& t = kr.trajectory[order[rank]];
+      const harness::RunOptions opt = space.options_for(t.point, base_opt);
+      const harness::StudyConfig& cfg = space.configs[t.point.config];
       const harness::RunResult run = engine.single(bench, cfg, opt, seed);
-      // The serial anchor of this point's profile (already memoized by the
-      // explore phase) is the speedup denominator — no extra serial cell.
+      // The serial anchor of this cell's profile (already memoized by the
+      // ranking step) is the speedup denominator — no extra serial cell.
       const double anchor =
           engine.profile(bench, opt, seed)->anchor.wall_cycles;
       Validated v;
-      v.point = p;
-      v.label = space.describe(p);
+      v.point = t.point;
+      v.label = t.label;
       v.config_name = cfg.name;
       v.model_rank = rank;
-      v.predicted_wall = eval.predicted_wall(p);
+      v.predicted_wall = t.predicted_wall;
       v.sim_wall = run.wall_cycles;
       v.sim_speedup = run.wall_cycles > 0 ? anchor / run.wall_cycles : 0;
       kr.validated.push_back(std::move(v));
@@ -187,7 +127,6 @@ void write_validated(report::Json& j, const Validated& v) {
 void write_tuning_report(std::ostream& out, const TuneReport& report) {
   report::Json j(out);
   j.begin_document("tuning_report");
-  j.field("strategy", report.strategy);
   j.field("top_k", report.top_k);
   j.field("seed", report.seed);
   j.field("machine", report.machine.empty() ? std::string("default")
@@ -200,8 +139,6 @@ void write_tuning_report(std::ostream& out, const TuneReport& report) {
     j.field("machine",
             kr.machine.empty() ? std::string("default") : kr.machine);
     j.field("space_cells", static_cast<std::uint64_t>(kr.space_cells));
-    j.field("explored", static_cast<std::uint64_t>(kr.explored));
-    j.field("model_cells", static_cast<std::uint64_t>(kr.model_cells));
     j.field("sim_cells", static_cast<std::uint64_t>(kr.sim_cells));
     j.field("model_agrees", kr.model_agrees);
     j.key("best");

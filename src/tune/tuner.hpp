@@ -1,21 +1,21 @@
 // paxsim/tune/tuner.hpp
 //
 // The paxtune driver: model-first autotuning over the full configuration
-// space.  For each kernel it lets a Strategy explore a SearchSpace through
-// the analytical-model tier (ExperimentEngine::predict — microseconds per
-// point after the one memoized profiling run), ranks the explored frontier
-// by predicted wall cycles, then validates only the most promising
-// candidates on the cycle-level simulator and crowns the best by MEASURED
-// wall cycles.  The exhaustive grid validates everything it explores,
-// making it the brute-force ground truth; greedy/anneal typically reach the
-// same winners with a quarter of the simulator invocations (test-enforced
-// against the engine's cache-miss counters).
+// space.  For each kernel it lists every distinct cell of a SearchSpace,
+// predicts each once through the analytical-model tier
+// (ExperimentEngine::predict — microseconds per cell after the memoized
+// profiling runs), stable-sorts the cells by predicted wall cycles, then
+// validates only the first top_k on the cycle-level simulator and crowns
+// the best by MEASURED wall cycles.  A top_k of at least the space size
+// validates every cell: the brute-force ground truth.  On the default
+// space the top two reach the same winners with a quarter of the
+// simulator invocations (test-enforced against the engine's cache-miss
+// counters).
 //
-// Everything downstream of the seed is deterministic: the model answers are
-// pure, the strategies draw randomness only from their SplitMix64 stream,
-// and the simulator cells are the engine's usual bit-reproducible cells —
-// so a tuning run is itself a reproducible experiment, and its report says
-// which seed to replay.
+// Everything is deterministic: the model answers are pure, the ranking is
+// a stable sort of a fixed enumeration, and the simulator cells are the
+// engine's usual bit-reproducible cells — so a tuning run is itself a
+// reproducible experiment, and its report says which seed to replay.
 #pragma once
 
 #include <cstdint>
@@ -25,19 +25,15 @@
 
 #include "harness/engine.hpp"
 #include "tune/space.hpp"
-#include "tune/strategy.hpp"
 
 namespace paxsim::tune {
 
 /// Knobs of one tuning run (the search side; simulation knobs — class,
 /// seed, verify, machine — ride in on the RunOptions/machine spec).
 struct TuneOptions {
-  std::string strategy = "greedy";  ///< grid | greedy | anneal
-  /// Simulator validations per kernel for non-exhaustive strategies: the
-  /// top-k model-ranked explored points.  The grid ignores this and
-  /// validates everything it explored.
+  /// Simulator validations per kernel: the first top_k cells by predicted
+  /// wall cycles.  At least the space size validates every cell.
   int top_k = 2;
-  int anneal_budget = 48;  ///< proposal steps for --strategy=anneal
 
   // Axis lists beyond the machine's configuration table.  An empty axis is
   // the single point the base RunOptions name (its sched_kind, sched_chunk,
@@ -55,13 +51,13 @@ struct Validated {
   Point point;
   std::string label;          ///< SearchSpace::describe(point)
   std::string config_name;    ///< resolved Table-1 row name
-  std::size_t model_rank = 0; ///< 0 = model's favourite among explored
+  std::size_t model_rank = 0; ///< 0 = model's favourite cell
   double predicted_wall = 0;  ///< model wall cycles
   double sim_wall = 0;        ///< measured (simulated) wall cycles
   double sim_speedup = 0;     ///< serial anchor wall / sim_wall
 };
 
-/// One explored point, in exploration order (the strategy trajectory).
+/// One cell of the space with its model answer, in enumeration order.
 struct TrajectoryStep {
   Point point;
   std::string label;
@@ -74,17 +70,14 @@ struct KernelResult {
   std::string machine;           ///< machine spec ("" = calibrated default)
   Validated best;                ///< winner by measured sim wall
   bool model_agrees = false;     ///< model rank 0 == simulator winner
-  std::size_t space_cells = 0;   ///< distinct cells in the search space
-  std::size_t explored = 0;      ///< distinct points the strategy visited
-  std::size_t model_cells = 0;   ///< distinct model evaluations
+  std::size_t space_cells = 0;   ///< distinct cells, each predicted once
   std::size_t sim_cells = 0;     ///< simulator invocations (engine misses)
-  std::vector<TrajectoryStep> trajectory;
+  std::vector<TrajectoryStep> trajectory;  ///< every cell, enumeration order
   std::vector<Validated> validated;  ///< model-rank order
 };
 
 /// A whole tuning run: per-kernel winners plus the engine's ledger.
 struct TuneReport {
-  std::string strategy;
   int top_k = 0;
   std::uint64_t seed = 0;
   std::string machine;
@@ -97,8 +90,8 @@ struct TuneReport {
 /// the problem class, seeding, verification policy, the machine topology
 /// (RunOptions::topology; @p machine_spec is its display name) and the
 /// value of every axis @p topt leaves empty.
-/// Throws std::invalid_argument on an unknown strategy or an invalid
-/// search space.
+/// Throws std::invalid_argument on a top_k below 1 or an invalid search
+/// space.
 [[nodiscard]] TuneReport tune(harness::ExperimentEngine& engine,
                               const std::vector<npb::Benchmark>& benches,
                               const harness::RunOptions& base_opt,

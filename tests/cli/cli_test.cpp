@@ -178,9 +178,8 @@ const std::vector<std::string> kFlagUnion = {
     "--bench=CG", "--config=Serial", "--policy=naive-pack", "--csv",
     "--baseline", "--compare", "--profile", "--trace-out=t.json",
     "--regions", "--stacks", "--jobs-file=plan.json", "--max-cells=1",
-    "--quiet", "--strategy=grid", "--top-k=1", "--budget=4",
-    "--schedules=static", "--chunks=4", "--grains=2", "--scales=8",
-    "--out=report.json", "--mode=single",
+    "--quiet", "--top-k=1", "--schedules=static", "--chunks=4",
+    "--grains=2", "--scales=8", "--out=report.json", "--mode=single",
 };
 
 std::string flag_name(const std::string& token) {
@@ -218,8 +217,7 @@ TEST(CliFlagMatrixTest, EachWordAcceptsExactlyTheFlagsItReads) {
        cell + "trace bench config csv trace-out regions stacks"},
       {{"tune"},
        {},
-       cell + "store bench csv strategy top-k budget schedules chunks "
-              "grains scales out"},
+       cell + "store bench csv top-k schedules chunks grains scales out"},
       {{"serve"},
        {"--jobs-file=plan.json"},
        "jobs-file store jobs max-cells quiet"},
@@ -231,7 +229,7 @@ TEST(CliFlagMatrixTest, EachWordAcceptsExactlyTheFlagsItReads) {
        {"--store=results", "--bench=CG", "--config=Serial"},
        cell + "store bench config mode"},
   };
-  ASSERT_EQ(kFlagUnion.size(), 35u);
+  ASSERT_EQ(kFlagUnion.size(), 33u);
   std::set<std::string> listed;
   for (const WordCase& w : cases) {
     std::istringstream names(w.accepts);
@@ -600,6 +598,10 @@ TEST(CliExecTest, ServeComputesThenStoreAnswers) {
   std::string verify;
   EXPECT_EQ(run_cli({"store", "verify", store_flag.c_str()}, verify), 0);
   EXPECT_NE(verify.find("\"ok\":1"), std::string::npos);
+  // Every entry serve wrote is one its keys reach.
+  std::string gc;
+  EXPECT_EQ(run_cli({"store", "gc", store_flag.c_str()}, gc), 0);
+  EXPECT_NE(gc.find("\"removed_unreachable\":0"), std::string::npos) << gc;
 }
 
 TEST(CliExecTest, RunWithStoreIsIdenticalAcrossRuns) {
@@ -626,17 +628,14 @@ TEST(CliExecTest, RunWithStoreIsIdenticalAcrossRuns) {
 // ---------------------------------------------------------------------------
 
 TEST(CliParseTest, TuneParsesItsFlags) {
-  const auto r = P({"tune", "--bench=CG,MG", "--class=S", "--strategy=anneal",
-                    "--top-k=3", "--budget=24", "--schedules=default,dynamic",
-                    "--chunks=1,8", "--grains=1,2", "--scales=8,16",
-                    "--out=/tmp/tune.json"});
+  const auto r = P({"tune", "--bench=CG,MG", "--class=S", "--top-k=3",
+                    "--schedules=default,dynamic", "--chunks=1,8",
+                    "--grains=1,2", "--scales=8,16", "--out=/tmp/tune.json"});
   ASSERT_TRUE(r.ok()) << r.error;
   const Command& c = *r.command;
   EXPECT_EQ(c.kind, Command::Kind::kTune);
   ASSERT_EQ(c.benches.size(), 2u);
-  EXPECT_EQ(c.tune.strategy, "anneal");
   EXPECT_EQ(c.tune.top_k, 3);
-  EXPECT_EQ(c.tune.anneal_budget, 24);
   EXPECT_EQ(c.tune.sched_kinds, (std::vector<int>{-1, 1}));
   EXPECT_EQ(c.tune.chunks, (std::vector<std::size_t>{1, 8}));
   EXPECT_EQ(c.tune.grains, (std::vector<std::size_t>{1, 2}));
@@ -648,9 +647,10 @@ TEST(CliParseTest, TuneDefaultsAndRejections) {
   const auto r = P({"tune"});
   ASSERT_TRUE(r.ok()) << r.error;  // benches default to the whole suite
   EXPECT_TRUE(r.command->benches.empty());
-  EXPECT_EQ(r.command->tune.strategy, "greedy");
   EXPECT_EQ(r.command->tune.top_k, 2);
-  EXPECT_FALSE(P({"tune", "--strategy=bogus"}).ok());
+  // One search: no strategy to pick, no annealing budget to set.
+  EXPECT_EQ(P({"tune", "--strategy=grid"}).error, "unknown flag '--strategy'");
+  EXPECT_EQ(P({"tune", "--budget=4"}).error, "unknown flag '--budget'");
   EXPECT_FALSE(P({"tune", "--top-k=0"}).ok());
   EXPECT_FALSE(P({"tune", "--schedules=fastest"}).ok());
   EXPECT_FALSE(P({"tune", "--grains=0"}).ok());
@@ -715,8 +715,36 @@ TEST(CliExecTest, TuneCsvEmitsTheTuningReport) {
   std::string out;
   EXPECT_EQ(run_cli({"tune", "--bench=IS", "--class=S", "--csv"}, out), 0);
   EXPECT_NE(out.find("\"kind\":\"tuning_report\""), std::string::npos);
-  EXPECT_NE(out.find("\"strategy\":\"greedy\""), std::string::npos);
+  EXPECT_EQ(out.find("\"strategy\""), std::string::npos);
   EXPECT_NE(out.find("\"best\":"), std::string::npos);
+}
+
+TEST(CliExecTest, PredictAndTuneNoteAnUnmeasuredMachine) {
+  // docs/CALIBRATION.md measures the model's error bands on Paxville only:
+  // any other machine gets one note on stderr.
+  const auto stderr_of = [](const std::vector<std::string>& args) {
+    const ParseResult r = parse(args);
+    EXPECT_TRUE(r.ok()) << r.error;
+    std::ostringstream os, es;
+    EXPECT_EQ(execute(*r.command, os, es), 0);
+    EXPECT_EQ(os.str().find("note:"), std::string::npos);
+    return es.str();
+  };
+  const std::vector<std::string> predict = {"predict", "--bench=EP",
+                                            "--config=Serial", "--class=S"};
+  EXPECT_EQ(stderr_of(predict), "");
+  std::vector<std::string> args = predict;
+  args.push_back("--machine=paxville");
+  EXPECT_EQ(stderr_of(args), "");
+  args.back() = "--machine=woodcrest";
+  EXPECT_EQ(stderr_of(args),
+            "note: the model's error bands are unmeasured on machine "
+            "'woodcrest' (docs/CALIBRATION.md measures them on paxville "
+            "only)\n");
+  EXPECT_NE(stderr_of({"tune", "--bench=EP", "--class=S", "--csv",
+                       "--machine=woodcrest"})
+                .find("note: the model's error bands are unmeasured"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,15 +3,18 @@
 // verbatim, so any change to field order, widths or encoding — which would
 // silently alias or orphan every entry of an existing on-disk store —
 // fails here with a diff instead of shipping.  Injectivity is exercised by
-// flipping every CellKey field and demanding a distinct fingerprint.
+// flipping every CellKey field and demanding a distinct fingerprint, and
+// parse_cell_fingerprint must invert the serialization exactly.
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <string>
+#include <vector>
 
 #include "harness/config.hpp"
 #include "harness/engine.hpp"
 #include "harness/runner.hpp"
+#include "npb/rng.hpp"
 #include "sim/topology.hpp"
 
 namespace paxsim::harness {
@@ -162,6 +165,122 @@ TEST(CellFingerprintTest, PairOrderMatters) {
   const CellKey ba = CellKey::from(CellKey::Kind::kPair, npb::Benchmark::kFT,
                                    npb::Benchmark::kCG, *cfg, opt, 1);
   EXPECT_NE(cell_fingerprint(ab), cell_fingerprint(ba));
+}
+
+TEST(CellFingerprintTest, ParseInvertsTheFingerprint) {
+  const CellKey base = golden_key();
+  std::vector<CellKey> keys = {base};
+  CellKey k = base;
+  k.kind = CellKey::Kind::kPair;
+  k.b = npb::Benchmark::kFT;
+  keys.push_back(k);
+  k = base;
+  k.kind = CellKey::Kind::kPredict;
+  k.a = k.b = npb::Benchmark::kRacyFlag;
+  keys.push_back(k);
+  k = base;
+  k.cls = npb::ProblemClass::kClassB;
+  k.machine_scale = 8.5;
+  keys.push_back(k);
+  k = base;
+  k.seed = ~std::uint64_t{0};
+  k.verify = false;
+  k.grain = 4096;
+  keys.push_back(k);
+  k = base;
+  k.sched_kind = 2;
+  k.sched_chunk = 8;
+  k.check = sim::CheckMode::kFull;
+  keys.push_back(k);
+  k = base;
+  k.config = std::string();
+  k.machine = sim::Topology::paxville().fingerprint();
+  keys.push_back(k);
+  // Every field at once, including a chunk beside the kernel-default
+  // schedule, which from() never mints: parsing inverts the serialization,
+  // not the factory.
+  k.kind = CellKey::Kind::kPair;
+  k.a = npb::Benchmark::kLU;
+  k.b = npb::Benchmark::kEP;
+  k.cls = npb::ProblemClass::kClassW;
+  k.machine_scale = 1.0;
+  k.seed = 7;
+  k.verify = false;
+  k.grain = 3;
+  k.sched_kind = -1;
+  k.sched_chunk = 16;
+  k.check = sim::CheckMode::kRace;
+  keys.push_back(k);
+  for (const CellKey& want : keys) {
+    const std::string fp = cell_fingerprint(want);
+    CellKey got;
+    ASSERT_TRUE(parse_cell_fingerprint(fp, &got)) << fp;
+    EXPECT_TRUE(got == want) << fp;
+    EXPECT_EQ(cell_fingerprint(got), fp);
+  }
+}
+
+TEST(CellFingerprintTest, ParseRefusesMalformedFingerprints) {
+  const std::string ref = cell_fingerprint(golden_key());
+  const auto with = [&ref](const std::string& from, const std::string& to) {
+    std::string s = ref;
+    const std::size_t at = s.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return s.replace(at, from.size(), to);
+  };
+  CellKey out = golden_key();
+  out.grain = 99;
+  const CellKey untouched = out;
+  // Truncated anywhere, or with bytes past the end.
+  for (std::size_t n = 0; n < ref.size(); ++n) {
+    EXPECT_FALSE(parse_cell_fingerprint(ref.substr(0, n), &out)) << n;
+  }
+  EXPECT_FALSE(parse_cell_fingerprint(ref + ";", &out));
+  // Bad hex: a non-hex digit, an uppercase digit, a short length prefix.
+  EXPECT_FALSE(parse_cell_fingerprint(with("seed=00", "seed=0g"), &out));
+  EXPECT_FALSE(parse_cell_fingerprint(with("b9b0a1", "B9B0A1"), &out));
+  EXPECT_FALSE(parse_cell_fingerprint(with("0000001f:", "0000001e:"), &out));
+  // Another version.
+  for (const char* v : {"cellkey-v1;", "cellkey-v3;", "cellkey-v20;"}) {
+    EXPECT_FALSE(parse_cell_fingerprint(with("cellkey-v2;", v), &out)) << v;
+  }
+  // A value cell_fingerprint never writes.
+  for (const auto& [from, to] :
+       std::vector<std::pair<std::string, std::string>>{
+           {";kind=00", ";kind=03"},
+           {";a=00", ";a=0a"},
+           {";cls=00", ";cls=04"},
+           {";verify=1", ";verify=2"},
+           {";skind=ffffffffffffffff", ";skind=00000000ffffffff"},
+           {";check=00", ";check=04"},
+           {";trace=00", ";trace=01"}}) {
+    EXPECT_FALSE(parse_cell_fingerprint(with(from, to), &out)) << to;
+  }
+  EXPECT_TRUE(out == untouched);
+  EXPECT_TRUE(parse_cell_fingerprint(ref, &out));
+}
+
+TEST(CellFingerprintTest, CanonicalAppliesBothRulesOfFrom) {
+  RunOptions opt;
+  opt.cls = npb::ProblemClass::kClassS;
+  const StudyConfig* cfg = find_config("HT on -2-1");
+  // from() keys are canonical already.
+  const CellKey cg = CellKey::from(npb::Benchmark::kCG, *cfg, opt, 7);
+  EXPECT_TRUE(cg.canonical() == cg);
+  EXPECT_EQ(cg.seed, 7u);
+  // MG's seed never reaches the simulator: every seed files at the
+  // default one.
+  CellKey mg = CellKey::from(npb::Benchmark::kMG, *cfg, opt, 7);
+  EXPECT_EQ(mg.seed, npb::kDefaultSeed);
+  mg.seed = 7;
+  EXPECT_EQ(mg.canonical().seed, npb::kDefaultSeed);
+  // A chunk beside the kernel-default schedule drops; beside an override
+  // it stays.
+  CellKey chunked = cg;
+  chunked.sched_chunk = 8;
+  EXPECT_TRUE(chunked.canonical() == cg);
+  chunked.sched_kind = 1;
+  EXPECT_TRUE(chunked.canonical() == chunked);
 }
 
 }  // namespace

@@ -295,6 +295,70 @@ TEST(ResultStoreTest, GcSweepsTmpAndQuarantine) {
   EXPECT_EQ(after.entries, 0u);
 }
 
+TEST(ResultStoreTest, GcRemovesEntriesNoKeyCanReach) {
+  const std::string dir = fresh_dir("gc_unreachable");
+  const harness::CellValue& value = simulated_single().value;
+  const harness::RunOptions opt = quick_options();
+  const harness::StudyConfig& serial = harness::serial_config();
+  const std::uint64_t trial1 = opt.trial_seed(1);
+  // Filed as a store written before from() moved every MG trial to the
+  // default seed (MG's seed never reaches the simulator).
+  harness::CellKey mg_trial1 =
+      harness::CellKey::from(npb::Benchmark::kMG, serial, opt, trial1);
+  const harness::CellKey mg_default = mg_trial1;
+  mg_trial1.seed = trial1;
+  // CG's seed does reach the simulator: its trial-1 cell is live.
+  const harness::CellKey cg_trial1 =
+      harness::CellKey::from(npb::Benchmark::kCG, serial, opt, trial1);
+  // Filed as a store written before from() dropped a chunk beside the
+  // kernel-default schedule.
+  harness::CellKey chunk8 =
+      harness::CellKey::from(npb::Benchmark::kEP, serial, opt, trial1);
+  chunk8.sched_chunk = 8;
+
+  ResultStore store(dir);
+  for (const harness::CellKey& k : {mg_trial1, mg_default, cg_trial1, chunk8}) {
+    store.store_cell(k, value);
+  }
+  ASSERT_EQ(store.scan().entries, 4u);
+  const GcResult gc = store.gc();
+  EXPECT_EQ(gc.removed_unreachable, 2u);
+  EXPECT_EQ(gc.removed_tmp, 0u);
+  EXPECT_EQ(gc.removed_quarantined, 0u);
+  EXPECT_EQ(store.scan().entries, 2u);
+  harness::CellValue out;
+  EXPECT_FALSE(store.load_cell(mg_trial1, &out));
+  EXPECT_TRUE(store.load_cell(mg_default, &out));
+  EXPECT_TRUE(store.load_cell(cg_trial1, &out));
+  EXPECT_FALSE(store.load_cell(chunk8, &out));
+  EXPECT_EQ(store.gc().removed_unreachable, 0u);
+}
+
+TEST(ResultStoreTest, GcKeepsEntriesWhoseFingerprintItCannotParse) {
+  const std::string dir = fresh_dir("gc_unparsed");
+  harness::CellKey chunk8 = simulated_single().key;
+  chunk8.sched_chunk = 8;
+  ResultStore store(dir);
+  store.store_cell(chunk8, simulated_single().value);
+  const std::vector<fs::path> files = object_files(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string text = slurp(files[0]);
+  const std::string version = "cellkey-v2;";
+  const std::size_t at = text.find(version);
+  ASSERT_NE(at, std::string::npos);
+  // Another fingerprint version, then no fingerprint at all: verify()
+  // reports such entries, and gc leaves them.
+  std::string other_version = text;
+  other_version.replace(at, version.size(), "cellkey-v1;");
+  std::string unparsable = text;
+  unparsable.replace(at, version.size(), "x");
+  for (const std::string& edited : {other_version, unparsable}) {
+    spit(files[0], edited);
+    EXPECT_EQ(store.gc().removed_unreachable, 0u);
+    EXPECT_EQ(store.scan().entries, 1u);
+  }
+}
+
 TEST(ResultStoreTest, VerifyPassesACleanStore) {
   const std::string dir = fresh_dir("verify_clean");
   ResultStore store(dir);

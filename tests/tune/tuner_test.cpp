@@ -1,13 +1,15 @@
-// Tests for the paxtune driver: the greedy search must rediscover the
-// paper's Table-2 per-kernel winners with at most a quarter of the
-// exhaustive grid's simulator invocations (checked against the engine's
-// cache-miss counters), the tuning_report must be a valid schema'd JSON
-// document, and a whole tuning run must replay bit-identically from its
-// seed.
+// Tests for the paxtune driver: ranking every cell on the model and
+// simulating the top two must rediscover the paper's Table-2 per-kernel
+// winners with at most a quarter of brute force's simulator invocations
+// (checked against the engine's cache-miss counters), the validated cells
+// must be the head of the stable-sorted trajectory, the tuning_report must
+// be a valid schema'd JSON document, and a whole tuning run must replay
+// byte-identically.
 #include "tune/tuner.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <sstream>
@@ -29,55 +31,62 @@ std::vector<npb::Benchmark> all_benches() {
   return {std::begin(npb::kAllBenchmarks), std::end(npb::kAllBenchmarks)};
 }
 
-TuneReport run_tune(const std::string& strategy,
+TuneReport run_tune(const TuneOptions& topt,
                     const std::vector<npb::Benchmark>& benches,
                     harness::EngineStats* stats_out = nullptr) {
   harness::ExperimentEngine engine(1);
-  TuneOptions topt;
-  topt.strategy = strategy;
   const TuneReport rep = tune(engine, benches, class_s_options(), "", topt);
   if (stats_out != nullptr) *stats_out = engine.stats();
   return rep;
 }
 
-TEST(TunerTest, GreedyRediscoversTheGridWinnersWithAQuarterOfTheSimCells) {
-  harness::EngineStats grid_stats, greedy_stats;
-  const TuneReport grid = run_tune("grid", all_benches(), &grid_stats);
-  const TuneReport greedy = run_tune("greedy", all_benches(), &greedy_stats);
+TuneReport run_top_k(int top_k, const std::vector<npb::Benchmark>& benches,
+                     harness::EngineStats* stats_out = nullptr) {
+  TuneOptions topt;
+  topt.top_k = top_k;
+  return run_tune(topt, benches, stats_out);
+}
 
-  ASSERT_EQ(grid.kernels.size(), 8u);
-  ASSERT_EQ(greedy.kernels.size(), 8u);
+TEST(TunerTest, TopTwoFindsTheExhaustiveWinnersWithAQuarterOfTheSimCells) {
+  // The default space is the machine's 8 Table-1 rows, so a top_k of 8
+  // simulates every cell: the brute-force ground truth.
+  harness::EngineStats all_stats, top2_stats;
+  const TuneReport all = run_top_k(8, all_benches(), &all_stats);
+  const TuneReport top2 = run_top_k(2, all_benches(), &top2_stats);
 
-  std::map<npb::Benchmark, std::string> grid_best;
-  std::size_t grid_cells = 0;
-  for (const KernelResult& kr : grid.kernels) {
-    grid_best[kr.bench] = kr.best.config_name;
-    grid_cells += kr.sim_cells;
-    // The grid is exhaustive: it validates everything it explores.
-    EXPECT_EQ(kr.explored, kr.space_cells);
-    EXPECT_EQ(kr.validated.size(), kr.explored);
+  ASSERT_EQ(all.kernels.size(), 8u);
+  ASSERT_EQ(top2.kernels.size(), 8u);
+
+  std::map<npb::Benchmark, std::string> all_best;
+  std::size_t all_cells = 0;
+  for (const KernelResult& kr : all.kernels) {
+    all_best[kr.bench] = kr.best.config_name;
+    all_cells += kr.sim_cells;
+    EXPECT_EQ(kr.space_cells, 8u);
+    EXPECT_EQ(kr.validated.size(), kr.space_cells);
   }
-  std::size_t greedy_cells = 0;
-  for (const KernelResult& kr : greedy.kernels) {
-    EXPECT_EQ(kr.best.config_name, grid_best[kr.bench])
+  std::size_t top2_cells = 0;
+  for (const KernelResult& kr : top2.kernels) {
+    EXPECT_EQ(kr.best.config_name, all_best[kr.bench])
         << npb::benchmark_name(kr.bench);
-    greedy_cells += kr.sim_cells;
+    top2_cells += kr.sim_cells;
   }
 
   // The acceptance bar: <= 25% of the brute-force simulator invocations,
   // asserted via the engine's own cache-miss ledger (profile runs are not
   // counted as simulated cells).
-  EXPECT_EQ(grid_stats.cache_misses, grid_cells);
-  EXPECT_EQ(greedy_stats.cache_misses, greedy_cells);
-  EXPECT_GE(grid_cells, 4 * greedy_cells);
+  EXPECT_EQ(all_stats.cache_misses, all_cells);
+  EXPECT_EQ(top2_stats.cache_misses, top2_cells);
+  EXPECT_EQ(all_cells, 64u);
+  EXPECT_GE(all_cells, 4 * top2_cells);
 }
 
-TEST(TunerTest, GreedyRediscoversTheTable2WinnersByName) {
+TEST(TunerTest, FindsTheTable2WinnersByName) {
   // The paper's Table-2 headline: every NPB kernel prefers one of the two
   // four-thread architectures — the CMP-based SMP with HyperThreading off
   // or the CMT-based SMP using all eight contexts.  The tuner is not told
-  // this; it must land there from the model-guided search alone.
-  const TuneReport rep = run_tune("greedy", all_benches());
+  // this; it must land there from the model's ranking alone.
+  const TuneReport rep = run_top_k(2, all_benches());
   std::map<npb::Benchmark, std::string> best;
   for (const KernelResult& kr : rep.kernels) {
     best[kr.bench] = kr.best.config_name;
@@ -96,26 +105,62 @@ TEST(TunerTest, GreedyRediscoversTheTable2WinnersByName) {
   EXPECT_EQ(best[npb::Benchmark::kLU], "HT off -4-2");
 }
 
-TEST(TunerTest, AnnealIsSeedDeterministic) {
+TEST(TunerTest, TwoRunsPrintByteIdenticalReports) {
   const std::vector<npb::Benchmark> benches = {npb::Benchmark::kCG};
   TuneOptions topt;
-  topt.strategy = "anneal";
-  topt.anneal_budget = 12;
+  topt.grains = {1, 2};
   std::ostringstream a, b;
-  {
-    harness::ExperimentEngine engine(1);
-    write_tuning_report(a, tune(engine, benches, class_s_options(), "", topt));
-  }
-  {
-    harness::ExperimentEngine engine(1);
-    write_tuning_report(b, tune(engine, benches, class_s_options(), "", topt));
-  }
+  write_tuning_report(a, run_tune(topt, benches));
+  write_tuning_report(b, run_tune(topt, benches));
   EXPECT_EQ(a.str(), b.str());
 }
 
+TEST(TunerTest, RepeatedScalesNameOneCell) {
+  // --scales=16,16 lists each Table-1 row twice at the same scale: one
+  // cell each, so the top two are two distinct simulated cells.
+  TuneOptions topt;
+  topt.scales = {16.0, 16.0};
+  const TuneReport rep = run_tune(topt, {npb::Benchmark::kCG});
+  ASSERT_EQ(rep.kernels.size(), 1u);
+  const KernelResult& kr = rep.kernels[0];
+  EXPECT_EQ(kr.space_cells, 8u);
+  EXPECT_EQ(kr.trajectory.size(), 8u);
+  ASSERT_EQ(kr.validated.size(), 2u);
+  EXPECT_NE(kr.validated[0].label, kr.validated[1].label);
+  EXPECT_EQ(kr.sim_cells, 2u);
+}
+
+TEST(TunerTest, ValidatesTheHeadOfTheStableSortedTrajectory) {
+  // The model predicts one wall for every schedule variant of a row, so
+  // this space is full of ties: the stable sort must keep them in
+  // enumeration order.
+  TuneOptions topt;
+  topt.top_k = 5;
+  topt.sched_kinds = {-1, 0, 2};
+  topt.chunks = {0, 4};
+  const TuneReport rep = run_tune(topt, {npb::Benchmark::kMG});
+  ASSERT_EQ(rep.kernels.size(), 1u);
+  const KernelResult& kr = rep.kernels[0];
+  // 8 rows x (1 default + 2 kinds x 2 chunks).
+  EXPECT_EQ(kr.space_cells, 40u);
+  ASSERT_EQ(kr.trajectory.size(), kr.space_cells);
+  std::vector<TrajectoryStep> sorted = kr.trajectory;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const TrajectoryStep& a, const TrajectoryStep& b) {
+                     return a.predicted_wall < b.predicted_wall;
+                   });
+  ASSERT_EQ(kr.validated.size(), 5u);
+  for (std::size_t i = 0; i < kr.validated.size(); ++i) {
+    const Validated& v = kr.validated[i];
+    EXPECT_TRUE(v.point == sorted[i].point) << i;
+    EXPECT_EQ(v.label, sorted[i].label) << i;
+    EXPECT_EQ(v.predicted_wall, sorted[i].predicted_wall) << i;
+    EXPECT_EQ(v.model_rank, i);
+  }
+}
+
 TEST(TunerTest, ReportIsAValidSchemadDocument) {
-  const std::vector<npb::Benchmark> benches = {npb::Benchmark::kMG};
-  const TuneReport rep = run_tune("greedy", benches);
+  const TuneReport rep = run_top_k(2, {npb::Benchmark::kMG});
   std::ostringstream os;
   write_tuning_report(os, rep);
   const std::string doc = os.str();
@@ -124,32 +169,30 @@ TEST(TunerTest, ReportIsAValidSchemadDocument) {
   EXPECT_TRUE(report::parse_json_value(doc, &parsed, &why)) << why;
   EXPECT_NE(doc.find("\"kind\":\"tuning_report\""), std::string::npos);
   EXPECT_NE(doc.find("\"schema_version\""), std::string::npos);
+  EXPECT_NE(doc.find("\"space_cells\":8"), std::string::npos);
   EXPECT_NE(doc.find("\"trajectory\""), std::string::npos);
   EXPECT_NE(doc.find("\"engine\""), std::string::npos);
 }
 
 TEST(TunerTest, ExtraAxesEnlargeTheSpace) {
-  harness::ExperimentEngine engine(1);
   TuneOptions topt;
-  topt.strategy = "greedy";
   topt.sched_kinds = {-1, 0, 1};
   topt.chunks = {0, 8};
-  const TuneReport rep = tune(engine, {npb::Benchmark::kIS},
-                              class_s_options(), "", topt);
+  const TuneReport rep = run_tune(topt, {npb::Benchmark::kIS});
   ASSERT_EQ(rep.kernels.size(), 1u);
   // 8 configs x (1 default + 2 kinds x 2 chunks) = 40 distinct cells.
   EXPECT_EQ(rep.kernels[0].space_cells, 40u);
-  EXPECT_LE(rep.kernels[0].explored, rep.kernels[0].space_cells);
+  EXPECT_EQ(rep.kernels[0].trajectory.size(), 40u);
 }
 
 TEST(TunerTest, RejectsBadOptions) {
   harness::ExperimentEngine engine(1);
   TuneOptions topt;
-  topt.strategy = "bogus";
+  topt.top_k = 0;
   EXPECT_THROW(tune(engine, all_benches(), class_s_options(), "", topt),
                std::invalid_argument);
-  topt.strategy = "greedy";
-  topt.top_k = 0;
+  topt.top_k = 2;
+  topt.grains = {0};
   EXPECT_THROW(tune(engine, all_benches(), class_s_options(), "", topt),
                std::invalid_argument);
 }
