@@ -29,8 +29,9 @@ int main(int argc, char** argv) {
   cli::FlagSet fs = bench::make_bench_flags(opt);
   cli::register_store_flag(fs, &opt.store_dir);
   cli::register_tune_flags(fs, &topt);
-  fs.add_string("out", &out_path, "FILE",
-                "tuning_report JSON path (\"off\" disables the file)");
+  cli::register_out_file_flag(
+      fs, "out", &out_path,
+      "tuning_report JSON path (\"off\" disables the file)");
   if (const auto rc = bench::parse_args(argc, argv, fs)) return *rc;
 
   const std::string machine_spec =

@@ -4,10 +4,10 @@
 //
 //   fast      — MachineParams::fast_path = true (the default build)
 //   reference — fast_path = false, every access through the slow path
-//   checked   — check_mode = full: the src/check analysis sink (race
+//   checked   — a check::Checker at full: the src/check analysis sink (race
 //               detection + invariant audits) on the fast machine
-//   stacks    — trace_mode = stacks: paxtrace's CPI stall accountant
-//   full      — trace_mode = full: the accountant plus ring-buffered events
+//   stacks    — run_traced at stacks: paxtrace's CPI stall accountant
+//   full      — run_traced at full: the accountant plus ring-buffered events
 //
 // The checked and traced paths run on the fast path's machine: attaching
 // their sink is what sends it down the reference path.
@@ -53,25 +53,34 @@ struct Timing {
   double cold_sec = 0;
   double warm_sec = 0;  // best repeat after the first (cold when trials == 1)
   harness::TraceResult first;  // the cold run; trace empty when untraced
+  check::CheckReport check;    // the cold run's; empty when unchecked
 };
 
+/// Times @p repeats runs of @p bench on @p machine with a checker of mode
+/// @p check attached (inert at off), or traced at @p trace (untraced at
+/// off).
 Timing time_runs(sim::Machine& machine, const harness::RunOptions& opt,
-                 npb::Benchmark bench, int repeats) {
+                 npb::Benchmark bench, int repeats,
+                 sim::CheckMode check = sim::CheckMode::kOff,
+                 sim::TraceMode trace = sim::TraceMode::kOff) {
   const harness::StudyConfig& cfg = harness::serial_config();
   Timing t;
   for (int r = 0; r < repeats; ++r) {
+    check::Checker checker(machine, check);
     harness::TraceResult res;
-    if (opt.trace_mode == sim::TraceMode::kOff) {
+    if (trace == sim::TraceMode::kOff) {
       res.run =
           harness::run_single(machine, bench, cfg, opt, opt.trial_seed(0));
     } else {
-      res = harness::run_traced(machine, bench, cfg, opt, opt.trial_seed(0));
+      res = harness::run_traced(machine, bench, cfg, opt, trace,
+                                opt.trial_seed(0));
     }
     const double sec = res.run.host_sim_sec;
     if (r == 0) {
       t.cold_sec = sec;
       t.warm_sec = sec;
       t.first = std::move(res);
+      t.check = checker.finish();
     } else if (sec < t.warm_sec || r == 1) {
       t.warm_sec = sec;
     }
@@ -127,12 +136,6 @@ int main(int argc, char** argv) {
   fast_params.fast_path = true;
   sim::MachineParams ref_params = opt.run.machine_params();
   ref_params.fast_path = false;
-  harness::RunOptions check_run = opt.run;
-  check_run.check_mode = sim::CheckMode::kFull;
-  harness::RunOptions stacks_run = opt.run;
-  stacks_run.trace_mode = sim::TraceMode::kStacks;
-  harness::RunOptions full_run = opt.run;
-  full_run.trace_mode = sim::TraceMode::kFull;
   sim::Machine fast_machine(fast_params);
   sim::Machine ref_machine(ref_params);
 
@@ -150,9 +153,12 @@ int main(int argc, char** argv) {
     const std::string name = std::string(npb::benchmark_name(bench));
     const Timing fast = time_runs(fast_machine, opt.run, bench, repeats);
     const Timing ref = time_runs(ref_machine, opt.run, bench, repeats);
-    const Timing chk = time_runs(fast_machine, check_run, bench, repeats);
-    const Timing stk = time_runs(fast_machine, stacks_run, bench, repeats);
-    const Timing ful = time_runs(fast_machine, full_run, bench, repeats);
+    const Timing chk = time_runs(fast_machine, opt.run, bench, repeats,
+                                 sim::CheckMode::kFull);
+    const Timing stk = time_runs(fast_machine, opt.run, bench, repeats,
+                                 sim::CheckMode::kOff, sim::TraceMode::kStacks);
+    const Timing ful = time_runs(fast_machine, opt.run, bench, repeats,
+                                 sim::CheckMode::kOff, sim::TraceMode::kFull);
 
     // The analyses and the tracer are pure observers on the reference
     // path, so every path must agree on every counter and on virtual wall
@@ -171,7 +177,7 @@ int main(int argc, char** argv) {
       failed = true;
       continue;
     }
-    if (!chk.first.run.check.clean()) {
+    if (!chk.check.clean()) {
       std::fprintf(stderr, "FAIL: %s not clean under --check=full\n",
                    name.c_str());
       failed = true;

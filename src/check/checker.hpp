@@ -5,13 +5,12 @@
 // according to the CheckMode, and renders a CheckReport at the end of the
 // run.
 //
-// Usage (the harness runner does exactly this when RunOptions::check_mode
-// is set):
+// Usage — the checker attaches to the machine a run uses, like the tracer
+// and the profiler; `paxsim --check` does exactly this:
 //
-//   machine.reset();
-//   check::Checker checker(machine, opt.check_mode);  // attaches
-//   ... run the program ...
-//   check::CheckReport report = checker.finish();     // detaches
+//   check::Checker checker(machine, mode);             // attaches
+//   harness::RunResult r = harness::run_single(machine, ...);
+//   check::CheckReport report = checker.finish();      // detaches
 //
 // The machine takes the reference path exactly while the checker is
 // attached, so the analyses see every access, and checked runs stay
@@ -36,8 +35,10 @@ namespace paxsim::check {
 /// TraceSink implementation driving the analyses in virtual time.
 class Checker final : public sim::TraceSink {
  public:
-  /// Attaches to @p machine (Machine::set_trace_sink).  @p mode selects the
-  /// analyses; kOff constructs a valid but inert checker.
+  /// Attaches to @p machine (Machine::set_trace_sink throws
+  /// std::logic_error when it already carries a sink).  @p mode selects the
+  /// analyses; kOff constructs a valid but inert checker that attaches
+  /// nothing.
   Checker(sim::Machine& machine, sim::CheckMode mode);
   ~Checker() override;
 

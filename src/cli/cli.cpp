@@ -109,8 +109,8 @@ void add_tune_flags(FlagSet& fs, Command* cmd) {
                 &t->grains);
   add_axis_flag(fs, kTuneAxes[3], rows, &harness::RunOptions::machine_scale,
                 &t->scales);
-  fs.add_string("out", &cmd->tune_out, "FILE",
-                "also write the tuning_report JSON document to FILE");
+  register_out_file_flag(fs, "out", &cmd->tune_out,
+                         "also write the tuning_report JSON document to FILE");
 }
 
 /// Registers the flags @p cmd's command word reads, and only those, onto
@@ -139,9 +139,9 @@ FlagSet make_flag_table(Command* cmd) {
     s.value_hint = "off|race|invariants|full";
     s.def = "off";
     s.help = "attach the src/check analysis sink";
-    harness::RunOptions* r = &cmd->options;
-    s.apply = [r](const std::string& v) -> std::string {
-      if (!sim::parse_check_mode(v.c_str(), r->check_mode)) {
+    Command* c = cmd;
+    s.apply = [c](const std::string& v) -> std::string {
+      if (!sim::parse_check_mode(v.c_str(), c->check)) {
         return "bad --check '" + v + "' (use off, race, invariants or full)";
       }
       return {};
@@ -214,16 +214,16 @@ FlagSet make_flag_table(Command* cmd) {
       s.value_hint = "off|stacks|events|full";
       s.def = "off";
       s.help = "execution-trace recording depth";
-      harness::RunOptions* r = &cmd->options;
-      s.apply = [r](const std::string& v) -> std::string {
-        if (!sim::parse_trace_mode(v.c_str(), r->trace_mode)) {
+      Command* c = cmd;
+      s.apply = [c](const std::string& v) -> std::string {
+        if (!sim::parse_trace_mode(v.c_str(), c->trace)) {
           return "bad --trace '" + v + "' (use off, stacks, events or full)";
         }
         return {};
       };
       fs.add(std::move(s));
-      fs.add_string("trace-out", &cmd->trace_out, "FILE",
-                    "write a Chrome-tracing/Perfetto JSON timeline");
+      register_out_file_flag(fs, "trace-out", &cmd->trace_out,
+                             "write a Chrome-tracing/Perfetto JSON timeline");
       fs.add_flag("regions", &cmd->regions, "print the per-region table");
       fs.add_flag("stacks", &cmd->stacks, "print the per-context table");
       break;
@@ -308,11 +308,14 @@ void print_result(std::ostream& out, const std::string& label,
 
 /// Prints the report of a checked run (one JSON line under --csv) and
 /// returns the exit code it calls for: kExitFindings unless it is clean.
-/// Unchecked runs print nothing and return 0.
-int report_check(std::ostream& out, const harness::RunOptions& opt,
-                 const check::CheckReport& report, bool csv) {
-  if (opt.check_mode == sim::CheckMode::kOff) return 0;
-  if (csv) {
+/// Unchecked runs print nothing and return 0.  A checked run attaches a
+/// check::Checker to a machine of its own (at --check=off the checker is
+/// inert and attaches nothing); it is not an engine cell, so the engine
+/// neither memoizes nor stores it.
+int report_check(std::ostream& out, const Command& cmd,
+                 const check::CheckReport& report) {
+  if (cmd.check == sim::CheckMode::kOff) return 0;
+  if (cmd.csv) {
     harness::print_check_report_json(out, report);
   } else {
     harness::print_check_report(out, report);
@@ -618,9 +621,17 @@ ParseResult parse(const std::vector<std::string>& args) {
            "run/timeline need --bench=<one benchmark>");
       need(!cmd.config_name.empty(), "run/timeline need --config=<name>");
       if (cmd.kind == Command::Kind::kRun && cmd.profile) {
-        need(cmd.options.check_mode == sim::CheckMode::kOff,
+        // The profile comes from one serial run on a machine of its own,
+        // with the profiler as its one sink: nothing else rides along.
+        need(cmd.check == sim::CheckMode::kOff,
              "--profile and --check are mutually exclusive (one sink per "
              "machine)");
+        need(!cmd.baseline,
+             "--profile prints its own serial run; it takes no --baseline");
+        need(cmd.store_dir.empty(),
+             "--profile runs on a machine of its own; it takes no --store");
+        need(cmd.jobs == 1,
+             "--profile runs one cell; it takes no --jobs above 1");
       }
       break;
     case Command::Kind::kPredict:
@@ -697,6 +708,13 @@ ParseResult parse(const std::vector<std::string>& args) {
       return res;
     }
     cmd.config = table[static_cast<std::size_t>(i)];
+    if (cmd.kind == Command::Kind::kRun && cmd.profile &&
+        !cmd.config.is_serial()) {
+      res.error =
+          "--profile=on requires --config=\"Serial\" (the profile is "
+          "collected from a serial run)";
+      return res;
+    }
     // Two programs split the row's contexts between them.
     const bool two_programs =
         cmd.kind == Command::Kind::kPair || cmd.kind == Command::Kind::kSched ||
@@ -776,18 +794,12 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
       }
       case Command::Kind::kRun: {
         const npb::Benchmark bench = cmd.benches[0];
+        const std::string name(npb::benchmark_name(bench));
         if (cmd.profile) {
-          if (!cmd.config.is_serial()) {
-            err << "error: --profile=on requires --config=\"Serial\" (the "
-                   "profile is collected from a serial run)\n";
-            return 1;
-          }
           sim::Machine machine(opt.machine_params());
           const auto prof =
               harness::run_profiled_serial(machine, bench, opt, seed);
-          print_result(out,
-                       std::string(npb::benchmark_name(bench)) + "@Serial",
-                       prof.result, cmd.csv);
+          print_result(out, name + "@Serial", prof.result, cmd.csv);
           const auto& p = prof.profile;
           const double acc = static_cast<double>(p.loads + p.stores);
           out << "profile: " << p.loads << " loads, " << p.stores
@@ -813,46 +825,66 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
               << '\n';
           return 0;
         }
+        // The cell and its serial baseline fan out over the --jobs workers.
+        // The baseline is an engine cell; so is the cell unless it is
+        // checked, and an unchecked Serial cell is its own baseline.
+        const bool own_baseline =
+            cmd.check == sim::CheckMode::kOff && cmd.config.is_serial();
+        const std::size_t runs = cmd.baseline && !own_baseline ? 2 : 1;
         harness::ExperimentEngine engine(cmd.jobs);
         attach_store(engine, cmd);
-        auto plan = harness::ExperimentPlan(opt, {cmd.config})
-                        .add_benchmark(bench)
-                        .with_serial_baselines(cmd.baseline)
-                        .trials(1);
-        const auto study = engine.run(plan);
-        const auto& r = study.single(bench, 0);
-        print_result(out,
-                     std::string(npb::benchmark_name(bench)) + "@" +
-                         cmd.config_name,
-                     r, cmd.csv);
+        harness::RunResult r;
+        harness::RunResult serial;
+        check::CheckReport report;
+        engine.for_each(runs, [&](std::size_t i) {
+          if (i == 1) {
+            serial = engine.serial(bench, opt, seed);
+          } else if (cmd.check == sim::CheckMode::kOff) {
+            r = engine.single(bench, cmd.config, opt, seed);
+          } else {
+            sim::Machine machine(opt.machine_params());
+            check::Checker checker(machine, cmd.check);
+            r = harness::run_single(machine, bench, cmd.config, opt, seed);
+            report = checker.finish();
+          }
+        });
+        if (own_baseline) serial = r;
+        print_result(out, name + "@" + cmd.config_name, r, cmd.csv);
         if (cmd.baseline) {
-          const auto& s = study.serial(bench);
-          print_result(out,
-                       std::string(npb::benchmark_name(bench)) + "@Serial",
-                       s, cmd.csv);
-          out << "speedup," << study.speedup(bench, 0) << '\n';
+          print_result(out, name + "@Serial", serial, cmd.csv);
+          out << "speedup," << serial.wall_cycles / r.wall_cycles << '\n';
         }
-        return report_check(out, opt, r.check, cmd.csv);
+        return report_check(out, cmd, report);
       }
       case Command::Kind::kPair: {
-        harness::ExperimentEngine engine;
-        attach_store(engine, cmd);
-        const auto r = engine.pair(cmd.benches[0], cmd.benches[1], cmd.config,
-                                   opt, seed);
+        harness::PairResult r;
+        check::CheckReport report;
+        if (cmd.check == sim::CheckMode::kOff) {
+          harness::ExperimentEngine engine;
+          attach_store(engine, cmd);
+          r = engine.pair(cmd.benches[0], cmd.benches[1], cmd.config, opt,
+                          seed);
+        } else {
+          sim::Machine machine(opt.machine_params());
+          check::Checker checker(machine, cmd.check);
+          r = harness::run_pair(machine, cmd.benches[0], cmd.benches[1],
+                                cmd.config, opt, seed);
+          report = checker.finish();
+        }
         for (int p = 0; p < 2; ++p) {
           print_result(out,
                        std::string(npb::benchmark_name(cmd.benches[p])) +
                            "[" + std::to_string(p) + "]@" + cmd.config_name,
                        r.program[p], cmd.csv);
         }
-        // One machine-wide checker covers both programs; the report is
-        // shared, so print it once.
-        return report_check(out, opt, r.program[0].check, cmd.csv);
+        // One machine-wide checker covers both programs.
+        return report_check(out, cmd, report);
       }
       case Command::Kind::kTimeline: {
-        harness::ExperimentEngine engine;
-        const auto tl =
-            engine.timeline(cmd.benches[0], cmd.config, opt, seed);
+        sim::Machine machine(opt.machine_params());
+        check::Checker checker(machine, cmd.check);
+        const auto tl = harness::run_timeline(machine, cmd.benches[0],
+                                              cmd.config, opt, seed);
         if (opt.verify && !tl.run.verified) {
           err << "error: verification failed\n";
           return 1;
@@ -868,19 +900,20 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                 << " prefetch_share=" << m.prefetch_bus_fraction << '\n';
           }
         }
-        return report_check(out, opt, tl.run.check, cmd.csv);
+        return report_check(out, cmd, checker.finish());
       }
       case Command::Kind::kTrace: {
-        harness::RunOptions traced = opt;
-        // The Chrome export needs the event stream; the stack tables need
-        // only the accountant.  engine.trace() substitutes kStacks for kOff.
-        if (!cmd.trace_out.empty() &&
-            traced.trace_mode != sim::TraceMode::kEvents &&
-            traced.trace_mode != sim::TraceMode::kFull) {
-          traced.trace_mode = sim::TraceMode::kFull;
+        // The stack tables need only the accountant (--trace=off records
+        // them); the Chrome export needs the event stream.
+        sim::TraceMode depth = cmd.trace == sim::TraceMode::kOff
+                                   ? sim::TraceMode::kStacks
+                                   : cmd.trace;
+        if (!cmd.trace_out.empty() && depth == sim::TraceMode::kStacks) {
+          depth = sim::TraceMode::kFull;
         }
-        harness::ExperimentEngine engine;
-        const auto tr = engine.trace(cmd.benches[0], cmd.config, traced, seed);
+        sim::Machine machine(opt.machine_params());
+        const auto tr = harness::run_traced(machine, cmd.benches[0],
+                                            cmd.config, opt, depth, seed);
         const std::string bench_name(npb::benchmark_name(cmd.benches[0]));
         if (cmd.csv) {
           harness::print_trace_report_json(out, bench_name, cmd.config_name,
@@ -916,10 +949,11 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return 0;
       }
       case Command::Kind::kSched: {
-        harness::ExperimentEngine engine;
         auto policy = make_policy(cmd.policy, seed);
-        const auto r =
-            engine.scheduled(cmd.benches, cmd.config, *policy, opt, seed);
+        sim::Machine machine(opt.machine_params());
+        check::Checker checker(machine, cmd.check);
+        const auto r = harness::run_scheduled(machine, cmd.benches, cmd.config,
+                                              *policy, opt, seed);
         for (std::size_t p = 0; p < r.program.size(); ++p) {
           print_result(out,
                        std::string(npb::benchmark_name(cmd.benches[p])) +
@@ -928,8 +962,7 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
                        r.program[p], cmd.csv);
         }
         out << "migrations," << r.migrations << '\n';
-        // Every program carries the same machine-wide report.
-        return report_check(out, opt, r.program[0].check, cmd.csv);
+        return report_check(out, cmd, checker.finish());
       }
     }
   } catch (const std::exception& e) {

@@ -60,6 +60,11 @@ struct Command {
   std::string machine;
   std::string policy = "pinned-spread"; ///< sched subcommand policy
   harness::RunOptions options;
+  /// --check: the analyses a run/pair/sched/timeline attaches to its
+  /// machine (off attaches nothing).
+  sim::CheckMode check = sim::CheckMode::kOff;
+  /// --trace: the depth `trace` records at (off records the stacks).
+  sim::TraceMode trace = sim::TraceMode::kOff;
   int jobs = 1;                         ///< run/serve: host worker threads
   bool csv = false;
   bool baseline = false;                ///< also run + report serial

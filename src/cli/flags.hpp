@@ -27,11 +27,13 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <filesystem>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 #include <vector>
 
@@ -327,6 +329,32 @@ inline void register_cell_flags(FlagSet& fs, harness::RunOptions* run,
     };
     fs.add(std::move(s));
   }
+}
+
+/// Registers @p name=FILE, a file the command writes after its whole run
+/// (a trace, a report), written through to @p path.  FILE's directory must
+/// already exist, so a path that cannot be created is refused at parse
+/// time instead of after the study.  The writer still checks its open: a
+/// file can be unwritable for other reasons.
+inline void register_out_file_flag(FlagSet& fs, std::string name,
+                                   std::string* path, std::string help) {
+  FlagSpec s;
+  s.name = std::move(name);
+  s.value_hint = "FILE";
+  s.help = std::move(help);
+  const std::string n = s.name;
+  s.apply = [path, n](const std::string& v) -> std::string {
+    if (v.empty()) return "bad --" + n + " (need a value)";
+    const std::filesystem::path dir = std::filesystem::path(v).parent_path();
+    std::error_code ec;
+    if (!dir.empty() && !std::filesystem::is_directory(dir, ec)) {
+      return "bad --" + n + " '" + v + "' (no directory '" + dir.string() +
+             "')";
+    }
+    *path = v;
+    return {};
+  };
+  fs.add(std::move(s));
 }
 
 /// Registers the tuner's search knob, --top-k, written through to @p t, on

@@ -17,9 +17,9 @@ namespace {
 /// Pool key: the topology (its fingerprint covers every level's scaled
 /// capacity), the other capacity-like fields RunOptions::machine_scale
 /// varies, and whether the machine may take the fast path.  Machines with
-/// equal keys are interchangeable for pooling.  Checked, traced, profiled
-/// and plain runs share a pool: their observers attach to a leased machine
-/// and detach before the lease returns it.
+/// equal keys are interchangeable for pooling.  Profiled and plain runs
+/// share a pool: the profiler attaches to a leased machine and detaches
+/// before the lease returns it.
 std::string params_pool_key(const sim::MachineParams& p) {
   std::string s;
   s.reserve(64);
@@ -48,9 +48,9 @@ std::uint64_t simulated_seed(npb::Benchmark a, npb::Benchmark b,
 
 /// Memo key for kernel profiles: everything run_profiled_serial's outcome
 /// depends on, @p seed already passed through simulated_seed.  Verification
-/// and check mode do not change the profile.  Schedule overrides do not
-/// either: the profiling run is single-threaded, and a one-thread team
-/// executes serial_for, which has no schedule.
+/// does not change the profile.  Schedule overrides do not either: the
+/// profiling run is single-threaded, and a one-thread team executes
+/// serial_for, which has no schedule.
 std::string profile_key(npb::Benchmark b, const RunOptions& opt,
                         std::uint64_t seed) {
   std::string s;
@@ -75,7 +75,7 @@ std::string profile_key(npb::Benchmark b, const RunOptions& opt,
 // justify its exclusion, and (b) this expected size is updated.  (Guarded to
 // the common LP64 layout; other ABIs rely on the audit having happened.)
 #if defined(__x86_64__) && defined(__LP64__)
-static_assert(sizeof(RunOptions) == 88,
+static_assert(sizeof(RunOptions) == 80,
               "RunOptions changed: audit CellKey::from for the new field, "
               "then update this expected size");
 #endif
@@ -95,10 +95,6 @@ CellKey CellKey::from(Kind kind, npb::Benchmark a, npb::Benchmark b,
   k.grain = opt.grain;
   k.sched_kind = opt.sched_kind;
   k.sched_chunk = opt.sched_chunk;
-  k.check = opt.check_mode;
-  // opt.trace_mode is left out: only run_traced reads it, and neither
-  // run_traced nor ExperimentEngine::trace memoizes, so every cell a key
-  // names ran untraced.
   if (opt.topology != nullptr) k.machine = opt.topology->fingerprint();
   return k.canonical();
 }
@@ -189,10 +185,9 @@ std::string cell_fingerprint(const CellKey& k) {
   append_hex(s, static_cast<std::uint64_t>(static_cast<std::int64_t>(k.sched_kind)), 16);
   s += ";schunk=";
   append_hex(s, static_cast<std::uint64_t>(k.sched_chunk), 16);
-  s += ";check=";
-  append_hex(s, static_cast<std::uint64_t>(k.check), 2);
-  // v2's trace slot: no memoized cell is traced (see CellKey::from).
-  s += ";trace=00";
+  // v2's check and trace slots: no cell is checked or traced (observers
+  // attach to a machine, not to a cell).
+  s += ";check=00;trace=00";
   s += ";config=";
   append_bytes(s, k.config);
   s += ";machine=";
@@ -269,8 +264,7 @@ bool parse_cell_fingerprint(std::string_view s, CellKey* out) {
       verify > 1 ||
       sched < std::numeric_limits<int>::min() ||
       sched > std::numeric_limits<int>::max() ||
-      check > static_cast<std::uint64_t>(sim::CheckMode::kFull) ||
-      trace != 0) {
+      check != 0 || trace != 0) {
     return false;
   }
   k.kind = static_cast<CellKey::Kind>(kind);
@@ -283,7 +277,6 @@ bool parse_cell_fingerprint(std::string_view s, CellKey* out) {
   k.grain = static_cast<std::size_t>(grain);
   k.sched_kind = static_cast<int>(sched);
   k.sched_chunk = static_cast<std::size_t>(schunk);
-  k.check = static_cast<sim::CheckMode>(check);
   *out = std::move(k);
   return true;
 }
@@ -326,7 +319,6 @@ std::size_t CellKeyHash::operator()(const CellKey& k) const noexcept {
   mix(static_cast<std::uint64_t>(k.grain));
   mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(k.sched_kind)));
   mix(static_cast<std::uint64_t>(k.sched_chunk));
-  mix(static_cast<std::uint64_t>(k.check));
   mix(static_cast<std::uint64_t>(std::hash<std::string>{}(k.machine)));
   return h;
 }
@@ -448,12 +440,6 @@ void ExperimentEngine::set_store(std::shared_ptr<CellStore> store) {
   store_ = std::move(store);
 }
 
-bool ExperimentEngine::store_eligible(const CellKey& key) noexcept {
-  // Checked cells carry a CheckReport the stored envelope does not
-  // serialize; persisting them would return finding-less results on reload.
-  return key.check == sim::CheckMode::kOff;
-}
-
 const CellValue* ExperimentEngine::lookup(const CellKey& key) {
   std::shared_ptr<CellStore> store;
   {
@@ -465,7 +451,7 @@ const CellValue* ExperimentEngine::lookup(const CellKey& key) {
     }
     store = store_;
   }
-  if (store == nullptr || !store_eligible(key)) return nullptr;
+  if (store == nullptr) return nullptr;
   // Store I/O happens outside mu_ so a slow disk never serializes the
   // worker pool.  Cache entries are never erased, so the returned pointer
   // stays valid after the lock drops.
@@ -490,7 +476,7 @@ const CellValue& ExperimentEngine::memoize(const CellKey& key,
     fresh = inserted;
     store = store_;
   }
-  if (fresh && store != nullptr && store_eligible(key)) {
+  if (fresh && store != nullptr) {
     store->store_cell(key, *stored);
     std::lock_guard<std::mutex> lock(mu_);
     ++store_writes_;
@@ -633,13 +619,9 @@ std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
   }
   // Profile outside the lock, on a pooled machine; a concurrent duplicate
   // computes the identical (deterministic) profile and first insertion
-  // wins.  The profiler is the machine's one sink, and the check mode is
-  // not part of the profile (profile_key omits it), so a checked caller
-  // profiles unchecked.
-  RunOptions popt = opt;
-  popt.check_mode = sim::CheckMode::kOff;
-  MachinePool::Lease lease = pool_for(popt.machine_params()).acquire();
-  ProfiledRun run = run_profiled_serial(*lease, b, popt, seed);
+  // wins.
+  MachinePool::Lease lease = pool_for(opt.machine_params()).acquire();
+  ProfiledRun run = run_profiled_serial(*lease, b, opt, seed);
   auto prof =
       std::make_shared<const model::KernelProfile>(std::move(run.profile));
   std::lock_guard<std::mutex> lock(mu_);
@@ -662,8 +644,7 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
     store = store_;
   }
   PredictionResult out;
-  if (store != nullptr && store_eligible(pkey) &&
-      store->load_prediction(pkey, &out.prediction)) {
+  if (store != nullptr && store->load_prediction(pkey, &out.prediction)) {
     std::lock_guard<std::mutex> lock(mu_);
     ++store_hits_;
     return out;
@@ -687,7 +668,7 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
   // paxlint: allow(wallclock) -- predict_host_sec provenance timing; the prediction itself is host-time-free
   const auto t1 = std::chrono::steady_clock::now();
   out.predict_host_sec = std::chrono::duration<double>(t1 - t0).count();
-  if (store != nullptr && store_eligible(pkey)) {
+  if (store != nullptr) {
     store->store_prediction(pkey, out.prediction);
     std::lock_guard<std::mutex> lock(mu_);
     ++store_writes_;
@@ -730,17 +711,6 @@ TimelineResult ExperimentEngine::timeline(npb::Benchmark b,
                                           std::uint64_t seed) {
   MachinePool::Lease lease = pool_for(opt.machine_params()).acquire();
   return run_timeline(*lease, b, cfg, opt, seed);
-}
-
-TraceResult ExperimentEngine::trace(npb::Benchmark b, const StudyConfig& cfg,
-                                    const RunOptions& opt,
-                                    std::uint64_t seed) {
-  RunOptions topt = opt;
-  if (topt.trace_mode == sim::TraceMode::kOff) {
-    topt.trace_mode = sim::TraceMode::kStacks;  // trace() implies tracing
-  }
-  MachinePool::Lease lease = pool_for(topt.machine_params()).acquire();
-  return run_traced(*lease, b, cfg, topt, seed);
 }
 
 void ExperimentEngine::for_each(std::size_t n,

@@ -138,9 +138,6 @@ struct CellKey {
   /// canonical() drops a chunk that sits next to kind -1.
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
-  /// RunOptions::check_mode: checked cells carry a CheckReport, so they
-  /// never alias unchecked ones.  (No cell is traced: see from().)
-  sim::CheckMode check = sim::CheckMode::kOff;
   /// RunOptions::topology projected through Topology::fingerprint(): cells
   /// simulated on different machines never alias.  Empty for the default
   /// machine (a null RunOptions::topology).
@@ -179,7 +176,8 @@ struct CellKeyHash {
 /// field changes meaning, width or order — on-disk stores key entries by
 /// the digest of this serialization, so a silent format change would alias
 /// incompatible results.  v2 added the schedule-override fields
-/// (sched_kind/sched_chunk) for the paxtune schedule axis.
+/// (sched_kind/sched_chunk) for the paxtune schedule axis; its check and
+/// trace slots are always written as 00 (no cell is checked or traced).
 inline constexpr int kCellFingerprintVersion = 2;
 
 /// Canonical serialized identity of a cell: every CellKey field rendered
@@ -363,16 +361,9 @@ class ExperimentEngine {
 
   /// Attaches a persistent cell store (nullptr detaches).  With a store
   /// attached, cache misses consult the store before simulating, and every
-  /// freshly simulated eligible cell is written through.  Checked cells
-  /// (check_mode != kOff) bypass the store: their CheckReport payload is
-  /// not part of the stored envelope, so persisting them would drop
-  /// findings on reload.  Detached (the default), behaviour is bit-
-  /// identical to the pre-store engine.
+  /// freshly simulated cell is written through.  Detached (the default),
+  /// behaviour is bit-identical to the pre-store engine.
   void set_store(std::shared_ptr<CellStore> store);
-
-  /// True when @p key's value survives a store round-trip losslessly (the
-  /// eligibility rule set_store documents).
-  [[nodiscard]] static bool store_eligible(const CellKey& key) noexcept;
 
   /// Evaluates @p plan: dedupes its cells against the cache, simulates the
   /// missing ones through for_each(), and assembles the result table.  Each
@@ -419,13 +410,6 @@ class ExperimentEngine {
   TimelineResult timeline(npb::Benchmark b, const StudyConfig& cfg,
                           const RunOptions& opt, std::uint64_t seed);
 
-  /// Traced run on a pooled machine (run_traced): CPI stall stacks,
-  /// per-region aggregates and ring-buffered events per opt.trace_mode
-  /// (kStacks is substituted when the caller left it kOff).  Not memoized:
-  /// trace reports are not part of the cell table.
-  TraceResult trace(npb::Benchmark b, const StudyConfig& cfg,
-                    const RunOptions& opt, std::uint64_t seed);
-
   /// The engine's worker pool: a host-parallel index map over [0, n) on up
   /// to jobs() threads (inline on the caller's thread when jobs() is 1).
   /// run() dispatches its cells through it; drivers use it directly for
@@ -456,7 +440,7 @@ class ExperimentEngine {
   /// (admitting a store hit into the RAM cache); returns nullptr on miss.
   const CellValue* lookup(const CellKey& key);
   /// Inserts a freshly simulated cell (counts a miss) and writes it
-  /// through to the attached store when eligible.
+  /// through to the attached store.
   const CellValue& memoize(const CellKey& key, CellValue value);
 
   int jobs_;

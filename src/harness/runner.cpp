@@ -10,7 +10,6 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "check/checker.hpp"
 #include "trace/tracer.hpp"
 #include "xomp/min_heap.hpp"
 #include "xomp/team.hpp"
@@ -32,13 +31,8 @@ struct Program {
   }
 };
 
-/// The programs of one run, plus the checker, which attaches whenever the
-/// run's options ask for checking.  The checker is declared first so it
-/// outlives the teams that report to it.
-struct Programs {
-  std::unique_ptr<check::Checker> checker;
-  std::vector<std::unique_ptr<Program>> list;
-};
+/// The programs of one run.
+using Programs = std::vector<std::unique_ptr<Program>>;
 
 /// Declares each core's SMT activity from the live placements of the
 /// unfinished programs.
@@ -46,7 +40,7 @@ void refresh_smt_activity(sim::Machine& machine, const Programs& progs) {
   const sim::Topology& topo = machine.topology();
   for (int id = 0; id < topo.total_cores(); ++id) {
     int n = 0;
-    for (const auto& prog : progs.list) {
+    for (const auto& prog : progs) {
       if (prog->done()) continue;
       for (int r = 0; r < prog->team->size(); ++r) {
         const sim::LogicalCpu c = prog->team->placement_of(r);
@@ -59,26 +53,15 @@ void refresh_smt_activity(sim::Machine& machine, const Programs& progs) {
 
 /// Builds program p of @p benches on placements[p] — address-space slot p,
 /// problem seed seed + 17·p, opt's grain and schedule override — and
-/// declares the cores' SMT activity.  @p machine must be reset, with any
-/// tracer or profiler already attached; the checker attaches here when
-/// opt.check_mode asks for it.  Every sink attaches before the first Team
-/// exists: a Team's constructor reports its runtime-internal lines and the
-/// initial clock sync.  Throws std::invalid_argument when a check is asked
-/// of a machine that already carries a sink (it carries one).
+/// declares the cores' SMT activity.  @p machine must be reset, with its
+/// observer (if any) already attached: a Team's constructor reports its
+/// runtime-internal lines and the initial clock sync.
 Programs make_programs(sim::Machine& machine,
                        const std::vector<npb::Benchmark>& benches,
                        std::vector<std::vector<sim::LogicalCpu>> placements,
                        const RunOptions& opt, std::uint64_t seed) {
   assert(placements.size() == benches.size());
   Programs progs;
-  if (opt.check_mode != sim::CheckMode::kOff) {
-    if (machine.trace_sink() != nullptr) {
-      throw std::invalid_argument(
-          "a checked run cannot also be traced or profiled (the machine "
-          "carries one sink)");
-    }
-    progs.checker = std::make_unique<check::Checker>(machine, opt.check_mode);
-  }
   for (std::size_t p = 0; p < benches.size(); ++p) {
     auto prog = std::make_unique<Program>();
     prog->kernel = npb::make_kernel(benches[p]);
@@ -92,7 +75,7 @@ Programs make_programs(sim::Machine& machine,
       prog->team->set_schedule_override(xomp::Schedule{
           static_cast<xomp::ScheduleKind>(opt.sched_kind), opt.sched_chunk});
     }
-    progs.list.push_back(std::move(prog));
+    progs.push_back(std::move(prog));
   }
   refresh_smt_activity(machine, progs);
   return progs;
@@ -108,18 +91,18 @@ Programs make_programs(sim::Machine& machine,
 /// Returns the host seconds spent stepping.
 double step_to_completion(sim::Machine& machine, Programs& progs,
                           const std::function<bool()>& after_step = {}) {
-  const int n = static_cast<int>(progs.list.size());
+  const int n = static_cast<int>(progs.size());
   const auto wall = [&](int p) {
-    return progs.list[static_cast<std::size_t>(p)]->team->wall_time();
+    return progs[static_cast<std::size_t>(p)]->team->wall_time();
   };
   xomp::IndexedMinHeap behind(n);
   for (int p = 0; p < n; ++p) {
-    if (!progs.list[static_cast<std::size_t>(p)]->done()) behind.push(p, wall(p));
+    if (!progs[static_cast<std::size_t>(p)]->done()) behind.push(p, wall(p));
   }
   const auto host_t0 = std::chrono::steady_clock::now();
   while (!behind.empty()) {
     const int pick = behind.top();
-    Program& prog = *progs.list[static_cast<std::size_t>(pick)];
+    Program& prog = *progs[static_cast<std::size_t>(pick)];
     prog.kernel->step(*prog.team, prog.steps_done);
     ++prog.steps_done;
     if (prog.done()) {
@@ -140,13 +123,12 @@ double step_to_completion(sim::Machine& machine, Programs& progs,
   return std::chrono::duration<double>(host_t1 - host_t0).count();
 }
 
-/// Flushes every program and assembles its result; each carries the
-/// checker's machine-wide report.  Throws when @p verify is set and a
-/// program failed numeric verification on @p where.
+/// Flushes every program and assembles its result.  Throws when @p verify
+/// is set and a program failed numeric verification on @p where.
 std::vector<RunResult> finish(Programs& progs, bool verify,
                               std::string_view where) {
   std::vector<RunResult> out;
-  for (const auto& prog : progs.list) {
+  for (const auto& prog : progs) {
     prog->team->flush();
     RunResult r;
     r.wall_cycles = prog->finish_time;
@@ -159,10 +141,6 @@ std::vector<RunResult> finish(Programs& progs, bool verify,
                                std::string(where));
     }
     out.push_back(std::move(r));
-  }
-  if (progs.checker) {
-    const check::CheckReport rep = progs.checker->finish();
-    for (RunResult& r : out) r.check = rep;
   }
   return out;
 }
@@ -187,11 +165,11 @@ RunResult run_serial(sim::Machine& machine, npb::Benchmark bench,
 
 TraceResult run_traced(sim::Machine& machine, npb::Benchmark bench,
                        const StudyConfig& cfg, const RunOptions& opt,
-                       std::uint64_t seed) {
-  if (opt.trace_mode == sim::TraceMode::kOff) {
-    throw std::invalid_argument("run_traced: opt.trace_mode is off");
+                       sim::TraceMode depth, std::uint64_t seed) {
+  if (depth == sim::TraceMode::kOff) {
+    throw std::invalid_argument("run_traced: the trace depth is off");
   }
-  trace::Tracer tracer(machine, opt.trace_mode);
+  trace::Tracer tracer(machine, depth);
   TraceResult out;
   // run_single's final flush drives the last on_flush while the tracer is
   // still attached, so the last region's deltas land in the stacks.
@@ -281,8 +259,8 @@ ScheduledResult run_scheduled(sim::Machine& machine,
   std::vector<double> last_wall(benches.size(), 0);
   const auto rebalance = [&] {
     std::vector<sched::ThreadView> views;
-    for (std::size_t p = 0; p < progs.list.size(); ++p) {
-      Program& prog = *progs.list[p];
+    for (std::size_t p = 0; p < progs.size(); ++p) {
+      Program& prog = *progs[p];
       if (prog.done()) continue;
       prog.team->flush();
       const std::uint64_t instr =
@@ -302,7 +280,7 @@ ScheduledResult run_scheduled(sim::Machine& machine,
     if (views.empty()) return false;
     const auto migrations = policy.rebalance(views);
     for (const sched::Migration& m : migrations) {
-      Program& prog = *progs.list[static_cast<std::size_t>(m.program)];
+      Program& prog = *progs[static_cast<std::size_t>(m.program)];
       if (prog.done()) continue;
       prog.team->repin(m.rank, m.to, sched::kMigrationPenaltyCycles);
       ++out.migrations;
@@ -319,7 +297,7 @@ TimelineResult run_timeline(sim::Machine& machine, npb::Benchmark bench,
                             std::uint64_t seed) {
   machine.reset();
   Programs progs = make_programs(machine, {bench}, {cfg.cpus}, opt, seed);
-  Program& prog = *progs.list.front();
+  Program& prog = *progs.front();
   TimelineResult out;
   double prev_wall = 0;
   step_to_completion(machine, progs, [&] {

@@ -11,7 +11,7 @@
 //                     (src/sched) that places threads and may migrate them
 //                     between kernel steps (the paper's future work);
 //   * run_traced    — run_single with a trace::Tracer attached (CPI stall
-//                     stacks + event recording, RunOptions::trace_mode);
+//                     stacks + event recording, at the depth it is given);
 //   * run_profiled_serial — run_serial with a model::Profiler attached;
 //   * run_timeline  — run_single sampled after every kernel step.
 //
@@ -19,11 +19,12 @@
 // always step the program furthest behind in virtual time.  Every runner
 // takes the sim::Machine to run on (the MachinePool recycling path; the
 // machine is reset() to a cold state on entry, so results are bit-identical
-// to a fresh construction).  An observer attaches to that machine for the
-// run — the checker that RunOptions::check_mode asks for, run_traced's
-// tracer or run_profiled_serial's profiler — and sends it down the
-// reference path until it detaches (sim/hooks.hpp).  A machine carries one
-// observer at a time.
+// to a fresh construction).  An observer attaches to that machine, not to
+// the options: run_traced's tracer, run_profiled_serial's profiler, or a
+// check::Checker the caller constructs on the machine before calling any
+// runner and reads after it returns.  An attached observer keeps the
+// machine on the reference path until it detaches (sim/hooks.hpp), and a
+// machine carries one observer at a time (Machine::set_trace_sink).
 #pragma once
 
 #include <array>
@@ -33,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "check/report.hpp"
 #include "harness/config.hpp"
 #include "model/profile.hpp"
 #include "npb/kernel.hpp"
@@ -46,7 +46,10 @@
 
 namespace paxsim::harness {
 
-/// Knobs shared by every experiment.
+/// Knobs shared by every experiment: they name a cell, and CellKey::from
+/// projects each of them but the plan-level trials and base_seed.  The
+/// observers (checker, tracer, profiler) are not knobs: each attaches to
+/// the machine a run uses.
 struct RunOptions {
   npb::ProblemClass cls = npb::ProblemClass::kClassB;
   /// Capacity scale factor applied to the machine (DESIGN.md: caches and
@@ -69,15 +72,6 @@ struct RunOptions {
   /// part of CellKey.
   int sched_kind = -1;
   std::size_t sched_chunk = 0;
-  /// Opt-in runtime analyses (race detection / invariant auditing).  Any
-  /// mode but kOff attaches a check::Checker for the duration of each run,
-  /// which routes the machine through the reference path meanwhile.
-  sim::CheckMode check_mode = sim::CheckMode::kOff;
-  /// The depth run_traced records at (CPI stall stacks / event recording).
-  /// Only run_traced reads it: the tracer it attaches routes the machine
-  /// through the reference path and enables the xomp region-boundary
-  /// flushes.  Every other runner ignores it.
-  sim::TraceMode trace_mode = sim::TraceMode::kOff;
   /// The machine to simulate (sim/topology.hpp), set from a preset name or
   /// a JSON description via the CLI's --machine flag; shared because every
   /// cell of a plan runs on it.  Null means the default machine: the
@@ -87,8 +81,8 @@ struct RunOptions {
   std::shared_ptr<const sim::Topology> topology;
 
   /// The scaled machine a cell runs on, carrying resolved_topology().
-  /// Checked, traced, profiled and plain runs share it: an observer
-  /// attaches to the machine, it does not shape it.
+  /// Observed and plain runs share it: an observer attaches to the
+  /// machine, it does not shape it.
   [[nodiscard]] sim::MachineParams machine_params() const {
     sim::MachineParams base{};
     base.topology = resolved_topology();
@@ -140,11 +134,6 @@ struct RunResult {
   /// verification.  Filled by run_single; the throughput artifacts use it so
   /// they measure the simulator inner loop, not workload setup.
   double host_sim_sec = 0;
-  /// Analysis findings when opt.check_mode != kOff (default-constructed —
-  /// trivially clean — otherwise).  For pair and scheduled runs the
-  /// analyses observe the whole machine, so every program carries the same
-  /// machine-wide report.
-  check::CheckReport check;
 };
 
 /// Runs @p bench once on @p cfg (single-program) on @p machine, which is
@@ -175,17 +164,17 @@ RunResult run_serial(sim::Machine& machine, npb::Benchmark bench,
 /// Outcome of a traced run: the ordinary result plus the trace report.
 struct TraceResult {
   RunResult run;
-  trace::TraceReport trace;  ///< stacks/regions/events per opt.trace_mode
+  trace::TraceReport trace;  ///< stacks/regions/events at the run's depth
 };
 
-/// run_single with a trace::Tracer of depth opt.trace_mode attached for the
-/// duration of the run.  Throws std::invalid_argument when opt.trace_mode
-/// is kOff or opt.check_mode is not (the machine carries one sink).  The
+/// run_single with a trace::Tracer recording at @p depth attached for the
+/// duration of the run.  Throws std::invalid_argument when @p depth is
+/// kOff, and std::logic_error when @p machine already carries a sink.  The
 /// virtual-time trajectory is identical to an untraced run; every context
 /// stack in the report sums exactly to run.wall_cycles.
 TraceResult run_traced(sim::Machine& machine, npb::Benchmark bench,
                        const StudyConfig& cfg, const RunOptions& opt,
-                       std::uint64_t seed);
+                       sim::TraceMode depth, std::uint64_t seed);
 
 /// Outcome of a profiled serial run — paxmodel's input.
 struct ProfiledRun {
@@ -197,8 +186,7 @@ struct ProfiledRun {
 /// then fills profile.anchor from the run's own counters.  The run routes
 /// through the reference path but its counters and wall time are
 /// bit-identical to an unprofiled serial run (test-enforced).  Throws
-/// std::invalid_argument when opt.check_mode != kOff (the machine carries
-/// one sink).
+/// std::logic_error when @p machine already carries a sink.
 ProfiledRun run_profiled_serial(sim::Machine& machine, npb::Benchmark bench,
                                 const RunOptions& opt, std::uint64_t seed);
 

@@ -156,7 +156,8 @@ struct KernelProfile {
 /// stream of a (serial) run.
 class Profiler final : public sim::TraceSink {
  public:
-  /// Attaches to @p machine (Machine::set_trace_sink).
+  /// Attaches to @p machine (Machine::set_trace_sink throws
+  /// std::logic_error when it already carries a sink).
   explicit Profiler(sim::Machine& machine);
   ~Profiler() override;
 

@@ -3,7 +3,7 @@
 // The on-disk content-addressed result store — the persistence layer of
 // paxserve.  Every previously answered (kernel, machine, placement, mode)
 // question becomes O(1): the ExperimentEngine consults the store before
-// simulating and writes every freshly computed eligible cell through.
+// simulating and writes every freshly computed cell through.
 //
 // Addressing.  An entry's name is harness::cell_digest() of the explicit
 // versioned harness::cell_fingerprint() serialization of its CellKey —

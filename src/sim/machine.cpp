@@ -104,6 +104,16 @@ double Machine::wall_time() const noexcept {
   return t;
 }
 
+void Machine::set_trace_sink(TraceSink* sink) {
+  if (sink != nullptr && sink_ != nullptr && sink != sink_) {
+    throw std::logic_error(
+        "paxsim: the machine already carries a trace sink (one observer "
+        "per machine)");
+  }
+  sink_ = sink;
+  for (auto& c : cores_) c->set_trace_sink(sink);
+}
+
 void Machine::reset() noexcept {
   for (auto& mc : mcs_) mc.reset();
   for (auto& b : buses_) b.reset();

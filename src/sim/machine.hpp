@@ -208,10 +208,10 @@ class Machine {
   /// path while a sink is attached; pass nullptr to detach.  The sink is
   /// not owned and must outlive its attachment.  Each core caches the
   /// pointer so per-access call sites skip the machine indirection.
-  void set_trace_sink(TraceSink* sink) noexcept {
-    sink_ = sink;
-    for (auto& c : cores_) c->set_trace_sink(sink);
-  }
+  /// A machine carries one sink: attaching one while a different one is
+  /// attached throws std::logic_error and leaves the first attached
+  /// (detaching never throws).
+  void set_trace_sink(TraceSink* sink);
   [[nodiscard]] TraceSink* trace_sink() const noexcept { return sink_; }
 
  private:

@@ -2,7 +2,6 @@
 #include "trace/tracer.hpp"
 
 #include <algorithm>
-#include <cassert>
 
 #include "sim/core.hpp"
 #include "sim/machine.hpp"
@@ -15,7 +14,6 @@ Tracer::Tracer(sim::Machine& machine, sim::TraceMode mode,
       mode_(mode),
       events_(mode == sim::TraceMode::kEvents ||
               mode == sim::TraceMode::kFull) {
-  assert(machine.trace_sink() == nullptr && "machine already has a sink");
   // One dense slot per hardware context of the machine's topology (see
   // slot()).
   const std::size_t slots =

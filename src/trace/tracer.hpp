@@ -58,9 +58,10 @@ class Tracer final : public sim::TraceSink {
   /// Events retained per hardware context in the event modes.
   static constexpr std::size_t kDefaultRingCapacity = 8192;
 
-  /// Attaches to @p machine, which must have no other sink.  Attaching
-  /// sends the machine down the reference path and turns on the xomp
-  /// runtime's region-boundary flushes until the tracer detaches.
+  /// Attaches to @p machine (Machine::set_trace_sink throws
+  /// std::logic_error when it already carries a sink).  Attaching sends the
+  /// machine down the reference path and turns on the xomp runtime's
+  /// region-boundary flushes until the tracer detaches.
   Tracer(sim::Machine& machine, sim::TraceMode mode,
          std::size_t ring_capacity = kDefaultRingCapacity);
   ~Tracer() override;

@@ -147,10 +147,24 @@ TEST(CliParseTest, RunAcceptsProfileFlag) {
   EXPECT_TRUE(r.command->profile);
   EXPECT_FALSE(
       P({"run", "--bench=CG", "--config=Serial"}).command->profile);
-  // The profiler is the machine's one sink, so a check cannot ride along.
-  EXPECT_FALSE(P({"run", "--bench=EP", "--config=Serial", "--class=S",
-                  "--profile", "--check=full"})
-                   .ok());
+  // The profile is one serial run on a machine of its own with the
+  // profiler as its one sink: a check cannot ride along, and a baseline, a
+  // store or more workers would be dropped, so each is refused.
+  for (const char* flag :
+       {"--check=full", "--baseline", "--store=results", "--jobs=2"}) {
+    const auto refused = P({"run", "--bench=EP", "--config=Serial",
+                            "--class=S", "--profile", flag});
+    EXPECT_FALSE(refused.ok()) << flag;
+    EXPECT_EQ(refused.error.rfind("--profile", 0), 0u)
+        << flag << ": " << refused.error;
+  }
+  // Their defaults, spelled out, stay accepted.
+  EXPECT_TRUE(P({"run", "--bench=EP", "--config=Serial", "--class=S",
+                 "--profile", "--jobs=1", "--store=off"})
+                  .ok());
+  EXPECT_TRUE(P({"run", "--bench=EP", "--config=HT off -2-1", "--class=S",
+                 "--profile=off", "--baseline", "--jobs=2"})
+                  .ok());
 }
 
 TEST(CliParseTest, SchedAcceptsEveryShippedPolicy) {
@@ -452,12 +466,11 @@ TEST(CliExecTest, RunProfilePrintsSummaryAndRequiresSerial) {
   EXPECT_NE(out.find("profile:"), std::string::npos);
   EXPECT_NE(out.find("barriers"), std::string::npos);
 
-  std::string err_out;
-  EXPECT_EQ(run_cli({"run", "--bench=EP", "--config=HT off -2-1",
-                     "--class=S", "--profile"},
-                    err_out),
-            1);
-  EXPECT_NE(err_out.find("--profile"), std::string::npos);
+  // Off the Serial row the profile is refused before anything runs.
+  const auto parallel = P({"run", "--bench=EP", "--config=HT off -2-1",
+                           "--class=S", "--profile"});
+  EXPECT_FALSE(parallel.ok());
+  EXPECT_NE(parallel.error.find("--profile"), std::string::npos);
 }
 
 TEST(CliParseTest, TraceParsesFlagsAndValidates) {
@@ -467,7 +480,7 @@ TEST(CliParseTest, TraceParsesFlagsAndValidates) {
   ASSERT_TRUE(r.ok()) << r.error;
   const Command& c = *r.command;
   EXPECT_EQ(c.kind, Command::Kind::kTrace);
-  EXPECT_EQ(c.options.trace_mode, sim::TraceMode::kFull);
+  EXPECT_EQ(c.trace, sim::TraceMode::kFull);
   EXPECT_EQ(c.trace_out, "/tmp/t.json");
   EXPECT_TRUE(c.regions);
   EXPECT_FALSE(c.stacks);
@@ -480,6 +493,16 @@ TEST(CliParseTest, TraceParsesFlagsAndValidates) {
   EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial", "--check=full"})
                 .error,
             "unknown flag '--check'");
+  // The file is written after the whole run, so a directory that does not
+  // exist is refused up front; a bare name lands in the working directory.
+  EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial",
+               "--trace-out=/nonexistent/d/x.json"})
+                .error,
+            "bad --trace-out '/nonexistent/d/x.json' (no directory "
+            "'/nonexistent/d')");
+  EXPECT_TRUE(P({"trace", "--bench=CG", "--config=Serial",
+                 "--trace-out=t.json"})
+                  .ok());
 }
 
 TEST(CliExecTest, TraceReportsStacks) {
@@ -604,6 +627,38 @@ TEST(CliExecTest, ServeComputesThenStoreAnswers) {
   EXPECT_NE(gc.find("\"removed_unreachable\":0"), std::string::npos) << gc;
 }
 
+TEST(CliExecTest, CheckedRunStoresOnlyItsBaseline) {
+  // A checked run is not a cell: the store never sees it.  Its serial
+  // baseline is an ordinary engine cell, which the store keeps.
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "paxsim_cli_checkedstore";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string store_flag = "--store=" + (dir / "store").string();
+
+  std::string first, again, stat;
+  EXPECT_EQ(run_cli({"run", "--bench=CG", "--config=HT off -4-2", "--class=S",
+                     "--check=full", "--baseline", store_flag.c_str()},
+                    first),
+            0);
+  EXPECT_NE(first.find("speedup,"), std::string::npos) << first;
+  EXPECT_NE(first.find("check report (mode=full)"), std::string::npos)
+      << first;
+  EXPECT_EQ(run_cli({"store", "stat", store_flag.c_str()}, stat), 0);
+  EXPECT_NE(stat.find("\"entries\":1,"), std::string::npos) << stat;
+  // That one entry is the serial baseline.
+  EXPECT_EQ(run_cli({"store", "get", store_flag.c_str(), "--bench=CG",
+                     "--config=Serial", "--class=S"},
+                    stat),
+            0);
+  EXPECT_EQ(run_cli({"run", "--bench=CG", "--config=HT off -4-2", "--class=S",
+                     "--check=full", "--baseline", store_flag.c_str()},
+                    again),
+            0);
+  EXPECT_EQ(first, again) << "a stored baseline must render identically";
+}
+
 TEST(CliExecTest, RunWithStoreIsIdenticalAcrossRuns) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path(::testing::TempDir()) / "paxsim_cli_runstore";
@@ -656,6 +711,11 @@ TEST(CliParseTest, TuneDefaultsAndRejections) {
   EXPECT_FALSE(P({"tune", "--grains=0"}).ok());
   EXPECT_FALSE(P({"tune", "--scales=8,nan"}).ok());
   EXPECT_FALSE(P({"tune", "--scales=inf"}).ok());
+  // The report is written after the search: a missing directory is refused
+  // before it starts.
+  EXPECT_EQ(P({"tune", "--out=/nonexistent/d/x.json"}).error,
+            "bad --out '/nonexistent/d/x.json' (no directory "
+            "'/nonexistent/d')");
 }
 
 TEST(CliParseTest, TuneRefusesAnAxisListBesideItsCellFlag) {

@@ -135,10 +135,6 @@ TEST(CellFingerprintTest, EveryFieldChangesTheFingerprint) {
   EXPECT_NE(cell_fingerprint(k), ref) << "sched_chunk";
 
   k = base;
-  k.check = sim::CheckMode::kRace;
-  EXPECT_NE(cell_fingerprint(k), ref) << "check";
-
-  k = base;
   k.machine = sim::Topology::paxville().fingerprint();
   EXPECT_NE(cell_fingerprint(k), ref) << "machine";
 }
@@ -190,7 +186,6 @@ TEST(CellFingerprintTest, ParseInvertsTheFingerprint) {
   k = base;
   k.sched_kind = 2;
   k.sched_chunk = 8;
-  k.check = sim::CheckMode::kFull;
   keys.push_back(k);
   k = base;
   k.config = std::string();
@@ -209,7 +204,6 @@ TEST(CellFingerprintTest, ParseInvertsTheFingerprint) {
   k.grain = 3;
   k.sched_kind = -1;
   k.sched_chunk = 16;
-  k.check = sim::CheckMode::kRace;
   keys.push_back(k);
   for (const CellKey& want : keys) {
     const std::string fp = cell_fingerprint(want);
@@ -244,7 +238,8 @@ TEST(CellFingerprintTest, ParseRefusesMalformedFingerprints) {
   for (const char* v : {"cellkey-v1;", "cellkey-v3;", "cellkey-v20;"}) {
     EXPECT_FALSE(parse_cell_fingerprint(with("cellkey-v2;", v), &out)) << v;
   }
-  // A value cell_fingerprint never writes.
+  // A value cell_fingerprint never writes: the check and trace slots are
+  // always 00 (no cell is checked or traced).
   for (const auto& [from, to] :
        std::vector<std::pair<std::string, std::string>>{
            {";kind=00", ";kind=03"},
@@ -252,6 +247,7 @@ TEST(CellFingerprintTest, ParseRefusesMalformedFingerprints) {
            {";cls=00", ";cls=04"},
            {";verify=1", ";verify=2"},
            {";skind=ffffffffffffffff", ";skind=00000000ffffffff"},
+           {";check=00", ";check=01"},
            {";check=00", ";check=04"},
            {";trace=00", ";trace=01"}}) {
     EXPECT_FALSE(parse_cell_fingerprint(with(from, to), &out)) << to;

@@ -8,9 +8,12 @@
 #include <memory>
 #include <stdexcept>
 
+#include "check/checker.hpp"
 #include "harness/engine.hpp"
 #include "harness/report.hpp"
+#include "model/profile.hpp"
 #include "sim/topology.hpp"
+#include "trace/tracer.hpp"
 
 namespace paxsim::harness {
 namespace {
@@ -166,6 +169,46 @@ TEST(RunnerTest, RefusesConfigTheMachineCannotHost) {
                           *find_config("HT on -8-2"), opt, opt.trial_seed(0)),
                std::invalid_argument)
       << "woodcrest has no SMT contexts for a Hyper-Threading row";
+}
+
+TEST(ObserverTest, OneSinkPerMachine) {
+  // A machine carries one observer: a profiler, a tracer or a checker
+  // attached over another throws, and the first one stays attached.
+  const RunOptions opt = quick();
+  sim::Machine machine(opt.machine_params());
+  {
+    check::Checker checker(machine, sim::CheckMode::kFull);
+    EXPECT_THROW(model::Profiler profiler{machine}, std::logic_error);
+    EXPECT_THROW((trace::Tracer{machine, sim::TraceMode::kStacks}),
+                 std::logic_error);
+    EXPECT_THROW((check::Checker{machine, sim::CheckMode::kRace}),
+                 std::logic_error);
+    EXPECT_EQ(machine.trace_sink(), &checker);
+    // An inert checker attaches nothing, so it is no second sink.
+    const check::Checker inert(machine, sim::CheckMode::kOff);
+    EXPECT_EQ(machine.trace_sink(), &checker);
+  }
+  EXPECT_EQ(machine.trace_sink(), nullptr);
+  {
+    model::Profiler profiler(machine);
+    EXPECT_THROW((check::Checker{machine, sim::CheckMode::kFull}),
+                 std::logic_error);
+    EXPECT_THROW((trace::Tracer{machine, sim::TraceMode::kFull}),
+                 std::logic_error);
+    EXPECT_EQ(machine.trace_sink(), &profiler);
+    machine.set_trace_sink(&profiler);  // the same sink again: no change
+    EXPECT_EQ(machine.trace_sink(), &profiler);
+    (void)profiler.finish();
+    EXPECT_EQ(machine.trace_sink(), nullptr);
+  }
+  // Detached, the machine takes another observer, and runs under it.
+  trace::Tracer tracer(machine, sim::TraceMode::kStacks);
+  EXPECT_EQ(machine.trace_sink(), &tracer);
+  const RunResult r =
+      run_serial(machine, npb::Benchmark::kEP, opt, opt.trial_seed(0));
+  EXPECT_TRUE(r.verified);
+  EXPECT_GT(tracer.finish(r.wall_cycles).barriers, 0u);
+  EXPECT_EQ(machine.trace_sink(), nullptr);
 }
 
 TEST(ReportTest, TablePrintsAllRows) {

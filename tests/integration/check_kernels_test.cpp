@@ -6,8 +6,12 @@
 //    under --check=invariants on every row of every machine preset;
 //  * IS verifies, and is clean under --check=full, under every dynamic and
 //    guided schedule override on each machine preset's widest row;
-//  * --check=off must leave results bit-identical to an unchecked run;
+//  * an inert (--check=off) checker leaves results bit-identical to an
+//    unchecked run;
 //  * a race record numbers its cpu by the machine's own topology.
+//
+// Each test attaches a check::Checker to the machine it runs on, the way
+// `paxsim --check` does, and reads the report from finish().
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -15,6 +19,7 @@
 #include <sstream>
 #include <string>
 
+#include "check/checker.hpp"
 #include "harness/config.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
@@ -23,27 +28,42 @@
 namespace paxsim::harness {
 namespace {
 
-RunOptions checked_options(sim::CheckMode mode) {
+RunOptions small_options() {
   RunOptions opt;
   opt.cls = npb::ProblemClass::kClassS;
-  opt.check_mode = mode;
   return opt;
 }
 
-RunResult run_checked(npb::Benchmark b, const char* config,
-                      sim::CheckMode mode) {
+/// One run with a checker attached: its result and the checker's report.
+struct Checked {
+  RunResult run;
+  check::CheckReport check;
+};
+
+Checked run_checked(sim::Machine& machine, npb::Benchmark b,
+                    const StudyConfig& cfg, const RunOptions& opt,
+                    sim::CheckMode mode) {
+  check::Checker checker(machine, mode);
+  Checked out;
+  out.run = run_single(machine, b, cfg, opt, opt.trial_seed(0));
+  out.check = checker.finish();
+  return out;
+}
+
+Checked run_checked(npb::Benchmark b, const char* config,
+                    sim::CheckMode mode) {
   const StudyConfig* cfg = find_config(config);
   EXPECT_NE(cfg, nullptr) << config;
-  const RunOptions opt = checked_options(mode);
+  const RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
-  return run_single(machine, b, *cfg, opt, opt.trial_seed(0));
+  return run_checked(machine, b, *cfg, opt, mode);
 }
 
 TEST(CheckKernelsTest, RacyHistogramIsFlaggedWriteWrite) {
-  const RunResult r =
+  const Checked r =
       run_checked(npb::Benchmark::kRacyHist, "HT off -4-2",
                   sim::CheckMode::kFull);
-  EXPECT_TRUE(r.verified);
+  EXPECT_TRUE(r.run.verified);
   EXPECT_FALSE(r.check.clean());
   EXPECT_GT(r.check.races_total, 0u);
   ASSERT_FALSE(r.check.races.empty());
@@ -65,10 +85,10 @@ TEST(CheckKernelsTest, RacyHistogramIsFlaggedWriteWrite) {
 }
 
 TEST(CheckKernelsTest, RacyFlagIsFlaggedOnTheFlagWord) {
-  const RunResult r =
+  const Checked r =
       run_checked(npb::Benchmark::kRacyFlag, "HT off -4-2",
                   sim::CheckMode::kRace);
-  EXPECT_TRUE(r.verified);
+  EXPECT_TRUE(r.run.verified);
   EXPECT_GT(r.check.races_total, 0u);
   ASSERT_FALSE(r.check.races.empty());
   // The unsynchronised publish races read-against-write (either direction,
@@ -88,9 +108,9 @@ TEST(CheckKernelsTest, RacyFlagIsFlaggedOnTheFlagWord) {
 
 TEST(CheckKernelsTest, RacyKernelsCleanWhenSerial) {
   // One thread: no concurrency, so the same kernels must not be flagged.
-  const RunResult r = run_checked(npb::Benchmark::kRacyHist, "Serial",
-                                  sim::CheckMode::kFull);
-  EXPECT_TRUE(r.verified);
+  const Checked r = run_checked(npb::Benchmark::kRacyHist, "Serial",
+                                sim::CheckMode::kFull);
+  EXPECT_TRUE(r.run.verified);
   EXPECT_TRUE(r.check.clean())
       << r.check.races_total << " races, " << r.check.violations_total
       << " violations";
@@ -100,8 +120,8 @@ TEST(CheckKernelsTest, SuiteIsCleanUnderFullChecking) {
   const char* const configs[] = {"Serial", "HT off -4-2", "HT on -8-2"};
   for (const npb::Benchmark b : npb::kAllBenchmarks) {
     for (const char* cfg : configs) {
-      const RunResult r = run_checked(b, cfg, sim::CheckMode::kFull);
-      EXPECT_TRUE(r.verified) << npb::benchmark_name(b) << " @ " << cfg;
+      const Checked r = run_checked(b, cfg, sim::CheckMode::kFull);
+      EXPECT_TRUE(r.run.verified) << npb::benchmark_name(b) << " @ " << cfg;
       EXPECT_TRUE(r.check.clean())
           << npb::benchmark_name(b) << " @ " << cfg << ": "
           << r.check.races_total << " races, " << r.check.violations_total
@@ -123,16 +143,17 @@ TEST(CheckKernelsTest, SuiteIsCleanUnderFullChecking) {
 class CheckPresetTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(CheckPresetTest, EveryKernelAndRowIsCleanUnderInvariants) {
-  RunOptions opt = checked_options(sim::CheckMode::kInvariants);
+  RunOptions opt = small_options();
   opt.topology = std::make_shared<const sim::Topology>(
       *sim::Topology::from_preset(GetParam()));
   sim::Machine machine(opt.machine_params());
   for (const StudyConfig& cfg : configs_for(*opt.topology)) {
     for (const npb::Benchmark b : npb::kAllBenchmarks) {
-      const RunResult r = run_single(machine, b, cfg, opt, opt.trial_seed(0));
+      const Checked r =
+          run_checked(machine, b, cfg, opt, sim::CheckMode::kInvariants);
       const std::string cell =
           std::string(npb::benchmark_name(b)) + " @ " + cfg.name;
-      EXPECT_TRUE(r.verified) << cell;
+      EXPECT_TRUE(r.run.verified) << cell;
       EXPECT_TRUE(r.check.clean())
           << cell << ": " << r.check.violations_total << " violations"
           << (r.check.violations.empty()
@@ -159,7 +180,7 @@ TEST(CheckKernelsTest, IsVerifiesUnderEveryScheduleOverride) {
   // IS ranks each key in the slice its thread counted, so its counting and
   // ranking loops keep a static partition whatever the override says.
   for (const char* preset : {"paxville", "woodcrest", "numa16"}) {
-    RunOptions opt = checked_options(sim::CheckMode::kFull);
+    RunOptions opt = small_options();
     opt.topology = std::make_shared<const sim::Topology>(
         *sim::Topology::from_preset(preset));
     const StudyConfig cfg = configs_for(*opt.topology).back();
@@ -171,9 +192,9 @@ TEST(CheckKernelsTest, IsVerifiesUnderEveryScheduleOverride) {
         SCOPED_TRACE(testing::Message() << preset << " " << cfg.name << " "
                                         << sched_name(kind) << " chunk "
                                         << chunk);
-        const RunResult r = run_single(machine, npb::Benchmark::kIS, cfg, opt,
-                                       opt.trial_seed(0));
-        EXPECT_TRUE(r.verified);
+        const Checked r = run_checked(machine, npb::Benchmark::kIS, cfg, opt,
+                                      sim::CheckMode::kFull);
+        EXPECT_TRUE(r.run.verified);
         EXPECT_TRUE(r.check.clean());
       }
     }
@@ -183,14 +204,14 @@ TEST(CheckKernelsTest, IsVerifiesUnderEveryScheduleOverride) {
 TEST(CheckKernelsTest, RaceRecordsNumberCpusByTheMachine) {
   // numa16 has 4 cores per chip: each printed record's cpu number must be
   // Topology::flat of its (chip, core, ctx), not a Paxville-shaped number.
-  RunOptions opt = checked_options(sim::CheckMode::kRace);
+  RunOptions opt = small_options();
   const sim::Topology numa = sim::Topology::numa16();
   opt.topology = std::make_shared<const sim::Topology>(numa);
   const StudyConfig widest = configs_for(numa).back();
   ASSERT_EQ(widest.name, "HT off -16-4");
   sim::Machine machine(opt.machine_params());
-  const RunResult r = run_single(machine, npb::Benchmark::kRacyHist, widest,
-                                 opt, opt.trial_seed(0));
+  const Checked r = run_checked(machine, npb::Benchmark::kRacyHist, widest,
+                                opt, sim::CheckMode::kRace);
   ASSERT_FALSE(r.check.races.empty());
 
   std::ostringstream os;
@@ -214,19 +235,18 @@ TEST(CheckKernelsTest, RaceRecordsNumberCpusByTheMachine) {
 }
 
 TEST(CheckKernelsTest, CheckOffIsBitIdenticalToUncheckedRun) {
+  // An inert checker attaches nothing: the machine keeps its fast path.
   const StudyConfig* cfg = find_config("HT off -4-2");
   ASSERT_NE(cfg, nullptr);
-  RunOptions off = checked_options(sim::CheckMode::kOff);
-  sim::Machine off_machine(off.machine_params());
-  const RunResult a = run_single(off_machine, npb::Benchmark::kCG, *cfg, off,
-                                 off.trial_seed(0));
-  RunOptions plain;
-  plain.cls = npb::ProblemClass::kClassS;
-  sim::Machine plain_machine(plain.machine_params());
+  const RunOptions opt = small_options();
+  sim::Machine off_machine(opt.machine_params());
+  const Checked a = run_checked(off_machine, npb::Benchmark::kCG, *cfg, opt,
+                                sim::CheckMode::kOff);
+  sim::Machine plain_machine(opt.machine_params());
   const RunResult b = run_single(plain_machine, npb::Benchmark::kCG, *cfg,
-                                 plain, plain.trial_seed(0));
-  EXPECT_EQ(a.wall_cycles, b.wall_cycles);
-  EXPECT_EQ(a.metrics.cpi, b.metrics.cpi);
+                                 opt, opt.trial_seed(0));
+  EXPECT_EQ(a.run.wall_cycles, b.wall_cycles);
+  EXPECT_EQ(a.run.counters, b.counters);
   EXPECT_EQ(a.check.accesses, 0u);
   EXPECT_TRUE(a.check.clean());
 }
@@ -235,25 +255,31 @@ TEST(CheckKernelsTest, CheckedRunMatchesUncheckedNumerics) {
   // The analyses are observers: attaching them must not change the numbers
   // the program computes (virtual time may differ — the reference path
   // replaces the fast path — but verification and event totals must hold).
-  const RunResult r = run_checked(npb::Benchmark::kEP, "HT on -8-2",
-                                  sim::CheckMode::kFull);
-  EXPECT_TRUE(r.verified);
+  const Checked r = run_checked(npb::Benchmark::kEP, "HT on -8-2",
+                                sim::CheckMode::kFull);
+  EXPECT_TRUE(r.run.verified);
   EXPECT_GT(r.check.team_events, 0u);
   EXPECT_GT(r.check.syncs, 0u);
 }
 
 TEST(CheckKernelsTest, PairRunSharesOneMachineWideReport) {
+  // The checker observes the whole machine, so one report covers both
+  // programs: it sees more traffic than either program run alone.
   const StudyConfig* cfg = find_config("HT off -4-2");
   ASSERT_NE(cfg, nullptr);
-  const RunOptions opt = checked_options(sim::CheckMode::kFull);
+  const RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
+  check::Checker checker(machine, sim::CheckMode::kFull);
   const PairResult pr = run_pair(machine, npb::Benchmark::kEP,
                                  npb::Benchmark::kIS, *cfg, opt,
                                  opt.trial_seed(0));
-  EXPECT_TRUE(pr.program[0].check.clean());
-  EXPECT_EQ(pr.program[0].check.accesses, pr.program[1].check.accesses);
-  EXPECT_EQ(pr.program[0].check.races_total, pr.program[1].check.races_total);
-  EXPECT_GT(pr.program[0].check.accesses, 0u);
+  const check::CheckReport report = checker.finish();
+  EXPECT_TRUE(pr.program[0].verified);
+  EXPECT_TRUE(pr.program[1].verified);
+  EXPECT_TRUE(report.clean());
+  const Checked ep = run_checked(machine, npb::Benchmark::kEP, *cfg, opt,
+                                 sim::CheckMode::kFull);
+  EXPECT_GT(report.accesses, ep.check.accesses);
 }
 
 }  // namespace

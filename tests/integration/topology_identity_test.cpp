@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "check/checker.hpp"
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 #include "npb/kernel.hpp"
@@ -61,7 +62,6 @@ TEST(TopologyIdentityTest, WoodcrestSuiteIsCleanUnderFullChecking) {
   // suite kernel must verify and come back race- and violation-free.
   RunOptions opt;
   opt.cls = npb::ProblemClass::kClassS;
-  opt.check_mode = sim::CheckMode::kFull;
   const sim::Topology wc = sim::Topology::woodcrest();
   opt.topology = std::make_shared<const sim::Topology>(wc);
 
@@ -73,12 +73,14 @@ TEST(TopologyIdentityTest, WoodcrestSuiteIsCleanUnderFullChecking) {
   for (const StudyConfig* cfg :
        {&configs.front(), &configs[static_cast<std::size_t>(full)]}) {
     for (const npb::Benchmark b : npb::kAllBenchmarks) {
+      check::Checker checker(machine, sim::CheckMode::kFull);
       const RunResult r = run_single(machine, b, *cfg, opt, opt.trial_seed(0));
+      const check::CheckReport report = checker.finish();
       EXPECT_TRUE(r.verified)
           << npb::benchmark_name(b) << " on '" << cfg->name << "'";
-      EXPECT_TRUE(r.check.clean())
+      EXPECT_TRUE(report.clean())
           << npb::benchmark_name(b) << " on '" << cfg->name << "': "
-          << r.check.races_total << " races, " << r.check.violations_total
+          << report.races_total << " races, " << report.violations_total
           << " violations";
     }
   }

@@ -5,7 +5,6 @@
 //     under --trace=stacks and --trace=full;
 //   * tracing never perturbs virtual time (traced wall == untraced
 //     reference-path wall) at either depth;
-//   * --trace=off is bit-identical to a plain run (wall and counters);
 //   * the Chrome tracing export is well-formed JSON, and names every tid
 //     its events carry exactly once (on numa16 too).
 #include <gtest/gtest.h>
@@ -51,15 +50,14 @@ constexpr sim::TraceMode kTraceModes[] = {sim::TraceMode::kStacks,
                                           sim::TraceMode::kFull};
 
 TEST(TraceKernelsTest, StacksSumExactlyToWallAcrossMatrix) {
+  const harness::RunOptions opt = small_options();
   for (const sim::TraceMode mode : kTraceModes) {
-    harness::RunOptions opt = small_options();
-    opt.trace_mode = mode;
     const char* m = sim::trace_mode_name(mode);
     for (const harness::StudyConfig* cfg : matrix_configs()) {
       sim::Machine machine(opt.machine_params());
       for (const npb::Benchmark bench : npb::kAllBenchmarks) {
         const harness::TraceResult tr = harness::run_traced(
-            machine, bench, *cfg, opt, opt.trial_seed(0));
+            machine, bench, *cfg, opt, mode, opt.trial_seed(0));
         const trace::TraceReport& t = tr.trace;
         ASSERT_GT(t.wall_cycles, 0.0)
             << m << ": " << npb::benchmark_name(bench) << " @ " << cfg->name;
@@ -83,49 +81,23 @@ TEST(TraceKernelsTest, StacksSumExactlyToWallAcrossMatrix) {
 TEST(TraceKernelsTest, TracingDoesNotPerturbVirtualTime) {
   // The tracer forces the reference path, so the like-for-like untraced
   // baseline is a machine with the fast path disabled.
-  harness::RunOptions ref_opt = small_options();
-  sim::MachineParams ref_params = ref_opt.machine_params();
+  const harness::RunOptions opt = small_options();
+  sim::MachineParams ref_params = opt.machine_params();
   ref_params.fast_path = false;
 
   for (const sim::TraceMode mode : kTraceModes) {
-    harness::RunOptions traced_opt = small_options();
-    traced_opt.trace_mode = mode;
     for (const harness::StudyConfig* cfg : matrix_configs()) {
       sim::Machine ref_machine(ref_params);
-      sim::Machine traced_machine(traced_opt.machine_params());
+      sim::Machine traced_machine(opt.machine_params());
       for (const npb::Benchmark bench : npb::kAllBenchmarks) {
         const harness::RunResult ref = harness::run_single(
-            ref_machine, bench, *cfg, ref_opt, ref_opt.trial_seed(0));
-        const harness::TraceResult tr =
-            harness::run_traced(traced_machine, bench, *cfg, traced_opt,
-                                traced_opt.trial_seed(0));
+            ref_machine, bench, *cfg, opt, opt.trial_seed(0));
+        const harness::TraceResult tr = harness::run_traced(
+            traced_machine, bench, *cfg, opt, mode, opt.trial_seed(0));
         EXPECT_EQ(tr.run.wall_cycles, ref.wall_cycles)
             << sim::trace_mode_name(mode) << ": "
             << npb::benchmark_name(bench) << " @ " << cfg->name;
       }
-    }
-  }
-}
-
-TEST(TraceKernelsTest, TraceOffIsBitIdentical) {
-  // trace_mode = kOff must leave the machine untouched: same wall cycles
-  // AND same raw counters as a run that never heard of tracing.
-  const harness::RunOptions plain_opt = small_options();
-  harness::RunOptions off_opt = small_options();
-  off_opt.trace_mode = sim::TraceMode::kOff;
-
-  for (const harness::StudyConfig* cfg : matrix_configs()) {
-    sim::Machine plain_machine(plain_opt.machine_params());
-    sim::Machine off_machine(off_opt.machine_params());
-    for (const npb::Benchmark bench : npb::kAllBenchmarks) {
-      const harness::RunResult plain = harness::run_single(
-          plain_machine, bench, *cfg, plain_opt, plain_opt.trial_seed(0));
-      const harness::RunResult off = harness::run_single(
-          off_machine, bench, *cfg, off_opt, off_opt.trial_seed(0));
-      EXPECT_EQ(off.wall_cycles, plain.wall_cycles)
-          << npb::benchmark_name(bench) << " @ " << cfg->name;
-      EXPECT_EQ(off.counters, plain.counters)
-          << npb::benchmark_name(bench) << " @ " << cfg->name;
     }
   }
 }
@@ -135,8 +107,9 @@ TEST(TraceKernelsTest, TraceOffIsBitIdentical) {
 void expect_chrome_export_well_formed(const harness::RunOptions& opt,
                                       const harness::StudyConfig& cfg) {
   sim::Machine machine(opt.machine_params());
-  const harness::TraceResult tr = harness::run_traced(
-      machine, npb::Benchmark::kCG, cfg, opt, opt.trial_seed(0));
+  const harness::TraceResult tr =
+      harness::run_traced(machine, npb::Benchmark::kCG, cfg, opt,
+                          sim::TraceMode::kFull, opt.trial_seed(0));
   std::ostringstream os;
   trace::write_chrome_trace(os, tr.trace);
   std::string error;
@@ -164,7 +137,6 @@ void expect_chrome_export_well_formed(const harness::RunOptions& opt,
 
 TEST(TraceKernelsTest, ChromeExportIsWellFormedJson) {
   harness::RunOptions opt = small_options();
-  opt.trace_mode = sim::TraceMode::kFull;
   for (const harness::StudyConfig* cfg : matrix_configs()) {
     expect_chrome_export_well_formed(opt, *cfg);
   }

@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 
+#include "check/checker.hpp"
 #include "harness/runner.hpp"
 #include "npb/kernel.hpp"
 
@@ -133,13 +134,16 @@ TEST(ProfilerTest, EPIsOverwhelminglyParallel) {
 }
 
 TEST(ProfilerTest, RunProfiledSerialRejectsCheckMode) {
-  harness::RunOptions opt = quick_options();
-  opt.check_mode = sim::CheckMode::kFull;
+  // A checked machine already carries its one sink.
+  const harness::RunOptions opt = quick_options();
   sim::Machine machine(opt.machine_params());
+  check::Checker checker(machine, sim::CheckMode::kFull);
   EXPECT_THROW(harness::run_profiled_serial(machine, npb::Benchmark::kEP, opt,
                                             opt.trial_seed(0)),
-               std::invalid_argument);
-  EXPECT_EQ(machine.trace_sink(), nullptr) << "the profiler must detach";
+               std::logic_error);
+  EXPECT_EQ(machine.trace_sink(), &checker) << "the checker stays attached";
+  (void)checker.finish();
+  EXPECT_EQ(machine.trace_sink(), nullptr);
 }
 
 TEST(ProfilerTest, FinishIsIdempotent) {

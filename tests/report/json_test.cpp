@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "check/checker.hpp"
 #include "harness/config.hpp"
 #include "harness/engine.hpp"
 #include "harness/report.hpp"
@@ -128,25 +129,25 @@ TEST(ReportSchemaTest, PredictDocument) {
 }
 
 TEST(ReportSchemaTest, CheckDocument) {
-  harness::RunOptions opt = small_options();
-  opt.check_mode = sim::CheckMode::kFull;
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
-  const harness::RunResult r = harness::run_single(
-      machine, npb::Benchmark::kEP, harness::serial_config(), opt,
-      opt.trial_seed(0));
+  check::Checker checker(machine, sim::CheckMode::kFull);
+  (void)harness::run_single(machine, npb::Benchmark::kEP,
+                            harness::serial_config(), opt, opt.trial_seed(0));
   std::ostringstream os;
-  harness::print_check_report_json(os, r.check);
+  harness::print_check_report_json(os, checker.finish());
   expect_document(os.str(), "check",
                   {"mode", "clean", "races", "violations"});
 }
 
 TEST(ReportSchemaTest, TraceDocument) {
-  harness::RunOptions opt = small_options();
-  opt.trace_mode = sim::TraceMode::kStacks;
+  const harness::RunOptions opt = small_options();
   const harness::StudyConfig* cfg = harness::find_config("HT on -4-1");
   ASSERT_NE(cfg, nullptr);
+  sim::Machine machine(opt.machine_params());
   const harness::TraceResult tr =
-      engine().trace(npb::Benchmark::kCG, *cfg, opt, opt.trial_seed(0));
+      harness::run_traced(machine, npb::Benchmark::kCG, *cfg, opt,
+                          sim::TraceMode::kStacks, opt.trial_seed(0));
   std::ostringstream os;
   harness::print_trace_report_json(os, "CG", std::string(cfg->name), tr.trace);
   expect_document(os.str(), "trace",

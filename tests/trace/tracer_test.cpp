@@ -6,22 +6,22 @@
 
 #include <stdexcept>
 
+#include "check/checker.hpp"
 #include "harness/config.hpp"
 #include "harness/runner.hpp"
 
 namespace paxsim::trace {
 namespace {
 
-harness::RunOptions traced_options(sim::TraceMode mode) {
+harness::RunOptions small_options() {
   harness::RunOptions opt;
   opt.cls = npb::ProblemClass::kClassS;
   opt.trials = 1;
-  opt.trace_mode = mode;
   return opt;
 }
 
 TEST(TracerTest, AttachesAndDetachesRaii) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   EXPECT_EQ(machine.trace_sink(), nullptr);
   {
@@ -32,7 +32,7 @@ TEST(TracerTest, AttachesAndDetachesRaii) {
 }
 
 TEST(TracerTest, FinishDetaches) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   Tracer tracer(machine, sim::TraceMode::kStacks);
   const TraceReport r = tracer.finish(123.0);
@@ -42,31 +42,33 @@ TEST(TracerTest, FinishDetaches) {
 }
 
 TEST(TracerTest, RunTracedRejectsUntracedMachine) {
-  // The depth comes from the options; a machine carries no trace mode.
-  harness::RunOptions opt = traced_options(sim::TraceMode::kOff);
+  // The depth is run_traced's argument; a machine carries no trace mode.
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   EXPECT_THROW(harness::run_traced(machine, npb::Benchmark::kEP,
                                    harness::serial_config(), opt,
-                                   opt.trial_seed(0)),
+                                   sim::TraceMode::kOff, opt.trial_seed(0)),
                std::invalid_argument);
 }
 
 TEST(TracerTest, RunTracedRejectsCheckMode) {
-  harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
-  opt.check_mode = sim::CheckMode::kFull;
+  // A checked machine already carries its one sink.
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
+  check::Checker checker(machine, sim::CheckMode::kFull);
   EXPECT_THROW(harness::run_traced(machine, npb::Benchmark::kEP,
                                    harness::serial_config(), opt,
-                                   opt.trial_seed(0)),
-               std::invalid_argument);
+                                   sim::TraceMode::kStacks, opt.trial_seed(0)),
+               std::logic_error);
+  EXPECT_EQ(machine.trace_sink(), &checker) << "the checker stays attached";
 }
 
 TEST(TracerTest, SerialRunReportShape) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   const harness::TraceResult tr = harness::run_traced(
       machine, npb::Benchmark::kEP, harness::serial_config(), opt,
-      opt.trial_seed(0));
+      sim::TraceMode::kStacks, opt.trial_seed(0));
   const TraceReport& t = tr.trace;
 
   EXPECT_TRUE(tr.run.verified);
@@ -95,12 +97,13 @@ TEST(TracerTest, SerialRunReportShape) {
 }
 
 TEST(TracerTest, FullModeRecordsOrderedEvents) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kFull);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   const harness::StudyConfig* cfg = harness::find_config("HT off -4-2");
   ASSERT_NE(cfg, nullptr);
   const harness::TraceResult tr = harness::run_traced(
-      machine, npb::Benchmark::kMG, *cfg, opt, opt.trial_seed(0));
+      machine, npb::Benchmark::kMG, *cfg, opt, sim::TraceMode::kFull,
+      opt.trial_seed(0));
   const TraceReport& t = tr.trace;
 
   EXPECT_GT(t.events_recorded, 0u);
@@ -121,25 +124,28 @@ TEST(TracerTest, FullModeRecordsOrderedEvents) {
 }
 
 TEST(TracerTest, RegionInstancesMatchLoopDispatches) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   const harness::StudyConfig* cfg = harness::find_config("HT on -4-1");
   ASSERT_NE(cfg, nullptr);
   const harness::TraceResult tr = harness::run_traced(
-      machine, npb::Benchmark::kCG, *cfg, opt, opt.trial_seed(0));
+      machine, npb::Benchmark::kCG, *cfg, opt, sim::TraceMode::kStacks,
+      opt.trial_seed(0));
   std::uint64_t instances = 0;
   for (const RegionStats& r : tr.trace.regions) instances += r.instances;
   EXPECT_EQ(instances, tr.trace.loop_dispatches);
 }
 
 TEST(TracerTest, TracedRunIsRepeatable) {
-  const harness::RunOptions opt = traced_options(sim::TraceMode::kStacks);
+  const harness::RunOptions opt = small_options();
   sim::Machine machine(opt.machine_params());
   const harness::StudyConfig* cfg = harness::find_config("HT off -2-1");
   ASSERT_NE(cfg, nullptr);
   const auto a = harness::run_traced(machine, npb::Benchmark::kFT, *cfg, opt,
+                                     sim::TraceMode::kStacks,
                                      opt.trial_seed(0));
   const auto b = harness::run_traced(machine, npb::Benchmark::kFT, *cfg, opt,
+                                     sim::TraceMode::kStacks,
                                      opt.trial_seed(0));
   EXPECT_EQ(a.run.wall_cycles, b.run.wall_cycles);
   EXPECT_EQ(a.run.counters, b.run.counters);
