@@ -211,14 +211,17 @@ FlagSet make_flag_table(Command* cmd) {
     case Kind::kTrace: {
       FlagSpec s;
       s.name = "trace";
-      s.value_hint = "off|stacks|events|full";
-      s.def = "off";
+      s.value_hint = "stacks|events|full";
+      s.def = "stacks";
       s.help = "execution-trace recording depth";
       Command* c = cmd;
       s.apply = [c](const std::string& v) -> std::string {
-        if (!sim::parse_trace_mode(v.c_str(), c->trace)) {
-          return "bad --trace '" + v + "' (use off, stacks, events or full)";
+        sim::TraceMode mode = sim::TraceMode::kOff;
+        if (!sim::parse_trace_mode(v.c_str(), mode) ||
+            mode == sim::TraceMode::kOff) {
+          return "bad --trace '" + v + "' (use stacks, events or full)";
         }
+        c->trace = mode;
         return {};
       };
       fs.add(std::move(s));
@@ -903,11 +906,9 @@ int execute(const Command& cmd, std::ostream& out, std::ostream& err) {
         return report_check(out, cmd, checker.finish());
       }
       case Command::Kind::kTrace: {
-        // The stack tables need only the accountant (--trace=off records
-        // them); the Chrome export needs the event stream.
-        sim::TraceMode depth = cmd.trace == sim::TraceMode::kOff
-                                   ? sim::TraceMode::kStacks
-                                   : cmd.trace;
+        // The stack tables need only the accountant; the Chrome export
+        // needs the event stream.
+        sim::TraceMode depth = cmd.trace;
         if (!cmd.trace_out.empty() && depth == sim::TraceMode::kStacks) {
           depth = sim::TraceMode::kFull;
         }

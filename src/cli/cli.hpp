@@ -63,8 +63,8 @@ struct Command {
   /// --check: the analyses a run/pair/sched/timeline attaches to its
   /// machine (off attaches nothing).
   sim::CheckMode check = sim::CheckMode::kOff;
-  /// --trace: the depth `trace` records at (off records the stacks).
-  sim::TraceMode trace = sim::TraceMode::kOff;
+  /// --trace: the depth `trace` records at.
+  sim::TraceMode trace = sim::TraceMode::kStacks;
   int jobs = 1;                         ///< run/serve: host worker threads
   bool csv = false;
   bool baseline = false;                ///< also run + report serial

@@ -608,26 +608,51 @@ model::Placement placement_for(const StudyConfig& cfg,
   return pl;
 }
 
-std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
-    npb::Benchmark b, const RunOptions& opt, std::uint64_t seed) {
+ExperimentEngine::ProfileMemo ExperimentEngine::memo_profile(
+    npb::Benchmark b, const RunOptions& opt, std::uint64_t seed,
+    bool& reused) {
   seed = simulated_seed(b, b, seed);
   const std::string key = profile_key(b, opt, seed);
+  std::promise<ProfileMemo> promise;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     const auto it = profiles_.find(key);
-    if (it != profiles_.end()) return it->second;
+    if (it != profiles_.end()) {
+      const std::shared_future<ProfileMemo> memo = it->second;
+      lock.unlock();
+      reused = true;
+      return memo.get();  // waits for a run still going; rethrows its error
+    }
+    profiles_.emplace(key, promise.get_future().share());
   }
-  // Profile outside the lock, on a pooled machine; a concurrent duplicate
-  // computes the identical (deterministic) profile and first insertion
-  // wins.
-  MachinePool::Lease lease = pool_for(opt.machine_params()).acquire();
-  ProfiledRun run = run_profiled_serial(*lease, b, opt, seed);
-  auto prof =
-      std::make_shared<const model::KernelProfile>(std::move(run.profile));
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto [it, inserted] = profiles_.emplace(key, std::move(prof));
-  if (inserted) profile_host_sec_[key] = run.result.host_sim_sec;
-  return it->second;
+  reused = false;
+  // Profile outside the lock, on a pooled machine whose lease is returned
+  // before any waiter wakes.
+  try {
+    ProfileMemo memo;
+    {
+      MachinePool::Lease lease = pool_for(opt.machine_params()).acquire();
+      ProfiledRun run = run_profiled_serial(*lease, b, opt, seed);
+      memo.profile =
+          std::make_shared<const model::KernelProfile>(std::move(run.profile));
+      memo.host_sec = run.result.host_sim_sec;
+    }
+    promise.set_value(memo);
+    return memo;
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      profiles_.erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+}
+
+std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
+    npb::Benchmark b, const RunOptions& opt, std::uint64_t seed) {
+  bool reused = false;
+  return memo_profile(b, opt, seed, reused).profile;
 }
 
 PredictionResult ExperimentEngine::predict(npb::Benchmark b,
@@ -649,22 +674,13 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
     ++store_hits_;
     return out;
   }
-  const std::string key = profile_key(b, opt, pkey.seed);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.profile_reused = profiles_.contains(key);
-  }
-  const std::shared_ptr<const model::KernelProfile> prof =
-      this->profile(b, opt, pkey.seed);
-  if (!out.profile_reused) {
-    std::lock_guard<std::mutex> lock(mu_);
-    out.profile_host_sec = profile_host_sec_[key];
-  }
+  const ProfileMemo memo = memo_profile(b, opt, pkey.seed, out.profile_reused);
+  if (!out.profile_reused) out.profile_host_sec = memo.host_sec;
   // paxlint: allow(wallclock) -- predict_host_sec provenance timing; the prediction itself is host-time-free
   const auto t0 = std::chrono::steady_clock::now();
   const sim::MachineParams mp = opt.machine_params();
   out.prediction =
-      model::predict(*prof, mp, placement_for(cfg, mp.topology));
+      model::predict(*memo.profile, mp, placement_for(cfg, mp.topology));
   // paxlint: allow(wallclock) -- predict_host_sec provenance timing; the prediction itself is host-time-free
   const auto t1 = std::chrono::steady_clock::now();
   out.predict_host_sec = std::chrono::duration<double>(t1 - t0).count();

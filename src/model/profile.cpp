@@ -41,6 +41,13 @@ bool Profiler::in_runtime_range(sim::Addr addr) const noexcept {
   return false;
 }
 
+Profiler::LineShare& Profiler::share_of(std::uint64_t line) {
+  const std::uint32_t pos = share_index_.find(line);
+  if (pos != KeyIndex::kNone) return shares_[share_index_.value(pos)];
+  share_index_.insert(line, static_cast<std::uint32_t>(shares_.size()));
+  return shares_.emplace_back();
+}
+
 void Profiler::on_access(const sim::HwContext& /*ctx*/, sim::Addr addr,
                          bool is_store, sim::Dep dep) {
   if (is_store) {
@@ -53,17 +60,8 @@ void Profiler::on_access(const sim::HwContext& /*ctx*/, sim::Addr addr,
   const bool runtime = in_runtime_range(addr);
   if (runtime) ++profile_.runtime_accesses;
 
-  const std::uint64_t word = addr >> 3;
   const std::uint64_t line = addr >> 6;
   const std::uint64_t pageno = addr >> 12;
-
-  // Serial word stream (spatial-locality diagnostic).
-  if (const std::uint64_t d = word_stack_.access(word);
-      d == StackDistanceTracker::kCold) {
-    profile_.word.add_cold();
-  } else {
-    profile_.word.add(d);
-  }
 
   // Per-tau virtual-owner line/page streams.
   std::uint64_t serial_line_distance = StackDistanceTracker::kCold;
@@ -107,7 +105,7 @@ void Profiler::on_access(const sim::HwContext& /*ctx*/, sim::Addr addr,
   // traffic (barrier, cursor) is modelled analytically from the loop
   // structure, not from the serial stream.
   if (!runtime) {
-    LineShare& share = shares_[line];
+    LineShare& share = share_of(line);
     if (fork_depth_ == 0 && share.written) {
       const LineShare::Tau& t8 = share.tau[2];
       if (t8.last_writer != 0xFF && t8.last_writer != 0) {

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "model/reuse.hpp"
@@ -70,7 +69,6 @@ struct KernelProfile {
   std::array<double, 4> chunk_mean_iters{};
 
   // ---- reuse-distance histograms ------------------------------------------
-  ReuseHistogram word;               ///< 8-byte words, serial stream
   std::array<ReuseHistogram, 4> line;        ///< 64-byte lines, per tau
   std::array<ReuseHistogram, 4> store_line;  ///< store subset of `line`
   std::array<ReuseHistogram, 4> page;        ///< 4-KiB pages, per tau
@@ -200,7 +198,6 @@ class Profiler final : public sim::TraceSink {
   // stack.  Index [k][owner] flattened as owner_base_[k]+owner.
   std::array<StackDistanceTracker, 15> line_stacks_;
   std::array<StackDistanceTracker, 15> page_stacks_;
-  StackDistanceTracker word_stack_;
   StackDistanceTracker block_stack_;
   StackDistanceTracker code_page_stack_;
   static constexpr std::array<std::size_t, 4> owner_base_{0, 1, 3, 7};
@@ -229,7 +226,11 @@ class Profiler final : public sim::TraceSink {
     std::array<Tau, 3> tau{};
     bool written = false;
   };
-  std::unordered_map<std::uint64_t, LineShare> shares_;
+  /// The sharing state of a line, found through share_index_ (line ->
+  /// position in shares_).
+  [[nodiscard]] LineShare& share_of(std::uint64_t line);
+  KeyIndex share_index_;
+  std::vector<LineShare> shares_;
 
   std::vector<std::pair<sim::Addr, sim::Addr>> runtime_ranges_;
 };

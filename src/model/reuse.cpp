@@ -7,6 +7,38 @@
 namespace paxsim::model {
 
 // ---------------------------------------------------------------------------
+// KeyIndex
+// ---------------------------------------------------------------------------
+
+namespace {
+constexpr std::uint32_t kInitialIndexCap = 64;
+}  // namespace
+
+void KeyIndex::grow() {
+  const std::size_t cap =
+      table_.empty() ? kInitialIndexCap : table_.size() * 2;
+  std::vector<Entry> old(cap);
+  old.swap(table_);
+  mask_ = static_cast<std::uint32_t>(cap - 1);
+  shift_ = 64 - std::countr_zero(cap);
+  for (const Entry& e : old) {
+    if (e.value == kNone) continue;
+    std::uint32_t pos = home(e.key);
+    while (table_[pos].value != kNone) pos = (pos + 1) & mask_;
+    table_[pos] = e;
+  }
+}
+
+std::uint32_t KeyIndex::insert(std::uint64_t key, std::uint32_t value) {
+  if ((size_ + 1) * 2 > table_.size()) grow();
+  std::uint32_t pos = home(key);
+  while (table_[pos].value != kNone) pos = (pos + 1) & mask_;
+  table_[pos] = Entry{key, value};
+  ++size_;
+  return pos;
+}
+
+// ---------------------------------------------------------------------------
 // StackDistanceTracker
 // ---------------------------------------------------------------------------
 
@@ -27,81 +59,101 @@ std::uint64_t StackDistanceTracker::fen_prefix(
   return sum;
 }
 
-std::uint64_t StackDistanceTracker::live_after(
-    std::uint32_t t) const noexcept {
-  // All live slots minus those at or before t (t itself is live).
-  return static_cast<std::uint64_t>(last_.size()) - fen_prefix(t);
+void StackDistanceTracker::fen_rebuild() {
+  fen_.assign(cap_ + 1, 0);
+  for (std::uint32_t i = 1; i <= cap_; ++i) {
+    if (slot_entry_[i - 1] != KeyIndex::kNone) ++fen_[i];
+    const std::uint32_t parent = i + (i & (~i + 1));
+    if (parent <= cap_) fen_[parent] += fen_[i];
+  }
+}
+
+std::uint64_t StackDistanceTracker::deep_distance(
+    std::uint32_t slot) const noexcept {
+  return static_cast<std::uint64_t>(distinct()) - fen_prefix(slot);
 }
 
 void StackDistanceTracker::compact_or_grow() {
-  const std::uint32_t live = static_cast<std::uint32_t>(last_.size());
   if (cap_ == 0) {
     cap_ = kInitialCap;
-    fen_.assign(cap_ + 1, 0);
-    return;
-  }
-  if (live * 2 <= cap_) {
+  } else if (fen_prefix(cap_ - 1) * 2 <= cap_) {
     // Renumber the live slots in recency order, dropping the dead ones.
-    std::vector<std::pair<std::uint32_t, std::uint64_t>> order;
-    order.reserve(live);
-    // paxlint: allow(determinism) -- collected pairs are sorted on the next line before any order-sensitive use
-    for (const auto& [key, slot] : last_) order.emplace_back(slot, key);
-    std::sort(order.begin(), order.end());
-    fen_.assign(cap_ + 1, 0);
     std::uint32_t next = 0;
-    for (const auto& [slot, key] : order) {
-      last_[key] = next;
-      fen_add(next, +1);
-      ++next;
+    for (std::uint32_t slot = 0; slot < time_; ++slot) {
+      const std::uint32_t pos = slot_entry_[slot];
+      if (pos == KeyIndex::kNone) continue;
+      index_.value(pos) = next;
+      slot_entry_[next++] = pos;
     }
+    std::fill(slot_entry_.begin() + next, slot_entry_.end(), KeyIndex::kNone);
     time_ = next;
-    return;
+  } else {
+    // Mostly-live tree: double the slot space instead (keeps amortized O(1)
+    // slot assignment even for scans that never reuse).
+    cap_ *= 2;
   }
-  // Mostly-live tree: double the slot space instead (keeps amortized O(1)
-  // slot assignment even for scans that never reuse).
-  cap_ *= 2;
-  fen_.assign(cap_ + 1, 0);
-  // paxlint: allow(determinism) -- Fenwick point-adds commute; the resulting tree is identical in any visit order
-  for (const auto& [key, slot] : last_) {
-    (void)key;
-    fen_add(slot, +1);
+  slot_entry_.resize(cap_, KeyIndex::kNone);
+  fen_rebuild();
+}
+
+void StackDistanceTracker::reindex() {
+  for (std::uint32_t pos = 0; pos < index_.capacity(); ++pos) {
+    const std::uint32_t slot = index_.value(pos);
+    if (slot < kInFront) slot_entry_[slot] = pos;
   }
 }
 
 std::uint64_t StackDistanceTracker::access(std::uint64_t key) {
-  if (time_ == cap_) compact_or_grow();
-  std::uint64_t distance = kCold;
-  const auto it = last_.find(key);
-  if (it != last_.end()) {
-    distance = live_after(it->second);
-    fen_add(it->second, -1);
-    it->second = time_;
-    fen_add(time_, +1);
-  } else {
-    last_.emplace(key, time_);
-    fen_add(time_, +1);
+  // Move-to-front scan: @p key goes on top and each front key moves down
+  // one place until the one that held @p key, whose place it fills.
+  std::uint64_t carry = key;
+  for (std::uint32_t p = 0; p < front_size_; ++p) {
+    std::swap(carry, front_[p]);
+    if (carry == key) return p;
   }
-  ++time_;
+  // Not in the front: every front key moved down one place, and the carry
+  // is the old last key (or @p key itself, into an empty front).
+  const bool evict = front_size_ == kFront;
+  if (!evict) front_[front_size_++] = carry;
+  std::uint64_t distance = kCold;
+  const std::uint32_t pos = index_.find(key);
+  if (pos != KeyIndex::kNone) {
+    const std::uint32_t slot = index_.value(pos);
+    distance = deep_distance(slot);
+    fen_add(slot, -1);
+    slot_entry_[slot] = KeyIndex::kNone;
+    index_.value(pos) = kInFront;
+  }
+  if (evict) {
+    // The evicted key is more recent than every deep key: it takes the
+    // next slot.
+    if (time_ == cap_) compact_or_grow();
+    const std::uint32_t out = index_.find(carry);
+    index_.value(out) = time_;
+    slot_entry_[time_] = out;
+    fen_add(time_, +1);
+    ++time_;
+  }
+  if (pos == KeyIndex::kNone) {
+    const std::size_t cap = index_.capacity();
+    index_.insert(key, kInFront);
+    if (index_.capacity() != cap) reindex();
+  }
   return distance;
 }
 
 std::uint64_t StackDistanceTracker::peek(std::uint64_t key) const {
-  const auto it = last_.find(key);
-  if (it == last_.end()) return kCold;
-  return live_after(it->second);
+  for (std::uint32_t p = 0; p < front_size_; ++p) {
+    if (front_[p] == key) return p;
+  }
+  const std::uint32_t pos = index_.find(key);
+  if (pos == KeyIndex::kNone) return kCold;
+  return deep_distance(index_.value(pos));
 }
 
 // ---------------------------------------------------------------------------
 // ReuseHistogram
 // ---------------------------------------------------------------------------
-
-std::size_t ReuseHistogram::bucket_index(std::uint64_t d) noexcept {
-  if (d < kExact) return static_cast<std::size_t>(d);
-  const int octave = std::bit_width(d) - 1;  // >= 6
-  const std::uint64_t sub = (d >> (octave - 3)) & (kSub - 1);
-  return kExact + static_cast<std::size_t>(octave - 6) * kSub +
-         static_cast<std::size_t>(sub);
-}
 
 std::uint64_t ReuseHistogram::bucket_lo(std::size_t i) noexcept {
   if (i < kExact) return i;
@@ -115,13 +167,6 @@ std::uint64_t ReuseHistogram::bucket_hi(std::size_t i) noexcept {
   if (i < kExact) return i + 1;
   const std::size_t octave = 6 + (i - kExact) / kSub;
   return bucket_lo(i) + (std::uint64_t{1} << (octave - 3));
-}
-
-void ReuseHistogram::add(std::uint64_t distance, std::uint64_t weight) {
-  const std::size_t idx = bucket_index(distance);
-  if (idx >= counts_.size()) counts_.resize(idx + 1, 0);
-  counts_[idx] += weight;
-  finite_ += weight;
 }
 
 void ReuseHistogram::merge(const ReuseHistogram& other) {

@@ -489,6 +489,12 @@ TEST(CliParseTest, TraceParsesFlagsAndValidates) {
   EXPECT_FALSE(P({"trace", "--bench=CG"}).ok());
   EXPECT_FALSE(P({"trace", "--bench=CG", "--config=Serial",
                   "--trace=bogus"}).ok());
+  // The trace word always records, so `off` is no depth of it.
+  EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial", "--trace=off"})
+                .error,
+            "bad --trace 'off' (use stacks, events or full)");
+  EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial"}).command->trace,
+            sim::TraceMode::kStacks);
   // trace runs no checker (one sink per machine), so --check is refused.
   EXPECT_EQ(P({"trace", "--bench=CG", "--config=Serial", "--check=full"})
                 .error,

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "harness/runner.hpp"
@@ -164,6 +165,49 @@ TEST(ExperimentEngineTest, ObservedAndPlainRunsShareOneMachine) {
   ExperimentEngine fresh(1);
   EXPECT_TRUE(same_result(
       plain, fresh.single(npb::Benchmark::kCG, *cfg, opt, seed)));
+}
+
+TEST(ExperimentEngineTest, ConcurrentPredictsProfileOnce) {
+  // Three workers predict one kernel on three rows and so ask for its
+  // profile at once: one profiles it on one leased machine and the others
+  // wait for that result, reporting it reused and costing no host time.
+  const RunOptions opt = quick_options();
+  const std::uint64_t seed = opt.trial_seed(0);
+  const std::vector<const StudyConfig*> rows = {
+      find_config("Serial"), find_config("HT off -2-1"),
+      find_config("HT on -4-2")};
+  ExperimentEngine engine(3);
+  std::vector<PredictionResult> out(rows.size());
+  engine.for_each(rows.size(), [&](std::size_t i) {
+    out[i] = engine.predict(npb::Benchmark::kCG, *rows[i], opt, seed);
+  });
+  EXPECT_EQ(engine.stats().machines_acquired, 1u);
+  int profiled = 0;
+  for (const PredictionResult& r : out) {
+    if (r.profile_reused) {
+      EXPECT_EQ(r.profile_host_sec, 0.0);
+    } else {
+      ++profiled;
+      EXPECT_GT(r.profile_host_sec, 0.0);
+    }
+  }
+  EXPECT_EQ(profiled, 1);
+}
+
+TEST(ExperimentEngineTest, FailedProfileIsNotMemoized) {
+  // A profiling run that throws leaves no memo entry: the next request
+  // for its key leases a machine and profiles again.  A 4-way SMT core is
+  // a valid topology the simulator refuses, so the lease itself throws.
+  RunOptions opt = quick_options();
+  auto topo = std::make_shared<sim::Topology>(sim::Topology::paxville());
+  topo->smt_per_core = 4;
+  opt.topology = topo;
+  ExperimentEngine engine(1);
+  EXPECT_THROW((void)engine.profile(npb::Benchmark::kCG, opt, 1),
+               std::invalid_argument);
+  EXPECT_THROW((void)engine.profile(npb::Benchmark::kCG, opt, 1),
+               std::invalid_argument);
+  EXPECT_EQ(engine.stats().machines_acquired, 2u);
 }
 
 TEST(ExperimentEngineTest, DistinctSeedsAreDistinctCells) {

@@ -1,7 +1,8 @@
 // Unit tests for paxmodel's reuse-distance machinery: hand-computed Mattson
-// traces against StackDistanceTracker, a differential check against a naive
-// LRU recency stack (including through compaction), and the histogram's
-// bucket math / geometry integration.
+// traces against StackDistanceTracker, differential checks against a naive
+// LRU recency stack (across the front/deep boundary, index growth and
+// compaction, peeks included), KeyIndex, and the histogram's bucket math /
+// geometry integration.
 #include "model/reuse.hpp"
 
 #include <gtest/gtest.h>
@@ -79,8 +80,27 @@ class NaiveStack {
     return d;
   }
 
+  [[nodiscard]] std::uint64_t peek(std::uint64_t key) const {
+    const auto it = std::find(order_.begin(), order_.end(), key);
+    return it == order_.end() ? kCold
+                              : static_cast<std::uint64_t>(it - order_.begin());
+  }
+
+  [[nodiscard]] std::size_t size() const { return order_.size(); }
+
  private:
   std::vector<std::uint64_t> order_;
+};
+
+/// Deterministic xorshift64 stream.
+struct XorShift {
+  std::uint64_t x = 0x243f6a8885a308d3ull;
+  std::uint64_t next() {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    return x;
+  }
 };
 
 TEST(StackDistanceTest, MatchesNaiveStackThroughCompaction) {
@@ -89,15 +109,137 @@ TEST(StackDistanceTest, MatchesNaiveStackThroughCompaction) {
   // distance must still match the explicit recency list.
   StackDistanceTracker t;
   NaiveStack naive;
-  std::uint64_t x = 0x243f6a8885a308d3ull;  // deterministic xorshift
+  XorShift rng;
   for (int i = 0; i < 50000; ++i) {
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    const std::uint64_t key = x % 257;
+    const std::uint64_t key = rng.next() % 257;
     ASSERT_EQ(t.access(key), naive.access(key)) << "at access " << i;
   }
   EXPECT_EQ(t.distinct(), 257u);
+}
+
+// Key spaces straddling the front: one short of it, exactly its size, one
+// past it (a single key ever goes deep) and past twice its size.  Three
+// patterns per space: uniform random, a cyclic scan (every distance is
+// keys-1) and a skewed mix that keeps most reuses in the front.  Every
+// access is preceded by a peek of a random key, which must agree too.
+TEST(StackDistanceTest, MatchesNaiveStackAroundTheFront) {
+  constexpr std::uint64_t f = StackDistanceTracker::kFront;
+  for (const std::uint64_t keys : {f - 1, f, f + 1, 2 * f + 1}) {
+    for (int pattern = 0; pattern < 3; ++pattern) {
+      StackDistanceTracker t;
+      NaiveStack naive;
+      XorShift rng;
+      for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t r = rng.next();
+        std::uint64_t key = 0;
+        switch (pattern) {
+          case 0:
+            key = r % keys;
+            break;
+          case 1:
+            key = static_cast<std::uint64_t>(i) % keys;
+            break;
+          default:
+            key = (r & 7) != 0 ? (r >> 8) % 4 : (r >> 8) % keys;
+            break;
+        }
+        const std::uint64_t probe = (r >> 32) % (keys + 2);
+        ASSERT_EQ(t.peek(probe), naive.peek(probe))
+            << keys << " keys, pattern " << pattern << ", peek at " << i;
+        ASSERT_EQ(t.access(key), naive.access(key))
+            << keys << " keys, pattern " << pattern << ", access " << i;
+      }
+      EXPECT_EQ(t.distinct(), naive.size());
+    }
+  }
+}
+
+TEST(StackDistanceTest, MatchesNaiveStackThroughIndexGrowth) {
+  // 6,000 distinct keys grow the index several times and the slot space
+  // past its first capacity; the revisits then reach far into the deep
+  // region and cross compactions.  Keys are spread over the 64-bit space
+  // so the multiplicative hash sees more than small integers.
+  StackDistanceTracker t;
+  NaiveStack naive;
+  XorShift rng;
+  const auto spread = [](std::uint64_t k) {
+    return k * 0xD6E8FEB86659FD93ull;
+  };
+  for (std::uint64_t k = 0; k < 6000; ++k) {
+    ASSERT_EQ(t.access(spread(k)), kCold) << k;
+    naive.access(spread(k));
+  }
+  EXPECT_EQ(t.distinct(), 6000u);
+  for (int i = 0; i < 30000; ++i) {
+    const std::uint64_t r = rng.next();
+    const std::uint64_t key =
+        spread((r & 1) != 0 ? r % 6000 : (r >> 1) % 64);
+    if ((r & 0x30) == 0) {
+      const std::uint64_t probe = spread((r >> 20) % 6100);
+      ASSERT_EQ(t.peek(probe), naive.peek(probe)) << "peek at " << i;
+    }
+    ASSERT_EQ(t.access(key), naive.access(key)) << "access " << i;
+  }
+  EXPECT_EQ(t.distinct(), 6000u);
+}
+
+TEST(StackDistanceTest, MatchesNaiveStackThroughRepeatedCompaction) {
+  // A working set of 300 keys revisited 400 times: each pass frees every
+  // slot it reuses, so the 1024-slot space fills with dead slots and is
+  // renumbered over and over rather than grown.
+  StackDistanceTracker t;
+  NaiveStack naive;
+  XorShift rng;
+  for (int pass = 0; pass < 400; ++pass) {
+    for (std::uint64_t k = 0; k < 300; ++k) {
+      const auto shift = static_cast<std::uint64_t>(pass);
+      const std::uint64_t key =
+          (rng.next() & 3) == 0 ? k : (k * 7 + shift) % 300;
+      ASSERT_EQ(t.access(key), naive.access(key))
+          << "pass " << pass << ", key " << key;
+    }
+  }
+  EXPECT_EQ(t.distinct(), 300u);
+}
+
+TEST(StackDistanceTest, PeekAcrossTheFrontBoundary) {
+  // Keys 0..F touched in order: F sits on top, 1 is the front's last key,
+  // and 0 was just pushed out of the front into the deep region.
+  constexpr std::uint64_t f = StackDistanceTracker::kFront;
+  StackDistanceTracker t;
+  for (std::uint64_t k = 0; k <= f; ++k) t.access(k);
+  EXPECT_EQ(t.peek(f), 0u);          // front key, on top
+  EXPECT_EQ(t.peek(1), f - 1);       // front key, last place
+  EXPECT_EQ(t.peek(0), f);           // the key just pushed out
+  EXPECT_EQ(t.peek(f + 1), kCold);
+  // Touching more keys pushes 0 deeper; its peek keeps counting them.
+  for (std::uint64_t k = f + 1; k < 3 * f; ++k) t.access(k);
+  EXPECT_EQ(t.peek(0), 3 * f - 1);   // deep key
+  EXPECT_EQ(t.peek(1), 3 * f - 2);
+  EXPECT_EQ(t.access(0), 3 * f - 1);
+  EXPECT_EQ(t.peek(0), 0u);          // back on top of the front
+  EXPECT_EQ(t.peek(1), 3 * f - 1);
+}
+
+TEST(KeyIndexTest, FindsEveryKeyAcrossGrowth) {
+  // Positions move when the table grows; every stored value follows its
+  // key, and an absent key is never found.
+  KeyIndex index;
+  EXPECT_EQ(index.find(0), KeyIndex::kNone);
+  for (std::uint32_t v = 0; v < 5000; ++v) {
+    const std::uint64_t key = std::uint64_t{v} * 4096;  // page-aligned keys
+    const std::uint32_t pos = index.insert(key, v);
+    EXPECT_EQ(index.value(pos), v);
+  }
+  EXPECT_EQ(index.size(), 5000u);
+  EXPECT_GE(index.capacity(), 2 * index.size());
+  for (std::uint32_t v = 0; v < 5000; ++v) {
+    const std::uint32_t pos = index.find(std::uint64_t{v} * 4096);
+    ASSERT_NE(pos, KeyIndex::kNone) << v;
+    EXPECT_EQ(index.value(pos), v);
+  }
+  EXPECT_EQ(index.find(1), KeyIndex::kNone);
+  EXPECT_EQ(index.find(5000ull * 4096), KeyIndex::kNone);
 }
 
 // ---------------------------------------------------------------------------
