@@ -610,7 +610,7 @@ model::Placement placement_for(const StudyConfig& cfg,
 
 ExperimentEngine::ProfileMemo ExperimentEngine::memo_profile(
     npb::Benchmark b, const RunOptions& opt, std::uint64_t seed,
-    bool& reused) {
+    bool& reused, bool wait) {
   seed = simulated_seed(b, b, seed);
   const std::string key = profile_key(b, opt, seed);
   std::promise<ProfileMemo> promise;
@@ -621,6 +621,7 @@ ExperimentEngine::ProfileMemo ExperimentEngine::memo_profile(
       const std::shared_future<ProfileMemo> memo = it->second;
       lock.unlock();
       reused = true;
+      if (!wait) return {};
       return memo.get();  // waits for a run still going; rethrows its error
     }
     profiles_.emplace(key, promise.get_future().share());
@@ -652,7 +653,13 @@ ExperimentEngine::ProfileMemo ExperimentEngine::memo_profile(
 std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
     npb::Benchmark b, const RunOptions& opt, std::uint64_t seed) {
   bool reused = false;
-  return memo_profile(b, opt, seed, reused).profile;
+  return memo_profile(b, opt, seed, reused, true).profile;
+}
+
+void ExperimentEngine::start_profile(npb::Benchmark b, const RunOptions& opt,
+                                     std::uint64_t seed) {
+  bool reused = false;
+  (void)memo_profile(b, opt, seed, reused, false);
 }
 
 PredictionResult ExperimentEngine::predict(npb::Benchmark b,
@@ -674,7 +681,8 @@ PredictionResult ExperimentEngine::predict(npb::Benchmark b,
     ++store_hits_;
     return out;
   }
-  const ProfileMemo memo = memo_profile(b, opt, pkey.seed, out.profile_reused);
+  const ProfileMemo memo =
+      memo_profile(b, opt, pkey.seed, out.profile_reused, true);
   if (!out.profile_reused) out.profile_host_sec = memo.host_sec;
   // paxlint: allow(wallclock) -- predict_host_sec provenance timing; the prediction itself is host-time-free
   const auto t0 = std::chrono::steady_clock::now();

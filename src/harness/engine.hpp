@@ -401,6 +401,15 @@ class ExperimentEngine {
                                                       const RunOptions& opt,
                                                       std::uint64_t seed);
 
+  /// profile() that never waits: runs @p b's profiling on the calling
+  /// thread on first touch of its key, and returns at once when a run for
+  /// the key has started already, even one still going.  A driver calls it
+  /// ahead of its predict cells, so that the pool profiles distinct kernels
+  /// side by side and no predict cell waits for another worker's run.
+  /// Throws what a failed run throws.
+  void start_profile(npb::Benchmark b, const RunOptions& opt,
+                     std::uint64_t seed);
+
   /// Scheduler-policy run on a pooled machine (run_scheduled).  Not
   /// memoized: policies are stateful objects the cache cannot key.
   ScheduledResult scheduled(const std::vector<npb::Benchmark>& benches,
@@ -442,10 +451,10 @@ class ExperimentEngine {
     double host_sec = 0;
   };
   /// profile()'s memo lookup: profiles @p b on first touch of its key,
-  /// else returns (waiting, if the key's run is still going) the memoized
-  /// run, setting @p reused.
+  /// else returns the memoized run, setting @p reused.  A run still going
+  /// is waited for when @p wait is set; otherwise an empty memo returns.
   ProfileMemo memo_profile(npb::Benchmark b, const RunOptions& opt,
-                           std::uint64_t seed, bool& reused);
+                           std::uint64_t seed, bool& reused, bool wait);
 
   MachinePool& pool_for(const sim::MachineParams& params);
   CellValue compute_cell(sim::Machine& machine, const CellKey& key,

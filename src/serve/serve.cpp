@@ -111,9 +111,28 @@ ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
   // Pass 2 — compute the queue on the engine's worker pool.  Every cell is
   // persisted the moment it finishes (the engine's write-through), so an
   // interruption anywhere in this loop loses at most in-flight cells.
+  // The queue opens with one task per pending predict cell that starts its
+  // kernel's profile (a key already started costs a lookup): the pool
+  // profiles distinct kernels side by side, ahead of the cells, and no
+  // predict cell idles waiting for another worker's profiling run.  A
+  // profile that fails here fails again, and is reported, in its cells.
+  std::vector<std::size_t> predicts;
+  for (const std::size_t i : pending) {
+    if (plan.cells[i].key.kind == harness::CellKey::Kind::kPredict) {
+      predicts.push_back(i);
+    }
+  }
   std::mutex mu;  // progress stream + summary counters
-  engine.for_each(pending.size(), [&](std::size_t q) {
-    const std::size_t i = pending[q];
+  engine.for_each(predicts.size() + pending.size(), [&](std::size_t t) {
+    if (t < predicts.size()) {
+      const JobCell& cell = plan.cells[predicts[t]];
+      try {
+        engine.start_profile(cell.key.a, cell.opt, cell.seed);
+      } catch (const std::exception&) {
+      }
+      return;
+    }
+    const std::size_t i = pending[t - predicts.size()];
     const JobCell& cell = plan.cells[i];
     bool ok = true;
     try {

@@ -203,11 +203,28 @@ TEST(ExperimentEngineTest, FailedProfileIsNotMemoized) {
   topo->smt_per_core = 4;
   opt.topology = topo;
   ExperimentEngine engine(1);
-  EXPECT_THROW((void)engine.profile(npb::Benchmark::kCG, opt, 1),
+  EXPECT_THROW(engine.start_profile(npb::Benchmark::kCG, opt, 1),
                std::invalid_argument);
   EXPECT_THROW((void)engine.profile(npb::Benchmark::kCG, opt, 1),
                std::invalid_argument);
-  EXPECT_EQ(engine.stats().machines_acquired, 2u);
+  EXPECT_THROW((void)engine.profile(npb::Benchmark::kCG, opt, 1),
+               std::invalid_argument);
+  EXPECT_EQ(engine.stats().machines_acquired, 3u);
+}
+
+TEST(ExperimentEngineTest, StartedProfileServesLaterRequests) {
+  // start_profile runs a key's profile once; a second start and the
+  // predict that follows find it memoized, on the one machine lease.
+  const RunOptions opt = quick_options();
+  const std::uint64_t seed = opt.trial_seed(0);
+  ExperimentEngine engine(1);
+  engine.start_profile(npb::Benchmark::kCG, opt, seed);
+  engine.start_profile(npb::Benchmark::kCG, opt, seed);
+  const PredictionResult r =
+      engine.predict(npb::Benchmark::kCG, *find_config("Serial"), opt, seed);
+  EXPECT_TRUE(r.profile_reused);
+  EXPECT_EQ(r.profile_host_sec, 0.0);
+  EXPECT_EQ(engine.stats().machines_acquired, 1u);
 }
 
 TEST(ExperimentEngineTest, DistinctSeedsAreDistinctCells) {

@@ -8,12 +8,14 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "report/parse.hpp"
 #include "serve/store.hpp"
+#include "sim/topology.hpp"
 
 namespace paxsim::serve {
 namespace {
@@ -153,6 +155,30 @@ TEST(ServeCellsTest, EntryOfAnotherFormatIsRecomputedAndReplaced) {
   const ServeSummary after = serve_cells(plan, store, opt, nullptr);
   EXPECT_EQ(after.store_hits, plan.cells.size());
   EXPECT_EQ(after.computed, 0u);
+}
+
+TEST(ServeCellsTest, FailedProfileFailsItsPredictCells) {
+  // A predict cell whose profile cannot run is counted as a failure, on one
+  // thread and on the worker pool alike, and the other cells still compute.
+  // A 4-way SMT core is a valid topology the simulator refuses.
+  JobPlan plan = small_plan();
+  auto topo = std::make_shared<sim::Topology>(sim::Topology::paxville());
+  topo->smt_per_core = 4;
+  for (JobCell& cell : plan.cells) {
+    if (cell.key.kind == harness::CellKey::Kind::kPredict) {
+      cell.opt.topology = topo;
+    }
+  }
+  for (const int jobs : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << "jobs " << jobs);
+    const fs::path dir = fresh_dir("failed_profile");
+    ServeOptions opt;
+    opt.jobs = jobs;
+    const ServeSummary s =
+        serve_cells(plan, (dir / "store").string(), opt, nullptr);
+    EXPECT_EQ(s.failures, 2u);
+    EXPECT_EQ(s.computed, 2u);
+  }
 }
 
 TEST(ServeCellsTest, ProgressStreamIsValidNdjson) {
