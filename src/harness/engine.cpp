@@ -656,10 +656,15 @@ std::shared_ptr<const model::KernelProfile> ExperimentEngine::profile(
   return memo_profile(b, opt, seed, reused, true).profile;
 }
 
-void ExperimentEngine::start_profile(npb::Benchmark b, const RunOptions& opt,
+bool ExperimentEngine::start_profile(npb::Benchmark b, const RunOptions& opt,
                                      std::uint64_t seed) {
   bool reused = false;
-  (void)memo_profile(b, opt, seed, reused, false);
+  try {
+    (void)memo_profile(b, opt, seed, reused, false);
+  } catch (const std::exception&) {
+    return false;
+  }
+  return true;
 }
 
 PredictionResult ExperimentEngine::predict(npb::Benchmark b,

@@ -406,8 +406,9 @@ class ExperimentEngine {
   /// the key has started already, even one still going.  A driver calls it
   /// ahead of its predict cells, so that the pool profiles distinct kernels
   /// side by side and no predict cell waits for another worker's run.
-  /// Throws what a failed run throws.
-  void start_profile(npb::Benchmark b, const RunOptions& opt,
+  /// Returns false when the run it started failed; the key stays
+  /// unmemoized, so the next request profiles again and meets the error.
+  bool start_profile(npb::Benchmark b, const RunOptions& opt,
                      std::uint64_t seed);
 
   /// Scheduler-policy run on a pooled machine (run_scheduled).  Not

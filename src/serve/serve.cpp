@@ -115,7 +115,8 @@ ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
   // kernel's profile (a key already started costs a lookup): the pool
   // profiles distinct kernels side by side, ahead of the cells, and no
   // predict cell idles waiting for another worker's profiling run.  A
-  // profile that fails here fails again, and is reported, in its cells.
+  // profile that fails here is left to fail again, and be reported, in
+  // its cells.
   std::vector<std::size_t> predicts;
   for (const std::size_t i : pending) {
     if (plan.cells[i].key.kind == harness::CellKey::Kind::kPredict) {
@@ -126,10 +127,7 @@ ServeSummary serve_cells(const JobPlan& plan, const std::string& store_dir,
   engine.for_each(predicts.size() + pending.size(), [&](std::size_t t) {
     if (t < predicts.size()) {
       const JobCell& cell = plan.cells[predicts[t]];
-      try {
-        engine.start_profile(cell.key.a, cell.opt, cell.seed);
-      } catch (const std::exception&) {
-      }
+      (void)engine.start_profile(cell.key.a, cell.opt, cell.seed);
       return;
     }
     const std::size_t i = pending[t - predicts.size()];
